@@ -7,13 +7,24 @@ identity tested elsewhere in the package (idempotency, greatest lower bounds,
 projections) is decidable by plain equality.  Neither semiring carries an
 infinite element here: every entry is a finite rational, and no operation may
 assume an additive identity matrix exists.
+
+Values are exact ``Fraction``s at the API, but the matrix kernels run on
+Python ints.  The operations used (+, -, min, max) never leave the lattice
+``(1/L)·Z``, where L is the lcm of the inputs' denominators, so each matrix
+carries a ``Lattice`` form (L and the integer numerators over L) computed
+once per instance, and results become ``Fraction``s only when returned.  The
+known cost: inputs whose denominators are pairwise coprime make L, and with it
+every int, large.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
@@ -59,6 +70,42 @@ class Flavor(Enum):
     def reducer(self):
         """The scalar addition of this semiring: ``max`` or ``min``."""
         return max if self is Flavor.MAX_PLUS else min
+
+
+def common_denominator(values: Iterable[Fraction], base: int = 1) -> int:
+    """The lcm of ``base`` and the denominators of ``values``."""
+    return math.lcm(base, *{e.denominator for e in values})
+
+
+def to_lattice(values: Iterable[Fraction], scale: int) -> list[int]:
+    """The numerators of ``values`` over ``scale``, which every denominator divides."""
+    return [e.numerator * (scale // e.denominator) for e in values]
+
+
+def from_lattice(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
+    """The rationals ``x / scale``, in lowest terms."""
+    return tuple(Fraction(x, scale) for x in ints)
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Integer form of a matrix: entry (i, j) is ``rows[i][j] / scale``.
+
+    ``scale`` is a common denominator of the entries, not always the least.
+    """
+
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.rows))
+
+    def cols_times(self, factor: int) -> tuple[tuple[int, ...], ...]:
+        """The columns multiplied by ``factor``: a rescaling, negated when factor < 0."""
+        if factor == 1:
+            return self.cols
+        return tuple(tuple(factor * x for x in c) for c in self.cols)
 
 
 @dataclass(frozen=True)
@@ -133,9 +180,22 @@ class TropMatrix:
         for j in range(self.n_cols):
             yield self.col(j)
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The entries over the lcm of their denominators, computed once."""
+        scale = common_denominator(e for r in self.entries for e in r)
+        return Lattice(scale, tuple(tuple(to_lattice(r, scale)) for r in self.entries))
+
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in r) for r in self.entries)
         return f"mat[{body}]"
+
+
+def matrix_from_lattice(lat: Lattice) -> TropMatrix:
+    """The matrix ``lat`` represents, with ``lat`` kept as its lattice form."""
+    m = TropMatrix(tuple(from_lattice(r, lat.scale) for r in lat.rows))
+    m.__dict__["lattice"] = lat  # pre-fill the cached_property
+    return m
 
 
 def vec(*entries: ScalarLike) -> TropVector:
@@ -204,12 +264,12 @@ def trop_mat_mul(f: Flavor, a: TropMatrix, b: TropMatrix) -> TropMatrix:
     if a.n_cols != b.n_rows:
         raise DimensionError(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     pick = f.reducer
-    inner = range(a.n_cols)
-    rows = []
-    for i in range(a.n_rows):
-        arow = a.entries[i]
-        rows.append(tuple(pick(arow[k] + b.entries[k][j] for k in inner) for j in range(b.n_cols)))
-    return TropMatrix(tuple(rows))
+    la, lb = a.lattice, b.lattice
+    scale = math.lcm(la.scale, lb.scale)
+    arows = zip(*la.cols_times(scale // la.scale))
+    bcols = lb.cols_times(scale // lb.scale)
+    rows = tuple(tuple(pick(map(add, r, c)) for c in bcols) for r in arows)
+    return matrix_from_lattice(Lattice(scale, rows))
 
 
 def negate_transpose(a: TropMatrix) -> TropMatrix:
@@ -218,4 +278,5 @@ def negate_transpose(a: TropMatrix) -> TropMatrix:
     Negation is an isomorphism between the two semirings, so this map
     exchanges their matrix products: ``-(A (x) B)^T = (-B^T) (min*) (-A^T)``.
     """
-    return TropMatrix(tuple(tuple(-a.entries[i][j] for i in range(a.n_rows)) for j in range(a.n_cols)))
+    lat = a.lattice
+    return matrix_from_lattice(Lattice(lat.scale, lat.cols_times(-1)))

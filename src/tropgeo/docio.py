@@ -50,6 +50,8 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise DocumentError(f"{where}: zero denominator: {text!r}") from None
+    except ValueError as e:  # CPython's limit on digits in an int string
+        raise DocumentError(f"{where}: {e}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -126,6 +128,10 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # a JSON integer beyond CPython's int-string limit
+        raise DocumentError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("flavor", "rows", "cols", "entries", "role"):

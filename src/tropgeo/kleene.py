@@ -13,17 +13,19 @@ exact rational decision with no geometry involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Optional
 
 from .core import (
     DimensionError,
     Flavor,
     FlavorError,
+    Lattice,
     PreconditionError,
     TropMatrix,
     TropVector,
+    matrix_from_lattice,
     negate_transpose,
-    trop_mat_mul,
 )
 from .residuation import Polytope, member
 
@@ -76,8 +78,12 @@ def _star_defect(f: Flavor, a: TropMatrix) -> Optional[str]:
     for i in range(a.n_rows):
         if a.entries[i][i] != 0:
             return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
-    if trop_mat_mul(f, a, a) != a:
-        return "matrix is not idempotent"
+    # a (x) a == a, row by row in ints; a min-plus star is a negated max-plus one
+    lat = a.lattice
+    cols = lat.cols if f is Flavor.MAX_PLUS else lat.cols_times(-1)
+    for row in zip(*cols):
+        if [max(map(add, row, c)) for c in cols] != list(row):
+            return "matrix is not idempotent"
     return None
 
 
@@ -104,8 +110,13 @@ def dominator(p: Polytope) -> KleeneStar:
     result is always a max-plus Kleene star (validated on construction).
     """
     _require_flavor(p, Flavor.MAX_PLUS, "dominator")
-    v = p.generators
-    return KleeneStar(Flavor.MAX_PLUS, trop_mat_mul(Flavor.MIN_PLUS, v, negate_transpose(v)))
+    lat = p.generators.lattice
+    return KleeneStar(Flavor.MAX_PLUS, matrix_from_lattice(Lattice(lat.scale, _dominator_rows(lat.rows))))
+
+
+def _dominator_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """``V (min*) (-V^T)`` in ints: entry (j, i) is ``min_k (V[j,k] - V[i,k])``."""
+    return tuple(tuple(min(map(sub, vj, vi)) for vi in rows) for vj in rows)
 
 
 def dominator_dual(p: Polytope) -> KleeneStar:
@@ -116,8 +127,10 @@ def dominator_dual(p: Polytope) -> KleeneStar:
     is a min-plus Kleene star.
     """
     _require_flavor(p, Flavor.MIN_PLUS, "dominator_dual")
-    v = p.generators
-    return KleeneStar(Flavor.MIN_PLUS, trop_mat_mul(Flavor.MAX_PLUS, v, negate_transpose(v)))
+    lat = p.generators.lattice
+    # max_k (V[j,k] - V[i,k]) = -min_k (V[i,k] - V[j,k]): the negated transpose
+    d = Lattice(lat.scale, _dominator_rows(lat.rows))
+    return KleeneStar(Flavor.MIN_PLUS, matrix_from_lattice(Lattice(lat.scale, d.cols_times(-1))))
 
 
 def min_plus_hull(p: Polytope) -> Polytope:

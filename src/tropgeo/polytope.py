@@ -19,12 +19,13 @@ from .core import (
     DimensionError,
     Flavor,
     TropVector,
+    from_lattice,
     mat_from_columns,
     scale,
     trop_sum,
 )
 from .kleene import dominator, dominator_dual
-from .residuation import Polytope, member
+from .residuation import Polytope, _max_plus_projection, member
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,16 @@ def reduce_generators(p: Polytope) -> Polytope:
     redundant generators (e.g. scalings of one another) the earliest-indexed
     survives.
     """
-    cols = list(p)
+    # min-plus membership is max-plus membership of the negated columns
+    cols = p.generators.lattice.cols_times(1 if p.flavor is Flavor.MAX_PLUS else -1)
     keep = list(range(len(cols)))
     for j in reversed(range(len(cols))):
         if len(keep) == 1:
             break
         others = [cols[k] for k in keep if k != j]
-        if member(Polytope(p.flavor, mat_from_columns(others)), cols[j]):
+        if _max_plus_projection(others, cols[j]) == list(cols[j]):
             keep.remove(j)
-    return Polytope(p.flavor, mat_from_columns([cols[k] for k in keep]))
+    return Polytope(p.flavor, mat_from_columns([p.generator(k) for k in keep]))
 
 
 def polytope_equal(p: Polytope, q: Polytope) -> bool:
@@ -138,17 +140,18 @@ def _scaled_generator_pairs(p: Polytope) -> list[tuple[TropVector, TropVector]]:
     is convex (no failing columns).
     """
     star = dominator(p) if p.flavor is Flavor.MAX_PLUS else dominator_dual(p)
-    v = p.generators
+    lat = p.generators.lattice
     pairs: list[tuple[TropVector, TropVector]] = []
     for i in range(star.size):
         if member(p, star.matrix.col(i)):
             continue
-        ws: list[TropVector] = []
-        for k in range(v.n_cols):
-            w = scale(-v.entries[i][k], v.col(k))
+        ws: list[tuple[int, ...]] = []
+        for col in lat.cols:
+            w = tuple(x - col[i] for x in col)
             if w not in ws:
                 ws.append(w)
-        pairs.extend((ws[a], ws[b]) for a in range(len(ws)) for b in range(a + 1, len(ws)))
+        vs = [TropVector(from_lattice(w, lat.scale)) for w in ws]
+        pairs.extend((vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
     return pairs
 
 

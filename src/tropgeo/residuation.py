@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from operator import add, sub
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     DimensionError,
@@ -22,8 +23,9 @@ from .core import (
     TropMatrix,
     TropVector,
     _check_same_length,
-    scale,
-    trop_sum,
+    common_denominator,
+    from_lattice,
+    to_lattice,
 )
 
 
@@ -105,8 +107,32 @@ def dominates_polytope_at(x: TropVector, p: Polytope, i: int) -> bool:
     return all(dominates_at(x, g, i) for g in p)
 
 
-def _max_plus_projection(generators: list[TropVector], y: TropVector) -> TropVector:
-    return trop_sum(Flavor.MAX_PLUS, (scale(bracket(g, y), g) for g in generators))
+def _max_plus_projection(gens: Sequence[Sequence[int]], y: Sequence[int]) -> list[int]:
+    """The max-plus principal projection on one integer lattice.
+
+    ``gens`` are the generators and ``y`` the query, all as numerators over
+    one common denominator: each generator is scaled by its bracket
+    ``min_i (y_i - g_i)`` and the results are combined by componentwise max.
+    """
+    lams = [min(map(sub, y, g)) for g in gens]
+    return [max(map(add, r, lams)) for r in zip(*gens)]
+
+
+def _lattice_projection(p: Polytope, y: TropVector) -> tuple[list[int], list[int], int, int]:
+    """Project y onto p in ints: ``(projection, y, sign, scale)``.
+
+    Both integer vectors are multiplied by ``sign``: min-plus is computed by
+    order duality, as the max-plus projection of the negated query onto the
+    negated generators.
+    """
+    if len(y) != p.ambient_dim:
+        raise DimensionError(f"vector length {len(y)} != ambient dimension {p.ambient_dim}")
+    lat = p.generators.lattice
+    scale = common_denominator(y, lat.scale)
+    sign = 1 if p.flavor is Flavor.MAX_PLUS else -1
+    gens = lat.cols_times(sign * (scale // lat.scale))
+    yl = [sign * e for e in to_lattice(y, scale)]
+    return _max_plus_projection(gens, yl), yl, sign, scale
 
 
 def principal_projection(p: Polytope, y: TropVector) -> TropVector:
@@ -119,14 +145,11 @@ def principal_projection(p: Polytope, y: TropVector) -> TropVector:
     element >= y, the min-plus sum of generators scaled by
     ``max_i (y_i - g_i)``.
     """
-    if len(y) != p.ambient_dim:
-        raise DimensionError(f"vector length {len(y)} != ambient dimension {p.ambient_dim}")
-    gens = list(p)
-    if p.flavor is Flavor.MAX_PLUS:
-        return _max_plus_projection(gens, y)
-    return -_max_plus_projection([-g for g in gens], -y)
+    z, _, sign, scale = _lattice_projection(p, y)
+    return TropVector(from_lattice((sign * e for e in z), scale))
 
 
 def member(p: Polytope, y: TropVector) -> bool:
     """True iff y lies in the span of p (exact rational equality)."""
-    return principal_projection(p, y) == y
+    z, yl, _, _ = _lattice_projection(p, y)
+    return z == yl

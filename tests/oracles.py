@@ -105,3 +105,53 @@ def glb_column_fold(v: TropMatrix, i: int) -> tuple[Fraction, ...]:
     n, m = v.n_rows, v.n_cols
     cols = [[v.entries[j][k] - v.entries[i][k] for j in range(n)] for k in range(m)]
     return tuple(min(c[j] for c in cols) for j in range(n))
+
+
+def lub_column_fold(v: TropMatrix, i: int) -> tuple[Fraction, ...]:
+    """Column i of the dual dominator: the componentwise max of the generators
+    scaled to have i-th coordinate 0, the least upper bound of the i-th slice."""
+    n, m = v.n_rows, v.n_cols
+    cols = [[v.entries[j][k] - v.entries[i][k] for j in range(n)] for k in range(m)]
+    return tuple(max(c[j] for c in cols) for j in range(n))
+
+
+def direct_max_plus_projection(p: Polytope, y: TropVector) -> tuple[Fraction, ...]:
+    """The max-plus principal projection from its direct formula: each
+    generator lowered by ``min_i (y_i - g_i)``, combined by componentwise max."""
+    assert p.flavor is Flavor.MAX_PLUS
+    gens = list(p)
+    lams = [min(y[i] - g[i] for i in range(len(y))) for g in gens]
+    return _combine(True, gens, lams)
+
+
+def direct_member(p: Polytope, y: TropVector) -> bool:
+    """Membership by comparing y with its direct-formula projection."""
+    if p.flavor is Flavor.MAX_PLUS:
+        return direct_max_plus_projection(p, y) == tuple(y)
+    return direct_min_plus_projection(p, y) == tuple(y)
+
+
+def first_failing_glb_column(p: Polytope):
+    """The lowest-indexed min-fold column outside the span of p, or None."""
+    assert p.flavor is Flavor.MAX_PLUS
+    for i in range(p.ambient_dim):
+        column = glb_column_fold(p.generators, i)
+        if not direct_member(p, TropVector(column)):
+            return column
+    return None
+
+
+def reduce_by_rescanning(p: Polytope) -> list[int]:
+    """Indices kept by dropping, from the highest index down, every generator
+    that is a member of the span of the others still kept."""
+    gens = list(p)
+    keep = list(range(len(gens)))
+    for j in reversed(range(len(gens))):
+        others = [gens[k] for k in keep if k != j]
+        if others and direct_member(Polytope(p.flavor, _columns(others)), gens[j]):
+            keep.remove(j)
+    return keep
+
+
+def _columns(gens: list[TropVector]) -> TropMatrix:
+    return TropMatrix(tuple(tuple(g[i] for g in gens) for i in range(len(gens[0]))))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -350,6 +352,38 @@ class TestErrorPaths:
     def test_missing_required_flag_is_exit_1(self, capsys):
         code, _, _ = cli(capsys, "bracket", "--x", "0,1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        ['"%s"' % ("9" * 5000), '"1/%s"' % ("7" * 5000), "9" * 5000],
+        ids=["string", "denominator", "json-number"],
+    )
+    def test_over_long_rational_in_document_is_exit_1(self, capsys, tmp_path, entry):
+        path = tmp_path / "long.json"
+        text = json.dumps({**SEGMENT_DOC, "entries": ["@"] + SEGMENT_DOC["entries"][1:]})
+        path.write_text(text.replace('"@"', entry))
+        code, out, err = cli(capsys, "classify", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_over_long_rational_in_vector_flag_is_exit_1(self, capsys, flag):
+        argv = {"--x": "0,0", "--y": "0,0"}
+        argv[flag] = "9" * 5000 + ",0"
+        code, _, err = cli(capsys, "bracket", *[t for kv in argv.items() for t in kv])
+        assert code == 1 and f"{flag}[0]" in err
+
+    def test_deeply_nested_json_is_one_line_exit_1(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropgeo.cli", "classify", "--file", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: invalid JSON") and proc.stderr.count("\n") == 1
 
     def test_verbose_writes_summary_to_stderr(self, capsys):
         code, out, err = cli(capsys, "bracket", "--x", "1,0,0", "--y", "0,0,0", "--verbose")

@@ -1,0 +1,217 @@
+"""Differential tests of the integer-lattice kernels against the Fraction oracles.
+
+The library runs dominators, Kleene-star checks, projections, membership and
+reduction in ints over the lcm of the input's denominators.  These tests
+compare every one of them with the plain-Fraction formulas in ``oracles.py``,
+up to 16x20, with denominators that are large and pairwise coprime so that
+the common denominator, and every int, grows.  The last test checks the
+paper's three theorems on seeded 48x60 inputs.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tropgeo import (
+    Flavor,
+    Polytope,
+    TropMatrix,
+    TropVector,
+    affine_point,
+    classify,
+    dominator,
+    dominator_dual,
+    is_kleene_star,
+    mat_from_columns,
+    member,
+    principal_projection,
+    reduce_generators,
+    sample_euclidean_midpoints,
+)
+
+from oracles import (
+    direct_max_plus_projection,
+    direct_member,
+    direct_min_plus_projection,
+    first_failing_glb_column,
+    glb_column_fold,
+    lub_column_fold,
+    naive_mat_mul,
+    reduce_by_rescanning,
+)
+
+MAX = Flavor.MAX_PLUS
+MIN = Flavor.MIN_PLUS
+
+# small denominators share factors; the large ones are distinct primes
+DENOMINATORS = (1, 2, 3, 4, 6, 10, 10007, 10009, 65537, 1000003, 998244353, 2**61 - 1)
+
+
+def rationals(den: int):
+    return st.integers(-20 * den, 20 * den).map(lambda num: Fraction(num, den))
+
+
+@st.composite
+def columns(draw, n: int, m: int):
+    """m generator columns of length n, each over its own denominator; some
+    are scalings of earlier ones."""
+    cols = []
+    for _ in range(m):
+        den = draw(st.sampled_from(DENOMINATORS))
+        if cols and draw(st.integers(0, 4)) == 0:
+            lam = draw(rationals(den))
+            cols.append(TropVector(tuple(e + lam for e in draw(st.sampled_from(cols)))))
+        else:
+            cols.append(TropVector(tuple(draw(st.lists(rationals(den), min_size=n, max_size=n)))))
+    return cols
+
+
+@st.composite
+def polytopes(draw, flavor=MAX, n_max: int = 16, m_max: int = 20):
+    n = draw(st.integers(1, n_max))
+    m = draw(st.integers(1, m_max))
+    return Polytope(flavor, mat_from_columns(draw(columns(n, m))))
+
+
+@st.composite
+def polytropes(draw, n_max: int = 16, m_max: int = 20):
+    """The min-fold columns of a random polytope, padded with members, shuffled.
+
+    Built with oracle arithmetic only, so the answer (a polytrope) is known
+    without the library.
+    """
+    base = draw(polytopes(MAX, n_max, m_max))
+    n = base.ambient_dim
+    cols = [TropVector(glb_column_fold(base.generators, i)) for i in range(n)]
+    for _ in range(draw(st.integers(0, max(0, m_max - n)))):
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        lams = draw(st.lists(rationals(draw(st.sampled_from(DENOMINATORS))), min_size=len(picks), max_size=len(picks)))
+        cols.append(TropVector(tuple(max(cols[k][i] + lam for k, lam in zip(picks, lams)) for i in range(n))))
+    order = draw(st.permutations(range(len(cols))))
+    return Polytope(MAX, mat_from_columns([cols[k] for k in order]))
+
+
+def queries(p: Polytope):
+    """A random point of the ambient space, or a random generator of p."""
+    free = (
+        st.sampled_from(DENOMINATORS)
+        .flatmap(lambda den: st.lists(rationals(den), min_size=p.ambient_dim, max_size=p.ambient_dim))
+        .map(lambda es: TropVector(tuple(es)))
+    )
+    return st.one_of(free, st.sampled_from(list(p)))
+
+
+@given(polytopes())
+def test_dominator_matches_min_fold(p):
+    star = dominator(p)
+    assert star.matrix.entries == tuple(zip(*(glb_column_fold(p.generators, i) for i in range(p.ambient_dim))))
+    assert naive_mat_mul(True, star.matrix, star.matrix) == [list(r) for r in star.matrix.entries]
+
+
+@given(polytopes(MIN))
+def test_dominator_dual_matches_max_fold(p):
+    star = dominator_dual(p)
+    assert star.matrix.entries == tuple(zip(*(lub_column_fold(p.generators, i) for i in range(p.ambient_dim))))
+    assert naive_mat_mul(False, star.matrix, star.matrix) == [list(r) for r in star.matrix.entries]
+
+
+@given(st.one_of(polytopes(), polytropes()))
+def test_classify_decision_and_witness(p):
+    result = classify(p)
+    failing = first_failing_glb_column(p)
+    assert result.is_polytrope == (failing is None)
+    assert (None if result.witness is None else result.witness.entries) == failing
+
+
+@given(polytropes())
+def test_polytropes_by_construction_classify_true(p):
+    assert classify(p).is_polytrope
+
+
+@given(st.data(), st.sampled_from([MAX, MIN]))
+def test_projection_and_member_match_direct_formulas(data, flavor):
+    p = data.draw(polytopes(flavor))
+    y = data.draw(queries(p))
+    direct = direct_max_plus_projection if flavor is MAX else direct_min_plus_projection
+    assert principal_projection(p, y).entries == direct(p, y)
+    assert member(p, y) == direct_member(p, y)
+
+
+@given(st.sampled_from([MAX, MIN]).flatmap(lambda f: polytopes(f, m_max=12)))
+def test_reduce_generators_matches_rescan(p):
+    kept = reduce_by_rescanning(p)
+    assert reduce_generators(p).generators == mat_from_columns([p.generator(k) for k in kept])
+
+
+def _bump(a: TropMatrix, i: int, j: int, by: int) -> TropMatrix:
+    return TropMatrix(
+        tuple(tuple(e + by if (r, c) == (i, j) else e for c, e in enumerate(row)) for r, row in enumerate(a.entries))
+    )
+
+
+@given(polytopes(n_max=8, m_max=8), st.sampled_from([MAX, MIN]), st.data())
+def test_kleene_star_check_matches_product(p, flavor, data):
+    """The star check agrees with ``A (x) A == A`` on dominators, their
+    perturbations, and random zero-diagonal matrices."""
+    d = dominator(p).matrix
+    n = d.n_rows
+    noise = data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    zero_diagonal = TropMatrix(
+        tuple(tuple(Fraction(0 if i == j else noise[i * n + j]) for j in range(n)) for i in range(n))
+    )
+    negated = TropMatrix(tuple(tuple(-e for e in r) for r in d.entries))
+    for a in (d, negated, _bump(d, 0, n - 1, 1), _bump(d, n - 1, 0, -1), zero_diagonal):
+        expected = all(a.entries[i][i] == 0 for i in range(n)) and naive_mat_mul(flavor is MAX, a, a) == [
+            list(r) for r in a.entries
+        ]
+        assert is_kleene_star(flavor, a) == expected
+
+
+def _seeded_polytopes(seed: int, n: int, m: int) -> tuple[Polytope, Polytope]:
+    """A 48x60-style polytrope by construction and a random polytope."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+
+    def random_matrix(cols):
+        return mat_from_columns([TropVector(tuple(rational() for _ in range(n))) for _ in range(cols)])
+
+    base = random_matrix(m - 8)
+    cols = [TropVector(glb_column_fold(base, i)) for i in range(n)]
+    while len(cols) < m:
+        picks = rng.sample(range(n), rng.randint(1, n))
+        lams = [rational() for _ in picks]
+        cols.append(TropVector(tuple(max(cols[k][i] + lam for k, lam in zip(picks, lams)) for i in range(n))))
+    rng.shuffle(cols)
+    return Polytope(MAX, mat_from_columns(cols)), Polytope(MAX, random_matrix(m))
+
+
+def test_paper_theorems_at_48x60():
+    polytrope, random_polytope = _seeded_polytopes(4860, 48, 60)
+    for p, convex in ((polytrope, True), (random_polytope, False)):
+        v = p.generators
+        d = dominator(p).matrix
+        # 1. the dominator is a Kleene star whose columns are the min-folds
+        assert is_kleene_star(MAX, d)
+        assert all(d.col(i).entries == glb_column_fold(v, i) for i in range(d.n_cols))
+        # 2. its column space is the min-plus hull: it holds P, its columns are
+        # min-plus combinations of P, and it is min-plus convex
+        hull = Polytope(MAX, d)
+        assert all(member(hull, g) for g in p)
+        assert all(member(Polytope(MIN, v), c) for c in d.columns())
+        hull_class = classify(hull)
+        assert hull_class.is_polytrope and hull_class.dominator.matrix == d
+        # 3. P is a polytrope iff every dominator column lies in P
+        result = classify(p)
+        failing = next((c for c in d.columns() if not direct_member(p, c)), None)
+        assert result.is_polytrope is convex and (failing is None) is convex
+        assert result.witness == failing
+    # a non-polytrope is not Euclidean convex: the sampler's first violation re-checks
+    report = sample_euclidean_midpoints(random_polytope, trials=40, seed=0, max_violations=1)
+    assert report.violations
+    (u, w, t), z = report.certificates[0], report.violations[0]
+    assert direct_member(random_polytope, u) and direct_member(random_polytope, w)
+    assert affine_point(u, w, t) == z and not direct_member(random_polytope, z)
