@@ -104,11 +104,15 @@ def _vector(text: str, flag: str) -> TropVector:
     return parse_vector(text, f"--{flag}")
 
 
-def _bool_result(args, value: bool) -> int:
-    _emit(value)
-    if getattr(args, "assert_", False) and not value:
+def _result(args, payload, ok: bool) -> int:
+    _emit(payload)
+    if getattr(args, "assert_", False) and not ok:
         return EXIT_ASSERT
     return EXIT_OK
+
+
+def _bool_result(args, value: bool) -> int:
+    return _result(args, value, value)
 
 
 def _cmd_bracket(args) -> int:
@@ -138,10 +142,7 @@ def _cmd_member(args) -> int:
     projection = principal_projection(p, y)
     inside = projection == y
     _note(args, f"member: {inside}; projection = {format_vector(projection)}")
-    _emit({"member": inside, "projection": format_vector(projection)})
-    if getattr(args, "assert_", False) and not inside:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _result(args, {"member": inside, "projection": format_vector(projection)}, inside)
 
 
 def _cmd_reduce(args) -> int:
@@ -201,13 +202,7 @@ def _cmd_star_check(args) -> int:
 
 
 def _cmd_dominator(args) -> int:
-    star = dominator(_load_polytope(args.file, require=Flavor.MAX_PLUS))
-    print(serialize_matrix_document(MatrixDocument.from_matrix(star.matrix, star.flavor, ROLE_MATRIX)), end="")
-    return EXIT_OK
-
-
-def _cmd_dominator_dual(args) -> int:
-    star = dominator_dual(_load_polytope(args.file, require=Flavor.MIN_PLUS))
+    star = args.star(_load_polytope(args.file, require=args.require))
     print(serialize_matrix_document(MatrixDocument.from_matrix(star.matrix, star.flavor, ROLE_MATRIX)), end="")
     return EXIT_OK
 
@@ -229,17 +224,16 @@ def _cmd_classify(args) -> int:
     result = classify(_load_polytope(args.file, require=Flavor.MAX_PLUS))
     star_doc = MatrixDocument.from_matrix(result.dominator.matrix, Flavor.MAX_PLUS, ROLE_MATRIX)
     _note(args, f"polytrope: {result.is_polytrope}")
-    _emit(
+    return _result(
+        args,
         {
             "is_polytrope": result.is_polytrope,
             "is_min_plus_convex": result.is_min_plus_convex,
             "witness": None if result.witness is None else format_vector(result.witness),
             "dominator": star_doc.to_json_obj(),
-        }
+        },
+        result.is_polytrope,
     )
-    if getattr(args, "assert_", False) and not result.is_polytrope:
-        return EXIT_ASSERT
-    return EXIT_OK
 
 
 def _cmd_dual_rho(args) -> int:
@@ -276,7 +270,8 @@ def _cmd_sample_midpoints(args) -> int:
                 raise DocumentError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     report = sample_euclidean_midpoints(p, args.trials, seed, max_violations=args.max_violations)
     _note(args, f"{len(report.violations)} violation(s) in {report.trials} trial(s)")
-    _emit(
+    return _result(
+        args,
         {
             "seed": report.seed,
             "trials": report.trials,
@@ -285,11 +280,9 @@ def _cmd_sample_midpoints(args) -> int:
                 {"u": format_vector(u), "v": format_vector(v), "t": format_rational(t)}
                 for (u, v, t) in report.certificates
             ],
-        }
+        },
+        not report.violations,
     )
-    if getattr(args, "assert_", False) and report.violations:
-        return EXIT_ASSERT
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -338,9 +331,11 @@ def build_parser() -> _Parser:
     p.add_argument("--flavor", choices=[f.value for f in Flavor], help="override the file's flavor")
 
     p = add("dominator", _cmd_dominator, "dominator matrix of a max-plus polytope")
+    p.set_defaults(star=dominator, require=Flavor.MAX_PLUS)
     p.add_argument("--file", required=True)
 
-    p = add("dominator-dual", _cmd_dominator_dual, "dual dominator of a min-plus polytope")
+    p = add("dominator-dual", _cmd_dominator, "dual dominator of a min-plus polytope")
+    p.set_defaults(star=dominator_dual, require=Flavor.MIN_PLUS)
     p.add_argument("--file", required=True)
 
     p = add("hull-min", _cmd_hull_min, "min-plus hull of a max-plus polytope")

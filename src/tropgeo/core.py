@@ -71,6 +71,11 @@ class Flavor(Enum):
         """The scalar addition of this semiring: ``max`` or ``min``."""
         return max if self is Flavor.MAX_PLUS else min
 
+    @property
+    def sign(self) -> int:
+        """1 or -1: integer kernels run max-plus on ``lattice.cols_times(sign)``."""
+        return 1 if self is Flavor.MAX_PLUS else -1
+
 
 def common_denominator(values: Iterable[Fraction], base: int = 1) -> int:
     """The lcm of ``base`` and the denominators of ``values``."""

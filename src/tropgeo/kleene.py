@@ -7,14 +7,15 @@ whose i-th column is the greatest lower bound of the slice
 is the min-plus convex hull of P, and P is Euclidean convex (a polytrope)
 exactly when that hull adds nothing, i.e. when every dominator column already
 belongs to P.  This turns Euclidean convexity of a tropical polytope into an
-exact rational decision with no geometry involved.
+exact rational decision with no geometry involved.  Min-plus results are
+negated max-plus ones, computed in one place: ``_star`` and ``_failing_columns``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     DimensionError,
@@ -26,8 +27,9 @@ from .core import (
     TropVector,
     matrix_from_lattice,
     negate_transpose,
+    trop_mat_mul,
 )
-from .residuation import Polytope, member
+from .residuation import Polytope, _max_plus_projection
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,11 @@ class Classification:
     input: Polytope
     dominator: KleeneStar
     is_min_plus_convex: bool
-    is_polytrope: bool
     witness: Optional[TropVector]
+
+    @property
+    def is_polytrope(self) -> bool:
+        return self.is_min_plus_convex
 
 
 def _star_defect(f: Flavor, a: TropMatrix) -> Optional[str]:
@@ -79,8 +84,7 @@ def _star_defect(f: Flavor, a: TropMatrix) -> Optional[str]:
         if a.entries[i][i] != 0:
             return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
     # a (x) a == a, row by row in ints; a min-plus star is a negated max-plus one
-    lat = a.lattice
-    cols = lat.cols if f is Flavor.MAX_PLUS else lat.cols_times(-1)
+    cols = a.lattice.cols_times(f.sign)
     for row in zip(*cols):
         if [max(map(add, row, c)) for c in cols] != list(row):
             return "matrix is not idempotent"
@@ -99,6 +103,27 @@ def _require_flavor(p: Polytope, f: Flavor, what: str) -> None:
         raise FlavorError(f"{what} requires a {f.value} polytope, got {p.flavor.value}")
 
 
+def _star(p: Polytope) -> KleeneStar:
+    """The dominator in p's flavor, on p's lattice scale: ``dominator_dual(P) = -dominator(-P)``."""
+    lat = p.generators.lattice
+    sign = p.flavor.sign
+    rows = tuple(zip(*lat.cols_times(sign)))
+    d = tuple(tuple(sign * min(map(sub, vj, vi)) for vi in rows) for vj in rows)
+    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, d)))
+
+
+def _failing_columns(p: Polytope, star: KleeneStar) -> Iterator[int]:
+    """Lazily and in order, the indices of the star's columns that are not in p.
+
+    The ints compare as they stand: ``_star`` builds the star on p's lattice scale.
+    """
+    sign = p.flavor.sign
+    gens = p.generators.lattice.cols_times(sign)
+    for i, col in enumerate(star.matrix.lattice.cols_times(sign)):
+        if _max_plus_projection(gens, col) != list(col):
+            yield i
+
+
 def dominator(p: Polytope) -> KleeneStar:
     """The dominator matrix of a max-plus polytope.
 
@@ -110,13 +135,7 @@ def dominator(p: Polytope) -> KleeneStar:
     result is always a max-plus Kleene star (validated on construction).
     """
     _require_flavor(p, Flavor.MAX_PLUS, "dominator")
-    lat = p.generators.lattice
-    return KleeneStar(Flavor.MAX_PLUS, matrix_from_lattice(Lattice(lat.scale, _dominator_rows(lat.rows))))
-
-
-def _dominator_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """``V (min*) (-V^T)`` in ints: entry (j, i) is ``min_k (V[j,k] - V[i,k])``."""
-    return tuple(tuple(min(map(sub, vj, vi)) for vi in rows) for vj in rows)
+    return _star(p)
 
 
 def dominator_dual(p: Polytope) -> KleeneStar:
@@ -127,10 +146,7 @@ def dominator_dual(p: Polytope) -> KleeneStar:
     is a min-plus Kleene star.
     """
     _require_flavor(p, Flavor.MIN_PLUS, "dominator_dual")
-    lat = p.generators.lattice
-    # max_k (V[j,k] - V[i,k]) = -min_k (V[i,k] - V[j,k]): the negated transpose
-    d = Lattice(lat.scale, _dominator_rows(lat.rows))
-    return KleeneStar(Flavor.MIN_PLUS, matrix_from_lattice(Lattice(lat.scale, d.cols_times(-1))))
+    return _star(p)
 
 
 def min_plus_hull(p: Polytope) -> Polytope:
@@ -153,19 +169,12 @@ def classify(p: Polytope) -> Classification:
     column certifies non-convexity.
     """
     star = dominator(p)
-    witness: Optional[TropVector] = None
-    for i in range(star.size):
-        column = star.matrix.col(i)
-        if not member(p, column):
-            witness = column
-            break
-    convex = witness is None
+    i = next(_failing_columns(p, star), None)
     return Classification(
         input=p,
         dominator=star,
-        is_min_plus_convex=convex,
-        is_polytrope=convex,
-        witness=witness,
+        is_min_plus_convex=i is None,
+        witness=None if i is None else star.matrix.col(i),
     )
 
 
@@ -183,16 +192,14 @@ def duality_rho(a: TropMatrix, r: TropVector) -> TropVector:
     """
     if len(r) != a.n_cols:
         raise DimensionError(f"row vector length {len(r)} != matrix width {a.n_cols}")
-    return TropVector(tuple(max(row[j] - r[j] for j in range(a.n_cols)) for row in a.entries))
+    return trop_mat_mul(Flavor.MAX_PLUS, a, negate_transpose(TropMatrix((r.entries,)))).col(0)
 
 
 def duality_chi(a: TropMatrix, c: TropVector) -> TropVector:
     """The column-space-to-row-space duality map ``c -> (-c)^T (x) A``."""
     if len(c) != a.n_rows:
         raise DimensionError(f"column vector length {len(c)} != matrix height {a.n_rows}")
-    return TropVector(
-        tuple(max(a.entries[i][j] - c[i] for i in range(a.n_rows)) for j in range(a.n_cols))
-    )
+    return trop_mat_mul(Flavor.MAX_PLUS, TropMatrix(((-c).entries,)), a).row(0)
 
 
 def verify_dominator_relation(p: Polytope) -> bool:

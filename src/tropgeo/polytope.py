@@ -5,7 +5,9 @@ with first coordinate 0), extensional equality, and a randomized falsifier
 for Euclidean convexity.  The falsifier only ever *disproves* convexity: any
 point it reports really is an exact rational affine combination of two span
 members that fails membership.  The decision procedure for convexity lives in
-:mod:`tropgeo.kleene`; the sampler exists to cross-check it.
+:mod:`tropgeo.kleene`; the sampler exists to cross-check it.  Min-plus results
+are negated max-plus ones, computed in one place (``Flavor.sign``); the
+sampler builds only the guided pairs its trial budget can use.
 """
 
 from __future__ import annotations
@@ -13,18 +15,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations, islice
+from typing import Iterator, Optional
 
 from .core import (
     DimensionError,
-    Flavor,
     TropVector,
     from_lattice,
     mat_from_columns,
     scale,
     trop_sum,
 )
-from .kleene import dominator, dominator_dual
+from .kleene import _failing_columns, _star
 from .residuation import Polytope, _max_plus_projection, member
 
 
@@ -57,8 +59,7 @@ def reduce_generators(p: Polytope) -> Polytope:
     redundant generators (e.g. scalings of one another) the earliest-indexed
     survives.
     """
-    # min-plus membership is max-plus membership of the negated columns
-    cols = p.generators.lattice.cols_times(1 if p.flavor is Flavor.MAX_PLUS else -1)
+    cols = p.generators.lattice.cols_times(p.flavor.sign)
     keep = list(range(len(cols)))
     for j in reversed(range(len(cols))):
         if len(keep) == 1:
@@ -130,8 +131,8 @@ def affine_point(u: TropVector, v: TropVector, t: Fraction) -> TropVector:
     return TropVector(tuple(t * a + s * b for a, b in zip(u, v)))
 
 
-def _scaled_generator_pairs(p: Polytope) -> list[tuple[TropVector, TropVector]]:
-    """Span-member pairs aimed at where non-convexity must show up, if anywhere.
+def _scaled_generator_pairs(p: Polytope) -> Iterator[tuple[TropVector, TropVector]]:
+    """Span-member pairs, lazily, aimed at where non-convexity must show up, if anywhere.
 
     For each dominator column that fails membership, scale every generator to
     have that coordinate 0.  The componentwise extremum of those scaled
@@ -139,20 +140,15 @@ def _scaled_generator_pairs(p: Polytope) -> list[tuple[TropVector, TropVector]]:
     the region the span fails to cover.  Returns no pairs when the polytope
     is convex (no failing columns).
     """
-    star = dominator(p) if p.flavor is Flavor.MAX_PLUS else dominator_dual(p)
     lat = p.generators.lattice
-    pairs: list[tuple[TropVector, TropVector]] = []
-    for i in range(star.size):
-        if member(p, star.matrix.col(i)):
-            continue
+    for i in _failing_columns(p, _star(p)):
         ws: list[tuple[int, ...]] = []
         for col in lat.cols:
             w = tuple(x - col[i] for x in col)
             if w not in ws:
                 ws.append(w)
         vs = [TropVector(from_lattice(w, lat.scale)) for w in ws]
-        pairs.extend((vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
-    return pairs
+        yield from combinations(vs, 2)
 
 
 def sample_euclidean_midpoints(
@@ -176,8 +172,11 @@ def sample_euclidean_midpoints(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_violations is not None and max_violations < 1:
+        raise ValueError("max_violations must be >= 1")
     rng = random.Random(seed)
-    guided = _scaled_generator_pairs(p)
+    # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
+    guided = list(islice(_scaled_generator_pairs(p), trials))
     violations: list[TropVector] = []
     certificates: list[tuple[TropVector, TropVector, Fraction]] = []
     performed = 0

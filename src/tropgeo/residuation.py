@@ -118,38 +118,31 @@ def _max_plus_projection(gens: Sequence[Sequence[int]], y: Sequence[int]) -> lis
     return [max(map(add, r, lams)) for r in zip(*gens)]
 
 
-def _lattice_projection(p: Polytope, y: TropVector) -> tuple[list[int], list[int], int, int]:
-    """Project y onto p in ints: ``(projection, y, sign, scale)``.
-
-    Both integer vectors are multiplied by ``sign``: min-plus is computed by
-    order duality, as the max-plus projection of the negated query onto the
-    negated generators.
-    """
+def _lattice_projection(p: Polytope, y: TropVector) -> tuple[list[int], list[int], int]:
+    """Project y onto p in ints, both times ``p.flavor.sign``: ``(projection, y, scale)``."""
     if len(y) != p.ambient_dim:
         raise DimensionError(f"vector length {len(y)} != ambient dimension {p.ambient_dim}")
     lat = p.generators.lattice
     scale = common_denominator(y, lat.scale)
-    sign = 1 if p.flavor is Flavor.MAX_PLUS else -1
+    sign = p.flavor.sign
     gens = lat.cols_times(sign * (scale // lat.scale))
     yl = [sign * e for e in to_lattice(y, scale)]
-    return _max_plus_projection(gens, yl), yl, sign, scale
+    return _max_plus_projection(gens, yl), yl, scale
 
 
 def principal_projection(p: Polytope, y: TropVector) -> TropVector:
     """Best approximation of y inside the span of p.
 
     Max-plus: the largest element of the span that is <= y, namely the
-    max-plus sum of each generator scaled by its bracket against y.  Min-plus
-    is computed by order duality: negate the generators and the query, apply
-    the max-plus formula, negate the result.  That yields the smallest span
-    element >= y, the min-plus sum of generators scaled by
-    ``max_i (y_i - g_i)``.
+    max-plus sum of each generator scaled by its bracket against y.  Min-plus:
+    the smallest span element >= y, the min-plus sum of generators scaled by
+    ``max_i (y_i - g_i)``, computed as the negated max-plus projection of -y.
     """
-    z, _, sign, scale = _lattice_projection(p, y)
-    return TropVector(from_lattice((sign * e for e in z), scale))
+    z, _, scale = _lattice_projection(p, y)
+    return TropVector(from_lattice((p.flavor.sign * e for e in z), scale))
 
 
 def member(p: Polytope, y: TropVector) -> bool:
     """True iff y lies in the span of p (exact rational equality)."""
-    z, yl, _, _ = _lattice_projection(p, y)
+    z, yl, _ = _lattice_projection(p, y)
     return z == yl

@@ -230,6 +230,9 @@ class TestPolytopeCommands:
         gens = write(tmp_path, "g.json", {**SEGMENT_DOC, "flavor": "min-plus"})
         code, _, err = cli(capsys, "dominator", "--file", gens)
         assert code == 2 and "max-plus" in err
+        # the dual command shares the handler and checks the other flavor
+        code, _, err = cli(capsys, "dominator-dual", "--file", write(tmp_path, "h.json", SEGMENT_DOC))
+        assert code == 2 and "expected a min-plus polytope" in err
 
     def test_dominator_dual(self, capsys, tmp_path):
         gens = write(tmp_path, "g.json", {
@@ -263,6 +266,8 @@ class TestPolytopeCommands:
         assert doc["is_min_plus_convex"] is False
         assert doc["witness"] == "(-1,0,0)"
         assert doc["dominator"]["entries"] == ["0", "-1", "-2", "0", "0", "-1", "0", "0", "0"]
+        code, asserted, _ = cli(capsys, "classify", "--file", gens, "--assert")
+        assert code == 3 and asserted == out
 
     def test_classify_polytrope_has_null_witness(self, capsys, tmp_path):
         gens = write(tmp_path, "g.json", {
@@ -332,6 +337,13 @@ class TestSampling:
                            "--seed", "9", "--max-violations", "1")
         doc = json.loads(out)
         assert code == 0 and len(doc["violations"]) == 1 and doc["trials"] < 2000
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_violations_below_one_is_exit_2(self, capsys, tmp_path, bound):
+        gens = write(tmp_path, "g.json", SEGMENT_DOC)
+        code, out, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "20",
+                             "--max-violations", bound)
+        assert code == 2 and out == "" and err == "error: max_violations must be >= 1\n"
 
 
 class TestErrorPaths:

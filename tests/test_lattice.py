@@ -1,7 +1,7 @@
 """Differential tests of the integer-lattice kernels against the Fraction oracles.
 
-The library runs dominators, Kleene-star checks, projections, membership and
-reduction in ints over the lcm of the input's denominators.  These tests
+The library runs dominators, Kleene-star checks, the failing-column scan,
+projections, membership and reduction in ints over the lcm of the input's denominators.  These tests
 compare every one of them with the plain-Fraction formulas in ``oracles.py``,
 up to 16x20, with denominators that are large and pairwise coprime so that
 the common denominator, and every int, grows.  The last test checks the
@@ -30,6 +30,7 @@ from tropgeo import (
     reduce_generators,
     sample_euclidean_midpoints,
 )
+from tropgeo.kleene import _failing_columns
 
 from oracles import (
     direct_max_plus_projection,
@@ -125,6 +126,18 @@ def test_classify_decision_and_witness(p):
     assert (None if result.witness is None else result.witness.entries) == failing
 
 
+def negated(p: Polytope) -> Polytope:
+    """The min-plus polytope -P: the negation of p's max-plus span."""
+    return Polytope(MIN, mat_from_columns([-g for g in p]))
+
+
+@given(st.one_of(polytopes(), polytropes(), polytopes(MIN), polytropes().map(negated)))
+def test_failing_columns_match_direct_membership(p):
+    star = dominator(p) if p.flavor is MAX else dominator_dual(p)
+    expected = [i for i, c in enumerate(star.matrix.columns()) if not direct_member(p, c)]
+    assert list(_failing_columns(p, star)) == expected
+
+
 @given(polytropes())
 def test_polytropes_by_construction_classify_true(p):
     assert classify(p).is_polytrope
@@ -215,3 +228,14 @@ def test_paper_theorems_at_48x60():
     (u, w, t), z = report.certificates[0], report.violations[0]
     assert direct_member(random_polytope, u) and direct_member(random_polytope, w)
     assert affine_point(u, w, t) == z and not direct_member(random_polytope, z)
+    # a budget far below the guided pairs available: every violation still re-checks
+    report = sample_euclidean_midpoints(random_polytope, trials=50, seed=0)
+    assert report.trials == 50 and report.violations
+    assert all(t == Fraction(1, 2) for _, _, t in report.certificates)  # all trials guided
+    for z, (u, w, t) in zip(report.violations, report.certificates):
+        assert member(random_polytope, u) and member(random_polytope, w)
+        assert affine_point(u, w, t) == z and not member(random_polytope, z)
+    # min-plus is max-plus under negation: guided trials on -V give the negated report
+    dual_report = sample_euclidean_midpoints(negated(random_polytope), trials=50, seed=0)
+    assert dual_report.violations == tuple(-z for z in report.violations)
+    assert dual_report.certificates == tuple((-u, -w, t) for u, w, t in report.certificates)

@@ -162,13 +162,16 @@ class TestMidpointSampler:
 
     def test_violations_carry_valid_certificates(self):
         p = random_non_polytrope(random.Random(99), n_max=3, m_max=4, num_bound=5, den_bound=3)
-        report = sample_euclidean_midpoints(p, trials=400, seed=7)
-        assert report.violations
-        for z, (u, v, t) in zip(report.violations, report.certificates):
-            assert member(p, u) and member(p, v)
-            assert 0 < t < 1
-            assert affine_point(u, v, t) == z
-            assert not member(p, z)
+        # negation maps the max-plus span onto the min-plus span of -V
+        negated = Polytope(MIN, mat_from_columns([-g for g in p]))
+        for q in (p, negated):
+            report = sample_euclidean_midpoints(q, trials=400, seed=7)
+            assert report.violations
+            for z, (u, v, t) in zip(report.violations, report.certificates):
+                assert member(q, u) and member(q, v)
+                assert 0 < t < 1
+                assert affine_point(u, v, t) == z
+                assert not member(q, z)
 
     def test_deterministic_given_seed(self):
         p = poly(MAX, (0, 0, 0), (0, 1, 2))
@@ -181,6 +184,11 @@ class TestMidpointSampler:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_euclidean_midpoints(poly(MAX, (0, 1)), trials=0, seed=1)
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_max_violations_must_be_positive(self, bound):
+        with pytest.raises(ValueError, match="max_violations must be >= 1"):
+            sample_euclidean_midpoints(poly(MAX, (0, 1)), trials=10, seed=0, max_violations=bound)
 
     def test_polytrope_sampling_stays_clean(self):
         rng = random.Random(31)
