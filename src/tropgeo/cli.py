@@ -3,15 +3,20 @@
 Results go to stdout as JSON (bare booleans and integers stay bare; other
 rationals and vectors are JSON strings like ``"1/2"`` and ``"(0,-1)"``;
 matrices are full matrix documents that can be written to a file and fed
-straight back into another subcommand).  ``--verbose`` adds a human summary
-on stderr.  Exit codes: 0 success (whatever the computed answer), 1 input or
-parse error, 2 dimension or precondition error, 3 failed ``--assert``.
+straight back into another subcommand).  Vector flags (``--x``, ``--y``,
+``--r``, ``--c``) take comma-separated rationals, bare or in parentheses, and
+the first coordinate may be negative in every form: ``--x -1,0``,
+``--x=-1,0`` and ``--x "(-1,0)"`` are the same vector.  ``--verbose`` adds a
+human summary on stderr.  Exit codes: 0 success (whatever the computed
+answer), 1 input or parse error, 2 dimension or precondition error, 3 failed
+``--assert``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -43,6 +48,7 @@ from .kleene import (
     duality_chi,
     duality_rho,
     is_kleene_star,
+    is_min_plus_convex,
     min_plus_hull,
     verify_dominator_relation,
 )
@@ -52,7 +58,6 @@ from .residuation import (
     bracket,
     dominates_at,
     dominates_polytope_at,
-    member,
     principal_projection,
 )
 
@@ -70,8 +75,30 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    vector_flags: tuple = ()
+
     def error(self, message):  # argparse would sys.exit(2); keep exit codes ours
         raise CliUsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a bare "-1,0" for an option string; hand it to its vector flag as "--x=-1,0"
+        args = list(sys.argv[1:] if args is None else args)
+        for k in range(len(args) - 1, 0, -1):
+            if args[k - 1] in self.vector_flags and args[k].startswith("-") and args[k][1:2].isdigit():
+                args[k - 1 : k + 1] = [f"{args[k - 1]}={args[k]}"]
+        namespace, extras = super().parse_known_args(args, namespace)
+        # argparse before 3.13 strips "--" from "--file=--" and stores an untyped []; no flag here takes a list
+        if any(isinstance(value, list) for value in vars(namespace).values()):
+            self.error("'--' is not a flag value")
+        return namespace, extras
+
+
+def _vector_flag(flag: str, text: str) -> TropVector:
+    """``type=`` of a vector flag; unlike a ValueError, a CliUsageError is not reworded by argparse."""
+    try:
+        return parse_vector(text, flag)
+    except DocumentError as e:
+        raise CliUsageError(e) from None
 
 
 def _scalar_json(value: Fraction):
@@ -79,12 +106,8 @@ def _scalar_json(value: Fraction):
     return int(value) if value.denominator == 1 else format_rational(value)
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _note(args, message: str) -> None:
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -93,81 +116,80 @@ def _load_document(path: str) -> MatrixDocument:
         return parse_matrix_document(fh.read())
 
 
-def _load_polytope(path: str, require: Optional[Flavor] = None) -> Polytope:
+def _polytope(args, path: Optional[str] = None) -> Polytope:
+    """The polytope in ``--file`` (or at ``path``), of the flavor the subcommand requires."""
+    path = path or args.file
     p = _load_document(path).to_polytope()
-    if require is not None and p.flavor is not require:
-        raise FlavorError(f"{path}: expected a {require.value} polytope, got {p.flavor.value}")
+    if args.require is not None and p.flavor is not args.require:
+        raise FlavorError(f"{path}: expected a {args.require.value} polytope, got {p.flavor.value}")
     return p
 
 
-def _vector(text: str, flag: str) -> TropVector:
-    return parse_vector(text, f"--{flag}")
+def _vector_or_file(args) -> Optional[TropVector]:
+    """The ``either`` vector, or None when ``--file`` is given instead."""
+    vector = getattr(args, args.either)
+    if (vector is None) == (args.file is None):
+        raise CliUsageError(f"{args.command} needs exactly one of --{args.either} or --file")
+    return vector
 
 
-def _result(args, payload, ok: bool) -> int:
-    _emit(payload)
+def _result(args, payload, ok: bool = True) -> int:
+    """Print one JSON result; with ``--assert``, exit 3 when ``ok`` is false."""
+    print(json.dumps(payload, indent=2))
     if getattr(args, "assert_", False) and not ok:
         return EXIT_ASSERT
     return EXIT_OK
 
 
-def _bool_result(args, value: bool) -> int:
-    return _result(args, value, value)
-
-
-def _cmd_bracket(args) -> int:
-    x = _vector(args.x, "x")
-    y = _vector(args.y, "y")
-    value = bracket(x, y)
-    _note(args, f"bracket{format_vector(x)}|{format_vector(y)} = {format_rational(value)}")
-    _emit(_scalar_json(value))
+def _matrix_result(result) -> int:
+    """Print a polytope as the document of its generators, a Kleene star as that of its matrix."""
+    if isinstance(result, Polytope):
+        doc = MatrixDocument.from_matrix(result.generators, result.flavor, ROLE_GENERATORS)
+    else:
+        doc = MatrixDocument.from_matrix(result.matrix, result.flavor, ROLE_MATRIX)
+    print(serialize_matrix_document(doc), end="")
     return EXIT_OK
 
 
+def _cmd_bracket(args) -> int:
+    value = bracket(args.x, args.y)
+    _note(args, f"bracket{format_vector(args.x)}|{format_vector(args.y)} = {format_rational(value)}")
+    return _result(args, _scalar_json(value))
+
+
 def _cmd_dominates(args) -> int:
-    x = _vector(args.x, "x")
-    if (args.y is None) == (args.file is None):
-        raise CliUsageError("dominates needs exactly one of --y or --file")
-    if args.y is not None:
-        result = dominates_at(x, _vector(args.y, "y"), args.i)
+    y = _vector_or_file(args)
+    if y is not None:
+        result = dominates_at(args.x, y, args.i)
     else:
-        result = dominates_polytope_at(x, _load_polytope(args.file), args.i)
+        result = dominates_polytope_at(args.x, _polytope(args), args.i)
     _note(args, f"dominates at position {args.i}: {result}")
-    return _bool_result(args, result)
+    return _result(args, result, result)
 
 
 def _cmd_member(args) -> int:
-    p = _load_polytope(args.file)
-    y = _vector(args.y, "y")
-    projection = principal_projection(p, y)
-    inside = projection == y
+    projection = principal_projection(_polytope(args), args.y)
+    inside = projection == args.y
     _note(args, f"member: {inside}; projection = {format_vector(projection)}")
     return _result(args, {"member": inside, "projection": format_vector(projection)}, inside)
 
 
 def _cmd_reduce(args) -> int:
-    p = _load_polytope(args.file)
+    p = _polytope(args)
     reduced = reduce_generators(p)
     _note(args, f"kept {reduced.n_generators} of {p.n_generators} generators")
-    doc = MatrixDocument.from_matrix(reduced.generators, reduced.flavor, ROLE_GENERATORS)
-    print(serialize_matrix_document(doc), end="")
-    return EXIT_OK
+    return _matrix_result(reduced)
 
 
 def _cmd_project(args) -> int:
-    if (args.x is None) == (args.file is None):
-        raise CliUsageError("project needs exactly one of --x or --file")
-    if args.x is not None:
-        point = projectivise(_vector(args.x, "x"))
-        _emit(format_vector(point.coords))
-        return EXIT_OK
-    p = _load_polytope(args.file)
-    points = [projectivise(g).coords for g in p]
+    x = _vector_or_file(args)
+    if x is not None:
+        return _result(args, format_vector(projectivise(x).coords))
+    points = [projectivise(g).coords for g in _polytope(args)]
     if args.emit_csv:
         _write_points_csv(args.emit_csv, points)
         _note(args, f"wrote {len(points)} points to {args.emit_csv}")
-    _emit({"points": [format_vector(pt) for pt in points]})
-    return EXIT_OK
+    return _result(args, {"points": [format_vector(pt) for pt in points]})
 
 
 def _write_points_csv(path: str, points: list[TropVector]) -> None:
@@ -186,11 +208,9 @@ def _write_points_csv(path: str, points: list[TropVector]) -> None:
 
 
 def _cmd_equal(args) -> int:
-    p = _load_polytope(args.file)
-    q = _load_polytope(args.other)
-    result = polytope_equal(p, q)
+    result = polytope_equal(_polytope(args), _polytope(args, args.other))
     _note(args, f"equal: {result}")
-    return _bool_result(args, result)
+    return _result(args, result, result)
 
 
 def _cmd_star_check(args) -> int:
@@ -198,30 +218,23 @@ def _cmd_star_check(args) -> int:
     flavor = Flavor(args.flavor) if args.flavor else doc.flavor
     result = is_kleene_star(flavor, doc.to_matrix())
     _note(args, f"{flavor.value} Kleene star: {result}")
-    return _bool_result(args, result)
+    return _result(args, result, result)
 
 
-def _cmd_dominator(args) -> int:
-    star = args.star(_load_polytope(args.file, require=args.require))
-    print(serialize_matrix_document(MatrixDocument.from_matrix(star.matrix, star.flavor, ROLE_MATRIX)), end="")
-    return EXIT_OK
+def _cmd_matrix(args) -> int:
+    """dominator, dominator-dual and hull-min: a matrix built from the polytope."""
+    return _matrix_result(args.build(_polytope(args)))
 
 
-def _cmd_hull_min(args) -> int:
-    hull = min_plus_hull(_load_polytope(args.file, require=Flavor.MAX_PLUS))
-    doc = MatrixDocument.from_matrix(hull.generators, hull.flavor, ROLE_GENERATORS)
-    print(serialize_matrix_document(doc), end="")
-    return EXIT_OK
-
-
-def _cmd_convex_check(args) -> int:
-    result = classify(_load_polytope(args.file, require=Flavor.MAX_PLUS))
-    _note(args, f"min-plus convex: {result.is_min_plus_convex}")
-    return _bool_result(args, result.is_min_plus_convex)
+def _cmd_decide(args) -> int:
+    """convex-check and dom-relation: one boolean about a max-plus polytope."""
+    result = args.decide(_polytope(args))
+    _note(args, f"{args.label}: {result}")
+    return _result(args, result, result)
 
 
 def _cmd_classify(args) -> int:
-    result = classify(_load_polytope(args.file, require=Flavor.MAX_PLUS))
+    result = classify(_polytope(args))
     star_doc = MatrixDocument.from_matrix(result.dominator.matrix, Flavor.MAX_PLUS, ROLE_MATRIX)
     _note(args, f"polytrope: {result.is_polytrope}")
     return _result(
@@ -236,28 +249,14 @@ def _cmd_classify(args) -> int:
     )
 
 
-def _cmd_dual_rho(args) -> int:
-    doc = _load_document(args.file)
-    result = duality_rho(doc.to_matrix(), _vector(args.r, "r"))
-    _emit(format_vector(result))
-    return EXIT_OK
-
-
-def _cmd_dual_chi(args) -> int:
-    doc = _load_document(args.file)
-    result = duality_chi(doc.to_matrix(), _vector(args.c, "c"))
-    _emit(format_vector(result))
-    return EXIT_OK
-
-
-def _cmd_dom_relation(args) -> int:
-    result = verify_dominator_relation(_load_polytope(args.file, require=Flavor.MAX_PLUS))
-    _note(args, f"dual dominator equals negated transpose: {result}")
-    return _bool_result(args, result)
+def _cmd_dual_map(args) -> int:
+    """dual-rho (of ``--r``) and dual-chi (of ``--c``) on the document's matrix."""
+    matrix = _load_document(args.file).to_matrix()
+    return _result(args, format_vector(args.dual_map(matrix, getattr(args, args.point))))
 
 
 def _cmd_sample_midpoints(args) -> int:
-    p = _load_polytope(args.file)
+    p = _polytope(args)
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR)
@@ -289,81 +288,84 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tropgeo", description="Exact tropical convexity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_: str, boolean: bool = False) -> _Parser:
+    def add(name, handler, help_, *vectors, file=True, either=None, boolean=False, require=None, **defaults):
+        """Declare one subcommand with the flags it shares with others.
+
+        Each takes ``--verbose``, and ``--assert`` when ``boolean``.  ``vectors``
+        are ``(flag, help)`` pairs of vector flags, which argparse parses into
+        TropVectors.  ``file`` is True for a required ``--file``, or the help of
+        an optional one that stands in for the vector flag named ``either``.  A
+        polytope read from ``--file`` must have flavor ``require`` unless it is
+        None.  ``defaults`` tell apart twins that share a handler.
+        """
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, require=require, either=either, **defaults)
         p.add_argument("--verbose", action="store_true", help="human summary on stderr")
         if boolean:
             p.add_argument(
                 "--assert", dest="assert_", action="store_true",
                 help="exit 3 when the computed boolean is false",
             )
+        if file is True:
+            p.add_argument("--file", required=True)
+        for flag, vector_help in vectors:
+            option = f"--{flag}"
+            p.vector_flags += (option,)
+            vector = functools.partial(_vector_flag, option)
+            p.add_argument(option, required=flag != either, type=vector, help=vector_help)
+        if isinstance(file, str):
+            p.add_argument("--file", help=file)
         return p
 
-    p = add("bracket", _cmd_bracket, "residuation bracket of two vectors")
-    p.add_argument("--x", required=True, help="comma-separated rationals")
-    p.add_argument("--y", required=True, help="comma-separated rationals")
-
-    p = add("dominates", _cmd_dominates, "domination at a position", boolean=True)
-    p.add_argument("--x", required=True)
+    max_plus = dict(require=Flavor.MAX_PLUS)
+    rationals = "comma-separated rationals"
+    add(
+        "bracket", _cmd_bracket, "residuation bracket of two vectors",
+        ("x", rationals), ("y", rationals), file=False,
+    )
+    p = add(
+        "dominates", _cmd_dominates, "domination at a position", ("x", None), ("y", "single vector to test"),
+        either="y", file="polytope file: test all generators", boolean=True,
+    )
     p.add_argument("--i", required=True, type=int, help="0-based position")
-    p.add_argument("--y", help="single vector to test")
-    p.add_argument("--file", help="polytope file: test all generators")
-
-    p = add("member", _cmd_member, "span membership via principal projection", boolean=True)
-    p.add_argument("--file", required=True)
-    p.add_argument("--y", required=True)
-
-    p = add("reduce", _cmd_reduce, "drop redundant generators")
-    p.add_argument("--file", required=True)
-
-    p = add("project", _cmd_project, "projectivise a vector or all generators")
-    p.add_argument("--x", help="single vector")
-    p.add_argument("--file", help="polytope file: projectivise every generator")
+    add("member", _cmd_member, "span membership via principal projection", ("y", None), boolean=True)
+    add("reduce", _cmd_reduce, "drop redundant generators")
+    p = add(
+        "project", _cmd_project, "projectivise a vector or all generators", ("x", "single vector"),
+        either="x", file="polytope file: projectivise every generator",
+    )
     p.add_argument("--emit-csv", help="also write the points as CSV to this path")
-
     p = add("equal", _cmd_equal, "extensional polytope equality", boolean=True)
-    p.add_argument("--file", required=True)
     p.add_argument("--other", required=True)
-
     p = add("star-check", _cmd_star_check, "is the matrix a Kleene star?", boolean=True)
-    p.add_argument("--file", required=True)
     p.add_argument("--flavor", choices=[f.value for f in Flavor], help="override the file's flavor")
-
-    p = add("dominator", _cmd_dominator, "dominator matrix of a max-plus polytope")
-    p.set_defaults(star=dominator, require=Flavor.MAX_PLUS)
-    p.add_argument("--file", required=True)
-
-    p = add("dominator-dual", _cmd_dominator, "dual dominator of a min-plus polytope")
-    p.set_defaults(star=dominator_dual, require=Flavor.MIN_PLUS)
-    p.add_argument("--file", required=True)
-
-    p = add("hull-min", _cmd_hull_min, "min-plus hull of a max-plus polytope")
-    p.add_argument("--file", required=True)
-
-    p = add("convex-check", _cmd_convex_check, "is the max-plus polytope min-plus convex?", boolean=True)
-    p.add_argument("--file", required=True)
-
-    p = add("classify", _cmd_classify, "polytrope decision with dominator and witness", boolean=True)
-    p.add_argument("--file", required=True)
-
-    p = add("dual-rho", _cmd_dual_rho, "row-space to column-space duality map")
-    p.add_argument("--file", required=True)
-    p.add_argument("--r", required=True, help="row-space member")
-
-    p = add("dual-chi", _cmd_dual_chi, "column-space to row-space duality map")
-    p.add_argument("--file", required=True)
-    p.add_argument("--c", required=True, help="column-space member")
-
-    p = add("dom-relation", _cmd_dom_relation, "dual dominator vs negated transpose", boolean=True)
-    p.add_argument("--file", required=True)
-
+    add("dominator", _cmd_matrix, "dominator matrix of a max-plus polytope", build=dominator, **max_plus)
+    add(
+        "dominator-dual", _cmd_matrix, "dual dominator of a min-plus polytope",
+        build=dominator_dual, require=Flavor.MIN_PLUS,
+    )
+    add("hull-min", _cmd_matrix, "min-plus hull of a max-plus polytope", build=min_plus_hull, **max_plus)
+    add(
+        "convex-check", _cmd_decide, "is the max-plus polytope min-plus convex?", boolean=True,
+        decide=is_min_plus_convex, label="min-plus convex", **max_plus,
+    )
+    add("classify", _cmd_classify, "polytrope decision with dominator and witness", boolean=True, **max_plus)
+    add(
+        "dual-rho", _cmd_dual_map, "row-space to column-space duality map", ("r", "row-space member"),
+        dual_map=duality_rho, point="r",
+    )
+    add(
+        "dual-chi", _cmd_dual_map, "column-space to row-space duality map", ("c", "column-space member"),
+        dual_map=duality_chi, point="c",
+    )
+    add(
+        "dom-relation", _cmd_decide, "dual dominator vs negated transpose", boolean=True,
+        decide=verify_dominator_relation, label="dual dominator equals negated transpose", **max_plus,
+    )
     p = add("sample-midpoints", _cmd_sample_midpoints, "randomized Euclidean-convexity falsifier", boolean=True)
-    p.add_argument("--file", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or {DEFAULT_SEED}")
     p.add_argument("--max-violations", type=int, help="stop after this many violations")
-
     return parser
 
 
@@ -372,10 +374,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliUsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DocumentError, OSError) as e:
+    except (CliUsageError, DocumentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (DimensionError, FlavorError, PreconditionError, IndexError, ValueError) as e:

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tropgeo import Flavor, parse_matrix_document, serialize_matrix_document
-from tropgeo.cli import run
+from tropgeo.cli import build_parser, run
 from tropgeo.docio import DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
 
@@ -397,6 +399,127 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: invalid JSON") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--file=--"],
+            ["dominates", "--x", "0,0", "--y", "0,0", "--i=--"],
+            ["bracket", "--x=--", "--y", "0,0"],
+        ],
+        ids=["file", "int", "vector"],
+    )
+    def test_double_dash_as_flag_value_is_exit_1(self, capsys, argv):
+        code, out, err = cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verbose_writes_summary_to_stderr(self, capsys):
         code, out, err = cli(capsys, "bracket", "--x", "1,0,0", "--y", "0,0,0", "--verbose")
         assert code == 0 and out.strip() == "-1" and "bracket" in err
+
+
+# (subcommand, vector flag, the other arguments): every vector flag of every subcommand
+VECTOR_FLAG_CASES = [
+    ("bracket", "--x", ["--y", "0,0"]),
+    ("bracket", "--y", ["--x", "0,0"]),
+    ("dominates", "--x", ["--y", "0,0", "--i", "0"]),
+    ("dominates", "--y", ["--x", "0,0", "--i", "1"]),
+    ("member", "--y", ["--file", "segment"]),
+    ("project", "--x", []),
+    ("dual-rho", "--r", ["--file", "swap"]),
+    ("dual-chi", "--c", ["--file", "swap"]),
+]
+
+
+class TestVectorFlags:
+    def test_cases_cover_every_vector_flag(self):
+        declared = {
+            (name, opt.rstrip("!"))
+            for name, spec in CLI_SURFACE.items()
+            for opt in spec.split()
+            if opt.rstrip("!") in ("--x", "--y", "--r", "--c")
+        }
+        assert {(name, flag) for name, flag, _ in VECTOR_FLAG_CASES} == declared
+
+    @pytest.mark.parametrize(
+        "name,flag,rest", VECTOR_FLAG_CASES, ids=[f"{n}{f}" for n, f, _ in VECTOR_FLAG_CASES]
+    )
+    def test_negative_first_coordinate_in_every_form(self, capsys, tmp_path, name, flag, rest):
+        files = {"segment": SEGMENT_DOC, "swap": SWAP_DOC}
+        rest = [write(tmp_path, f"{a}.json", files[a]) if a in files else a for a in rest]
+        value = "-1/2,0,1" if name in ("member", "project") else "-1/2,0"
+        forms = [
+            [flag, value, *rest],
+            [*rest, flag, value],
+            [f"{flag}={value}", *rest],
+            [flag, f"({value})", *rest],
+        ]
+        results = [cli(capsys, name, *form) for form in forms]
+        assert results[0][0] == 0 and results[0][1]
+        assert all(r == results[0] for r in results), results
+
+    def test_bare_negative_vector_from_the_command_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropgeo.cli", "bracket", "--x", "-1,0", "--y", "0,0"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_flag_in_place_of_a_vector_is_exit_1(self, capsys):
+        code, out, err = cli(capsys, "bracket", "--x", "--y", "0,0")
+        assert code == 1 and out == "" and err == "error: argument --x: expected one argument\n"
+
+    def test_negative_position_is_exit_2(self, capsys):
+        code, out, err = cli(capsys, "dominates", "--x", "0,0", "--y", "0,0", "--i", "-1")
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _readme_subcommands():
+    """The subcommands README's CLI section lists after "Subcommands:"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`([a-z][a-z-]*)`", paragraph)
+
+
+# Every option string of every subcommand, "!" marking the required ones
+# (-h/--help left out).  Pinned so that a rewrite of the parser can neither
+# drop nor add a flag.
+CLI_SURFACE = {
+    "bracket": "--verbose --x! --y!",
+    "dominates": "--verbose --assert --x! --i! --y --file",
+    "member": "--verbose --assert --file! --y!",
+    "reduce": "--verbose --file!",
+    "project": "--verbose --x --file --emit-csv",
+    "equal": "--verbose --assert --file! --other!",
+    "star-check": "--verbose --assert --file! --flavor",
+    "dominator": "--verbose --file!",
+    "dominator-dual": "--verbose --file!",
+    "hull-min": "--verbose --file!",
+    "convex-check": "--verbose --assert --file!",
+    "classify": "--verbose --assert --file!",
+    "dual-rho": "--verbose --file! --r!",
+    "dual-chi": "--verbose --file! --c!",
+    "dom-relation": "--verbose --assert --file!",
+    "sample-midpoints": "--verbose --assert --file! --trials --seed --max-violations",
+}
+
+
+class TestCommandSurface:
+    def test_table_covers_readme_subcommands(self):
+        assert sorted(_readme_subcommands()) == sorted(CLI_SURFACE)
+
+    def test_subcommands_and_flags_are_unchanged(self):
+        parser = build_parser()
+        # argparse has no public way to list a parser's options, so this reads _actions
+        (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+        assert sorted(subparsers.choices) == sorted(CLI_SURFACE)
+        for name, spec in CLI_SURFACE.items():
+            actions = subparsers.choices[name]._actions
+            found = {
+                opt + ("!" if a.required else "")
+                for a in actions
+                for opt in a.option_strings
+                if opt not in ("-h", "--help")
+            }
+            assert found == set(spec.split()), name
