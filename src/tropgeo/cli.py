@@ -39,7 +39,6 @@ from .docio import (
     format_vector,
     parse_matrix_document,
     parse_vector,
-    serialize_matrix_document,
 )
 from .kleene import (
     classify,
@@ -68,10 +67,15 @@ EXIT_ASSERT = 3
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "TROPGEO_SEED"
+MAX_TRIALS = 100_000  # sample-midpoints: 100,000 trials on a 2x2 polytope take about 9 s
 
 
 class CliUsageError(Exception):
     pass
+
+
+class _HelpShown(Exception):
+    """Raised where argparse would sys.exit(0) after printing a help message."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +83,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # argparse would sys.exit(2); keep exit codes ours
         raise CliUsageError(message)
+
+    def exit(self, status=0, message=None):  # only -h/--help reaches this
+        raise _HelpShown
 
     def parse_known_args(self, args=None, namespace=None):
         # argparse takes a bare "-1,0" for an option string; hand it to its vector flag as "--x=-1,0"
@@ -111,8 +118,16 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _open(path: str, *args, **kwargs):
+    """``open``, with a path it refuses as a value (a NUL byte) reported as an input error."""
+    try:
+        return open(path, *args, **kwargs)
+    except ValueError as e:
+        raise CliUsageError(f"{path!r}: {e}") from None
+
+
 def _load_document(path: str) -> MatrixDocument:
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         return parse_matrix_document(fh.read())
 
 
@@ -141,14 +156,13 @@ def _result(args, payload, ok: bool = True) -> int:
     return EXIT_OK
 
 
-def _matrix_result(result) -> int:
+def _matrix_result(args, result) -> int:
     """Print a polytope as the document of its generators, a Kleene star as that of its matrix."""
     if isinstance(result, Polytope):
         doc = MatrixDocument.from_matrix(result.generators, result.flavor, ROLE_GENERATORS)
     else:
         doc = MatrixDocument.from_matrix(result.matrix, result.flavor, ROLE_MATRIX)
-    print(serialize_matrix_document(doc), end="")
-    return EXIT_OK
+    return _result(args, doc.to_json_obj())
 
 
 def _cmd_bracket(args) -> int:
@@ -178,14 +192,14 @@ def _cmd_reduce(args) -> int:
     p = _polytope(args)
     reduced = reduce_generators(p)
     _note(args, f"kept {reduced.n_generators} of {p.n_generators} generators")
-    return _matrix_result(reduced)
+    return _matrix_result(args, reduced)
 
 
 def _cmd_project(args) -> int:
     x = _vector_or_file(args)
     if x is not None:
-        return _result(args, format_vector(projectivise(x).coords))
-    points = [projectivise(g).coords for g in _polytope(args)]
+        return _result(args, format_vector(projectivise(x)))
+    points = [projectivise(g) for g in _polytope(args)]
     if args.emit_csv:
         _write_points_csv(args.emit_csv, points)
         _note(args, f"wrote {len(points)} points to {args.emit_csv}")
@@ -200,7 +214,7 @@ def _write_points_csv(path: str, points: list[TropVector]) -> None:
         header = ["x"]
     else:
         header = [f"x{i}" for i in range(1, dim + 1)]
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for pt in points:
@@ -223,7 +237,7 @@ def _cmd_star_check(args) -> int:
 
 def _cmd_matrix(args) -> int:
     """dominator, dominator-dual and hull-min: a matrix built from the polytope."""
-    return _matrix_result(args.build(_polytope(args)))
+    return _matrix_result(args, args.build(_polytope(args)))
 
 
 def _cmd_decide(args) -> int:
@@ -256,6 +270,8 @@ def _cmd_dual_map(args) -> int:
 
 
 def _cmd_sample_midpoints(args) -> int:
+    if args.trials > MAX_TRIALS:
+        raise CliUsageError(f"--trials: at most {MAX_TRIALS}, got {args.trials}")
     p = _polytope(args)
     seed = args.seed
     if seed is None:
@@ -374,6 +390,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
+    except _HelpShown:
+        return EXIT_OK
     except (CliUsageError, DocumentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

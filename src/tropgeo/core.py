@@ -27,8 +27,6 @@ from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
-Scalar = Fraction
-
 ScalarLike = Union[Fraction, int, str]
 
 
@@ -65,11 +63,6 @@ class Flavor(Enum):
     @property
     def dual(self) -> "Flavor":
         return Flavor.MIN_PLUS if self is Flavor.MAX_PLUS else Flavor.MAX_PLUS
-
-    @property
-    def reducer(self):
-        """The scalar addition of this semiring: ``max`` or ``min``."""
-        return max if self is Flavor.MAX_PLUS else min
 
     @property
     def sign(self) -> int:
@@ -236,8 +229,7 @@ def trop_add(f: Flavor, x: TropVector, y: TropVector) -> TropVector:
     ``{x, y}`` in the componentwise partial order.
     """
     _check_same_length(x, y)
-    pick = f.reducer
-    return TropVector(tuple(pick(a, b) for a, b in zip(x, y)))
+    return TropVector(tuple(map(max if f is Flavor.MAX_PLUS else min, x, y)))
 
 
 def trop_sum(f: Flavor, vectors: Iterable[TropVector]) -> TropVector:
@@ -268,12 +260,12 @@ def trop_mat_mul(f: Flavor, a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: entry (i,j) is max_k (min_k) of ``a[i,k] + b[k,j]``."""
     if a.n_cols != b.n_rows:
         raise DimensionError(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
-    pick = f.reducer
+    sign = f.sign  # min-plus: the negated max-plus product of the negated operands
     la, lb = a.lattice, b.lattice
     scale = math.lcm(la.scale, lb.scale)
-    arows = zip(*la.cols_times(scale // la.scale))
-    bcols = lb.cols_times(scale // lb.scale)
-    rows = tuple(tuple(pick(map(add, r, c)) for c in bcols) for r in arows)
+    arows = zip(*la.cols_times(sign * (scale // la.scale)))
+    bcols = lb.cols_times(sign * (scale // lb.scale))
+    rows = tuple(tuple(sign * max(map(add, r, c)) for c in bcols) for r in arows)
     return matrix_from_lattice(Lattice(scale, rows))
 
 

@@ -152,7 +152,11 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
     if not isinstance(raw, list):
         raise DocumentError(f"entries: expected an array, got {type(raw).__name__}")
     if len(raw) != rows * cols:
-        raise DocumentError(f"entry count mismatch: expected {rows * cols}, got {len(raw)}")
+        try:
+            expected = str(rows * cols)
+        except ValueError:  # more digits than CPython's int-string limit allows
+            expected = f"{rows}*{cols}"
+        raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
     entries = tuple(parse_rational(e, f"entries[{k}]") for k, e in enumerate(raw))
     return MatrixDocument(flavor=flavor, rows=rows, cols=cols, entries=entries, role=role)
 

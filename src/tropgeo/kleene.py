@@ -67,7 +67,6 @@ class Classification:
     is the lowest-indexed dominator column that fails membership in the input.
     """
 
-    input: Polytope
     dominator: KleeneStar
     is_min_plus_convex: bool
     witness: Optional[TropVector]
@@ -171,7 +170,6 @@ def classify(p: Polytope) -> Classification:
     star = dominator(p)
     i = next(_failing_columns(p, star), None)
     return Classification(
-        input=p,
         dominator=star,
         is_min_plus_convex=i is None,
         witness=None if i is None else star.matrix.col(i),

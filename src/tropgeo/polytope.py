@@ -30,23 +30,16 @@ from .kleene import _failing_columns, _star
 from .residuation import Polytope, _max_plus_projection, member
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A scaling orbit of R^n, as the representative with first coordinate 0.
+def projectivise(x: TropVector) -> TropVector:
+    """The scaling orbit of x, as its representative with first coordinate 0.
 
-    Stores the remaining n-1 coordinates; two vectors project to the same
-    point iff one is a tropical scaling of the other.
+    Returns the remaining n-1 coordinates ``x_i - x_0``; two vectors project
+    to the same point iff one is a tropical scaling of the other.
     """
-
-    coords: TropVector
-
-
-def projectivise(x: TropVector) -> ProjectivePoint:
-    """Normalize the first coordinate to 0 and drop it."""
     if len(x) < 2:
         raise DimensionError("projectivisation needs dimension >= 2")
     first = x[0]
-    return ProjectivePoint(TropVector(tuple(e - first for e in x.entries[1:])))
+    return TropVector(tuple(e - first for e in x.entries[1:]))
 
 
 def reduce_generators(p: Polytope) -> Polytope:
@@ -156,8 +149,6 @@ def sample_euclidean_midpoints(
     trials: int,
     seed: int,
     max_violations: Optional[int] = None,
-    num_bound: int = 8,
-    den_bound: int = 6,
 ) -> MidpointReport:
     """Probe the span of p for failures of Euclidean convexity.
 
@@ -188,10 +179,10 @@ def sample_euclidean_midpoints(
             u, v = guided[rng.randrange(len(guided))]
             t = _random_unit_interval(rng)
             if rng.random() < 0.5:
-                u = scale(random_rational(rng, num_bound, den_bound), u)
+                u = scale(random_rational(rng), u)
         else:
-            u = random_member(rng, p, num_bound, den_bound)
-            v = random_member(rng, p, num_bound, den_bound)
+            u = random_member(rng, p)
+            v = random_member(rng, p)
             t = _random_unit_interval(rng)
         performed += 1
         z = affine_point(u, v, t)
@@ -208,6 +199,6 @@ def sample_euclidean_midpoints(
     )
 
 
-def _random_unit_interval(rng: random.Random, den_bound: int = 16) -> Fraction:
-    den = rng.randint(2, den_bound)
+def _random_unit_interval(rng: random.Random) -> Fraction:
+    den = rng.randint(2, 16)
     return Fraction(rng.randint(1, den - 1), den)

@@ -19,7 +19,6 @@ from typing import Iterator, Optional, Sequence
 from .core import (
     DimensionError,
     Flavor,
-    Scalar,
     TropMatrix,
     TropVector,
     _check_same_length,
@@ -68,7 +67,7 @@ class DominationWitness:
 
     dominator_point: TropVector
     position: int
-    bracket_value: Scalar
+    bracket_value: Fraction
 
 
 def bracket(x: TropVector, y: TropVector) -> Fraction:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tropgeo import Flavor, parse_matrix_document, serialize_matrix_document
-from tropgeo.cli import build_parser, run
+from tropgeo.cli import MAX_TRIALS, build_parser, run
 from tropgeo.docio import DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
 
@@ -347,6 +347,18 @@ class TestSampling:
                              "--max-violations", bound)
         assert code == 2 and out == "" and err == "error: max_violations must be >= 1\n"
 
+    def test_trials_above_the_limit_is_exit_1(self, capsys, tmp_path):
+        gens = write(tmp_path, "g.json", SEGMENT_DOC)
+        assert MAX_TRIALS == 100_000
+        code, out, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", str(MAX_TRIALS + 1))
+        assert code == 1 and out == "" and err == "error: --trials: at most 100000, got 100001\n"
+        # the limit itself is allowed; the first violation ends the run early
+        code, out, _ = cli(capsys, "sample-midpoints", "--file", gens, "--trials", str(MAX_TRIALS),
+                           "--seed", "9", "--max-violations", "1")
+        assert code == 0 and len(json.loads(out)["violations"]) == 1
+        code, out, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "0")
+        assert code == 2 and out == "" and err == "error: trials must be >= 1\n"
+
 
 class TestErrorPaths:
     def test_missing_file_is_exit_1(self, capsys):
@@ -387,6 +399,13 @@ class TestErrorPaths:
         code, _, err = cli(capsys, "bracket", *[t for kv in argv.items() for t in kv])
         assert code == 1 and f"{flag}[0]" in err
 
+    def test_shape_too_large_to_print_is_exit_1(self, capsys, tmp_path):
+        # rows * cols has more digits than CPython will convert to a string
+        path = write(tmp_path, "huge.json", {**SEGMENT_DOC, "rows": 10**4000, "cols": 10**4000})
+        code, out, err = cli(capsys, "classify", "--file", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: entry count mismatch: expected 1000") and err.count("\n") == 1
+
     def test_deeply_nested_json_is_one_line_exit_1(self, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100000 + "]" * 100000)
@@ -412,6 +431,22 @@ class TestErrorPaths:
         code, out, err = cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--file", "a\x00b"],
+            ["equal", "--file", "segment", "--other", "a\x00b"],
+            ["project", "--file", "segment", "--emit-csv", "a\x00b"],
+        ],
+        ids=["file", "other", "emit-csv"],
+    )
+    def test_nul_byte_in_a_path_is_exit_1(self, capsys, tmp_path, argv):
+        # argv cannot hold a NUL, so only an in-process caller can pass one
+        segment = write(tmp_path, "segment.json", SEGMENT_DOC)
+        code, out, err = cli(capsys, *[segment if a == "segment" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err == "error: 'a\\x00b': embedded null byte\n"
 
     def test_verbose_writes_summary_to_stderr(self, capsys):
         code, out, err = cli(capsys, "bracket", "--x", "1,0,0", "--y", "0,0,0", "--verbose")
@@ -523,3 +558,14 @@ class TestCommandSurface:
                 if opt not in ("-h", "--help")
             }
             assert found == set(spec.split()), name
+
+
+class TestHelp:
+    @pytest.mark.parametrize("name", [None, *sorted(CLI_SURFACE)])
+    def test_help_prints_and_returns_0(self, capsys, name):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+        expected = (parser if name is None else subparsers.choices[name]).format_help()
+        argv = [] if name is None else [name]
+        for flag in ("-h", "--help"):
+            assert cli(capsys, *argv, flag) == (0, expected, "")

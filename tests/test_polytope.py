@@ -36,9 +36,9 @@ def poly(flavor, *gens):
 
 class TestProjectivise:
     def test_frozen_examples(self):
-        assert projectivise(vec(0, 0, 0)).coords == vec(0, 0)
-        assert projectivise(vec(1, 0, 0)).coords == vec(-1, -1)
-        assert projectivise(vec(1, -1, 0)).coords == vec(-2, -1)
+        assert projectivise(vec(0, 0, 0)) == vec(0, 0)
+        assert projectivise(vec(1, 0, 0)) == vec(-1, -1)
+        assert projectivise(vec(1, -1, 0)) == vec(-2, -1)
 
     def test_needs_two_coordinates(self):
         with pytest.raises(DimensionError):
