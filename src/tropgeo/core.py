@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 ScalarLike = Union[Fraction, int, str]
 
@@ -61,18 +61,23 @@ class Flavor(Enum):
     MIN_PLUS = "min-plus"
 
     @property
-    def dual(self) -> "Flavor":
-        return Flavor.MIN_PLUS if self is Flavor.MAX_PLUS else Flavor.MAX_PLUS
-
-    @property
     def sign(self) -> int:
         """1 or -1: integer kernels run max-plus on ``lattice.cols_times(sign)``."""
         return 1 if self is Flavor.MAX_PLUS else -1
 
 
-def common_denominator(values: Iterable[Fraction], base: int = 1) -> int:
-    """The lcm of ``base`` and the denominators of ``values``."""
-    return math.lcm(base, *{e.denominator for e in values})
+def common_denominator(values: Iterable[Fraction], base: int = 1, max_bits: Optional[int] = None) -> int:
+    """The lcm of ``base`` and the denominators of ``values``.
+
+    With ``max_bits``, it stops at the first partial lcm longer than that, so
+    a caller can refuse a scale too large to compute with without building it.
+    """
+    scale = base
+    for den in {e.denominator for e in values}:
+        scale = math.lcm(scale, den)
+        if max_bits is not None and scale.bit_length() > max_bits:
+            break
+    return scale
 
 
 def to_lattice(values: Iterable[Fraction], scale: int) -> list[int]:

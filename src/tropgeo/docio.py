@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Flavor, TropMatrix, TropVector
+from .core import Flavor, TropMatrix, TropVector, common_denominator
 from .residuation import Polytope
 
 ROLE_MATRIX = "matrix"
@@ -28,6 +28,10 @@ ROLE_GENERATORS = "generators-as-columns"
 _ROLES = (ROLE_MATRIX, ROLE_GENERATORS)
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+
+# The integer kernels run every matrix over L, the lcm of its denominators, so
+# the cost of each operation grows with the bit length of L.
+MAX_SCALE_BITS = 4096
 
 
 class DocumentError(ValueError):
@@ -118,7 +122,11 @@ def _require_positive_int(obj: dict, key: str) -> int:
 
 
 def parse_matrix_document(text: bytes | str) -> MatrixDocument:
-    """Parse one matrix document, reporting the offending position on failure."""
+    """Parse one matrix document, reporting the offending position on failure.
+
+    A document whose entries' common denominator has more than
+    ``MAX_SCALE_BITS`` bits is refused.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -158,6 +166,8 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
             expected = f"{rows}*{cols}"
         raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
     entries = tuple(parse_rational(e, f"entries[{k}]") for k, e in enumerate(raw))
+    if common_denominator(entries, max_bits=MAX_SCALE_BITS).bit_length() > MAX_SCALE_BITS:
+        raise DocumentError(f"entries: common denominator has more than {MAX_SCALE_BITS} bits")
     return MatrixDocument(flavor=flavor, rows=rows, cols=cols, entries=entries, role=role)
 
 

@@ -141,6 +141,18 @@ def first_failing_glb_column(p: Polytope):
     return None
 
 
+def dominator_columns(p: Polytope) -> list[tuple[Fraction, ...]]:
+    """The columns of p's dominator in p's flavor: min-folds for max-plus,
+    max-folds for min-plus."""
+    fold = glb_column_fold if p.flavor is Flavor.MAX_PLUS else lub_column_fold
+    return [fold(p.generators, i) for i in range(p.ambient_dim)]
+
+
+def is_shifted_generator(p: Polytope, i: int, column) -> bool:
+    """True iff ``column`` equals some generator v shifted by ``-v_i``."""
+    return any(all(c == g[j] - g[i] for j, c in enumerate(column)) for g in p)
+
+
 def reduce_by_rescanning(p: Polytope) -> list[int]:
     """Indices kept by dropping, from the highest index down, every generator
     that is a member of the span of the others still kept."""

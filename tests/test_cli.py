@@ -10,7 +10,7 @@ import pytest
 
 from tropgeo import Flavor, parse_matrix_document, serialize_matrix_document
 from tropgeo.cli import MAX_TRIALS, build_parser, run
-from tropgeo.docio import DocumentError, MatrixDocument, parse_vector, format_vector
+from tropgeo.docio import MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
 
 SEGMENT_DOC = {
@@ -405,6 +405,22 @@ class TestErrorPaths:
         code, out, err = cli(capsys, "classify", "--file", path)
         assert code == 1 and out == ""
         assert err.startswith("error: entry count mismatch: expected 1000") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra_bits", [0, 1], ids=["at-limit", "above-limit"])
+    def test_common_denominator_above_the_bit_limit_is_exit_1(self, capsys, tmp_path, extra_bits):
+        assert MAX_SCALE_BITS == 4096
+        # each denominator is far below the limit; only their lcm L reaches it
+        three = 3**200
+        two = 2 ** (MAX_SCALE_BITS - three.bit_length() + extra_bits)
+        assert (two * three).bit_length() == MAX_SCALE_BITS + extra_bits
+        entries = [f"1/{two}", f"1/{three}"] + SEGMENT_DOC["entries"][2:]
+        path = write(tmp_path, "wide.json", {**SEGMENT_DOC, "entries": entries})
+        code, out, err = cli(capsys, "classify", "--file", path)
+        if extra_bits:
+            assert code == 1 and out == ""
+            assert err == f"error: entries: common denominator has more than {MAX_SCALE_BITS} bits\n"
+        else:
+            assert code == 0 and err == "" and json.loads(out)["is_polytrope"] is False
 
     def test_deeply_nested_json_is_one_line_exit_1(self, tmp_path):
         path = tmp_path / "nested.json"

@@ -4,8 +4,9 @@ The library runs dominators, Kleene-star checks, the failing-column scan,
 projections, membership and reduction in ints over the lcm of the input's denominators.  These tests
 compare every one of them with the plain-Fraction formulas in ``oracles.py``,
 up to 16x20, with denominators that are large and pairwise coprime so that
-the common denominator, and every int, grows.  The last test checks the
-paper's three theorems on seeded 48x60 inputs.
+the common denominator, and every int, grows.  One checks the fact behind the
+scan: a dominator column is in p iff it is a shifted generator.  The last test
+checks the paper's three theorems on seeded 48x60 inputs.
 """
 
 import random
@@ -36,8 +37,10 @@ from oracles import (
     direct_max_plus_projection,
     direct_member,
     direct_min_plus_projection,
+    dominator_columns,
     first_failing_glb_column,
     glb_column_fold,
+    is_shifted_generator,
     lub_column_fold,
     naive_mat_mul,
     reduce_by_rescanning,
@@ -138,6 +141,14 @@ def test_failing_columns_match_direct_membership(p):
     assert list(_failing_columns(p, star)) == expected
 
 
+@given(st.one_of(polytopes(), polytropes(), polytopes(MIN), polytropes().map(negated)))
+def test_dominator_column_in_p_iff_shifted_generator(p):
+    """The slice argument behind the scan, in Fraction loops only: dominator
+    column i is in p iff it is a generator v shifted by ``-v_i``."""
+    for i, c in enumerate(dominator_columns(p)):
+        assert direct_member(p, TropVector(c)) == is_shifted_generator(p, i, c)
+
+
 @given(polytropes())
 def test_polytropes_by_construction_classify_true(p):
     assert classify(p).is_polytrope
@@ -222,6 +233,9 @@ def test_paper_theorems_at_48x60():
         failing = next((c for c in d.columns() if not direct_member(p, c)), None)
         assert result.is_polytrope is convex and (failing is None) is convex
         assert result.witness == failing
+        # column i lies in P iff it is a generator v shifted by -v_i
+        for i, c in enumerate(d.columns()):
+            assert direct_member(p, c) == is_shifted_generator(p, i, c)
     # a non-polytrope is not Euclidean convex: the sampler's first violation re-checks
     report = sample_euclidean_midpoints(random_polytope, trials=40, seed=0, max_violations=1)
     assert report.violations
