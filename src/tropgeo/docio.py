@@ -63,15 +63,26 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _check_scale(entries: tuple[Fraction, ...], where: str) -> None:
+    if common_denominator(entries, max_bits=MAX_SCALE_BITS).bit_length() > MAX_SCALE_BITS:
+        raise DocumentError(f"{where}: common denominator has more than {MAX_SCALE_BITS} bits")
+
+
 def parse_vector(text: str, where: str = "vector") -> TropVector:
-    """Parse comma-separated rationals, with or without surrounding parentheses."""
+    """Parse comma-separated rationals, with or without surrounding parentheses.
+
+    A vector whose entries' common denominator has more than
+    ``MAX_SCALE_BITS`` bits is refused.
+    """
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = body.split(",")
     if parts == [""]:
         raise DocumentError(f"{where}: empty vector")
-    return TropVector(tuple(parse_rational(s, f"{where}[{k}]") for k, s in enumerate(parts)))
+    entries = tuple(parse_rational(s, f"{where}[{k}]") for k, s in enumerate(parts))
+    _check_scale(entries, where)
+    return TropVector(entries)
 
 
 def format_vector(v: TropVector) -> str:
@@ -166,8 +177,7 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
             expected = f"{rows}*{cols}"
         raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
     entries = tuple(parse_rational(e, f"entries[{k}]") for k, e in enumerate(raw))
-    if common_denominator(entries, max_bits=MAX_SCALE_BITS).bit_length() > MAX_SCALE_BITS:
-        raise DocumentError(f"entries: common denominator has more than {MAX_SCALE_BITS} bits")
+    _check_scale(entries, "entries")
     return MatrixDocument(flavor=flavor, rows=rows, cols=cols, entries=entries, role=role)
 
 

@@ -7,24 +7,26 @@ point it reports really is an exact rational affine combination of two span
 members that fails membership.  The decision procedure for convexity lives in
 :mod:`tropgeo.kleene`; the sampler exists to cross-check it.  Min-plus results
 are negated max-plus ones, computed in one place (``Flavor.sign``); the
-sampler builds only the guided pairs its trial budget can use.
+sampler builds only the guided pairs its trial budget can use.  It runs in
+ints on one scale ``L * lcm(1..6) * b``, where L is the generators' lattice
+scale and b the denominator of the affine parameter; only the points it
+reports become ``Fraction``s.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     DimensionError,
     TropVector,
     from_lattice,
     mat_from_columns,
-    scale,
-    trop_sum,
 )
 from .kleene import _failing_columns, _star
 from .residuation import Polytope, _max_plus_projection, member
@@ -96,24 +98,75 @@ class MidpointReport:
     certificates: tuple[tuple[TropVector, TropVector, Fraction], ...]
 
 
-def random_rational(rng: random.Random, num_bound: int = 8, den_bound: int = 6) -> Fraction:
-    """A rational with ``|numerator| <= num_bound`` and denominator <= den_bound."""
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+# The sampler's coefficients a/b have |a| <= _NUM_BOUND and 1 <= b <= _DEN_BOUND.
+_NUM_BOUND, _DEN_BOUND = 8, 6
+
+
+def _random_rational(
+    rng: random.Random, num_bound: int = _NUM_BOUND, den_bound: int = _DEN_BOUND
+) -> tuple[int, int]:
+    """``(a, b)``: the rational a/b with ``|a| <= num_bound`` and ``1 <= b <= den_bound``."""
+    return rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+
+
+def _random_unit_interval(rng: random.Random) -> tuple[int, int]:
+    """``(a, b)``: the rational a/b in (0, 1) with ``2 <= b <= 16``."""
+    den = rng.randint(2, 16)
+    return rng.randint(1, den - 1), den
+
+
+def _sampler_lattice(
+    p: Polytope, den_bound: int = _DEN_BOUND
+) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
+    """p's generators on the scale ``S = L * lcm(1..den_bound)``: ``(S, columns, steps)``.
+
+    Every coefficient a/b with ``b <= den_bound`` is then a whole shift
+    ``a * steps[b]``, where ``steps[b] = sign * S // b``.  The columns and the
+    shifts are times ``p.flavor.sign``, so a min-plus combination is the
+    negated max-plus one.
+    """
+    lat = p.generators.lattice
+    sign = p.flavor.sign
+    unit = math.lcm(*range(1, den_bound + 1))
+    scale = lat.scale * unit
+    steps = [0] + [sign * (scale // b) for b in range(1, den_bound + 1)]
+    return scale, lat.cols_times(sign * unit), steps
+
+
+def _random_member_ints(
+    rng: random.Random,
+    cols: Sequence[Sequence[int]],
+    steps: Sequence[int],
+    num_bound: int = _NUM_BOUND,
+    den_bound: int = _DEN_BOUND,
+) -> list[int]:
+    """A random span member on the lattice of ``_sampler_lattice``: the max over a
+    random generator subset, each column shifted by a random coefficient."""
+    size = rng.randint(1, len(cols))
+    picks = rng.sample(range(len(cols)), size)
+    shifted = []
+    for k in picks:
+        a, b = _random_rational(rng, num_bound, den_bound)
+        lam = a * steps[b]
+        shifted.append([x + lam for x in cols[k]])
+    return [max(r) for r in zip(*shifted)]
 
 
 def random_member(
     rng: random.Random,
     p: Polytope,
-    num_bound: int = 8,
-    den_bound: int = 6,
+    num_bound: int = _NUM_BOUND,
+    den_bound: int = _DEN_BOUND,
 ) -> TropVector:
-    """A random span member: a tropical combination of a random generator subset."""
-    size = rng.randint(1, p.n_generators)
-    picks = rng.sample(range(p.n_generators), size)
-    return trop_sum(
-        p.flavor,
-        (scale(random_rational(rng, num_bound, den_bound), p.generator(k)) for k in picks),
-    )
+    """A random span member: a tropical combination of a random generator subset.
+
+    Each picked generator is scaled by a rational with ``|numerator| <=
+    num_bound`` and denominator at most ``den_bound``.  This is the draw the
+    midpoint sampler makes, returned as Fractions.
+    """
+    scale, cols, steps = _sampler_lattice(p, den_bound)
+    member_ints = _random_member_ints(rng, cols, steps, num_bound, den_bound)
+    return TropVector(from_lattice((p.flavor.sign * x for x in member_ints), scale))
 
 
 def affine_point(u: TropVector, v: TropVector, t: Fraction) -> TropVector:
@@ -124,24 +177,25 @@ def affine_point(u: TropVector, v: TropVector, t: Fraction) -> TropVector:
     return TropVector(tuple(t * a + s * b for a, b in zip(u, v)))
 
 
-def _scaled_generator_pairs(p: Polytope) -> Iterator[tuple[TropVector, TropVector]]:
+def _scaled_generator_pairs(
+    p: Polytope, cols: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Span-member pairs, lazily, aimed at where non-convexity must show up, if anywhere.
 
     For each dominator column that fails membership, scale every generator to
     have that coordinate 0.  The componentwise extremum of those scaled
     generators is the failing column itself, so segments between them probe
-    the region the span fails to cover.  Returns no pairs when the polytope
-    is convex (no failing columns).
+    the region the span fails to cover.  ``cols`` are p's generators as
+    signed ints on any scale; the pairs are on the same scale.  Returns no
+    pairs when the polytope is convex (no failing columns).
     """
-    lat = p.generators.lattice
     for i in _failing_columns(p, _star(p)):
         ws: list[tuple[int, ...]] = []
-        for col in lat.cols:
-            w = tuple(x - col[i] for x in col)
+        for col in cols:
+            w = tuple([x - col[i] for x in col])
             if w not in ws:
                 ws.append(w)
-        vs = [TropVector(from_lattice(w, lat.scale)) for w in ws]
-        yield from combinations(vs, 2)
+        yield from combinations(ws, 2)
 
 
 def sample_euclidean_midpoints(
@@ -160,35 +214,67 @@ def sample_euclidean_midpoints(
     trials alternate guided and unguided pairs.  Fully deterministic given
     the seed.  ``max_violations`` stops the run early once that many
     violations are in hand (None collects everything the budget allows).
+
+    Every trial runs in ints: u and v are signed numerators over the scale
+    S of ``_sampler_lattice``, and with t = a/b the affine point is
+    ``a*u + (b-a)*v`` over ``S*b``, tested against the generators over
+    ``S*b``.  Only reported points become Fractions.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_violations is not None and max_violations < 1:
         raise ValueError("max_violations must be >= 1")
     rng = random.Random(seed)
+    sign = p.flavor.sign
+    scale, cols, steps = _sampler_lattice(p)
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
-    guided = list(islice(_scaled_generator_pairs(p), trials))
+    guided = list(islice(_scaled_generator_pairs(p, cols), trials))
+    cols_over: dict[int, tuple[tuple[int, ...], ...]] = {}  # b -> the generators over S*b
+    # A report repeats the guided pairs and few distinct coordinates, so equal
+    # reported vectors share one TropVector and equal entries one Fraction: a
+    # report of many violations then holds about a third of the objects.
+    reported: dict[tuple[tuple[int, ...], int], TropVector] = {}
+    entries: dict[tuple[int, int], Fraction] = {}
+
+    def as_vector(ints: Sequence[int], over: int) -> TropVector:
+        key = (tuple(ints), over)
+        vector = reported.get(key)
+        if vector is None:
+            out = []
+            for x in ints:
+                e = entries.get((x, over))
+                if e is None:
+                    e = entries[x, over] = Fraction(sign * x, over)
+                out.append(e)
+            vector = reported[key] = TropVector(tuple(out))
+        return vector
+
     violations: list[TropVector] = []
     certificates: list[tuple[TropVector, TropVector, Fraction]] = []
     performed = 0
     for trial in range(trials):
         if guided and trial < len(guided):
             u, v = guided[trial]
-            t = Fraction(1, 2)
+            a, b = 1, 2
         elif guided and trial % 2 == 0:
             u, v = guided[rng.randrange(len(guided))]
-            t = _random_unit_interval(rng)
+            a, b = _random_unit_interval(rng)
             if rng.random() < 0.5:
-                u = scale(random_rational(rng), u)
+                c, d = _random_rational(rng)
+                lam = c * steps[d]
+                u = [x + lam for x in u]
         else:
-            u = random_member(rng, p)
-            v = random_member(rng, p)
-            t = _random_unit_interval(rng)
+            u = _random_member_ints(rng, cols, steps)
+            v = _random_member_ints(rng, cols, steps)
+            a, b = _random_unit_interval(rng)
         performed += 1
-        z = affine_point(u, v, t)
-        if not member(p, z):
-            violations.append(z)
-            certificates.append((u, v, t))
+        z = [a * x + (b - a) * y for x, y in zip(u, v)]
+        gens = cols_over.get(b)
+        if gens is None:
+            gens = cols_over[b] = tuple(tuple(b * x for x in g) for g in cols)
+        if _max_plus_projection(gens, z) != z:
+            violations.append(as_vector(z, scale * b))
+            certificates.append((as_vector(u, scale), as_vector(v, scale), Fraction(a, b)))
             if max_violations is not None and len(violations) >= max_violations:
                 break
     return MidpointReport(
@@ -197,8 +283,3 @@ def sample_euclidean_midpoints(
         violations=tuple(violations),
         certificates=tuple(certificates),
     )
-
-
-def _random_unit_interval(rng: random.Random) -> Fraction:
-    den = rng.randint(2, 16)
-    return Fraction(rng.randint(1, den - 1), den)

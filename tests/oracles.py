@@ -8,9 +8,23 @@ tests compare two separately written routes to the same value.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from typing import Iterator, Optional
 
-from tropgeo import Flavor, Polytope, TropMatrix, TropVector
+from tropgeo import (
+    Flavor,
+    MidpointReport,
+    Polytope,
+    TropMatrix,
+    TropVector,
+    affine_point,
+    member,
+    scale,
+    trop_sum,
+)
+from tropgeo.core import from_lattice
+from tropgeo.kleene import _failing_columns, _star
 
 
 def naive_mat_mul(use_max: bool, a: TropMatrix, b: TropMatrix) -> list[list[Fraction]]:
@@ -167,3 +181,80 @@ def reduce_by_rescanning(p: Polytope) -> list[int]:
 
 def _columns(gens: list[TropVector]) -> TropMatrix:
     return TropMatrix(tuple(tuple(g[i] for g in gens) for i in range(len(gens[0]))))
+
+
+# The midpoint sampler as it ran on Fractions, kept as the reference for the
+# integer sampler: that must make the same rng calls, in the same order, and
+# return an equal report.  Unlike the oracles above, it uses the library's
+# Fraction vector operations and its membership test, which are checked
+# against the oracles elsewhere.
+
+
+def _reference_rational(rng: random.Random, num_bound: int = 8, den_bound: int = 6) -> Fraction:
+    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+
+
+def reference_random_member(rng: random.Random, p: Polytope, num_bound: int = 8, den_bound: int = 6) -> TropVector:
+    size = rng.randint(1, p.n_generators)
+    picks = rng.sample(range(p.n_generators), size)
+    return trop_sum(
+        p.flavor,
+        (scale(_reference_rational(rng, num_bound, den_bound), p.generator(k)) for k in picks),
+    )
+
+
+def _reference_unit_interval(rng: random.Random) -> Fraction:
+    den = rng.randint(2, 16)
+    return Fraction(rng.randint(1, den - 1), den)
+
+
+def _reference_guided_pairs(p: Polytope) -> Iterator[tuple[TropVector, TropVector]]:
+    lat = p.generators.lattice
+    for i in _failing_columns(p, _star(p)):
+        ws: list[tuple[int, ...]] = []
+        for col in lat.cols:
+            w = tuple(x - col[i] for x in col)
+            if w not in ws:
+                ws.append(w)
+        vs = [TropVector(from_lattice(w, lat.scale)) for w in ws]
+        yield from itertools.combinations(vs, 2)
+
+
+def reference_sample_midpoints(
+    p: Polytope,
+    trials: int,
+    seed: int,
+    max_violations: Optional[int] = None,
+) -> MidpointReport:
+    """``sample_euclidean_midpoints`` computed on Fraction vectors throughout."""
+    rng = random.Random(seed)
+    guided = list(itertools.islice(_reference_guided_pairs(p), trials))
+    violations: list[TropVector] = []
+    certificates: list[tuple[TropVector, TropVector, Fraction]] = []
+    performed = 0
+    for trial in range(trials):
+        if guided and trial < len(guided):
+            u, v = guided[trial]
+            t = Fraction(1, 2)
+        elif guided and trial % 2 == 0:
+            u, v = guided[rng.randrange(len(guided))]
+            t = _reference_unit_interval(rng)
+            if rng.random() < 0.5:
+                u = scale(_reference_rational(rng), u)
+        else:
+            u = reference_random_member(rng, p)
+            v = reference_random_member(rng, p)
+            t = _reference_unit_interval(rng)
+        performed += 1
+        z = affine_point(u, v, t)
+        if not member(p, z):
+            violations.append(z)
+            certificates.append((u, v, t))
+            if max_violations is not None and len(violations) >= max_violations:
+                break
+    return MidpointReport(
+        trials=performed,
+        seed=seed,
+        violations=tuple(violations),
+        certificates=tuple(certificates),
+    )

@@ -422,6 +422,27 @@ class TestErrorPaths:
         else:
             assert code == 0 and err == "" and json.loads(out)["is_polytrope"] is False
 
+    @pytest.mark.parametrize("extra_bits", [0, 1], ids=["at-limit", "above-limit"])
+    @pytest.mark.parametrize("command, flag", [("member", "--y"), ("bracket", "--x")])
+    def test_vector_common_denominator_above_the_bit_limit_is_exit_1(
+        self, capsys, tmp_path, command, flag, extra_bits
+    ):
+        three = 3**200
+        two = 2 ** (MAX_SCALE_BITS - three.bit_length() + extra_bits)
+        wide = f"1/{two},1/{three},0"
+        if command == "member":
+            argv = ["member", "--file", write(tmp_path, "seg.json", SEGMENT_DOC), "--y", wide]
+            expected = {"member": False, "projection": "(0,0,0)"}
+        else:
+            argv = ["bracket", "--x", wide, "--y", "0,0,0"]
+            expected = f"-1/{three}"
+        code, out, err = cli(capsys, *argv)
+        if extra_bits:
+            assert code == 1 and out == ""
+            assert err == f"error: {flag}: common denominator has more than {MAX_SCALE_BITS} bits\n"
+        else:
+            assert code == 0 and err == "" and json.loads(out) == expected
+
     def test_deeply_nested_json_is_one_line_exit_1(self, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100000 + "]" * 100000)

@@ -5,14 +5,15 @@ projections, membership and reduction in ints over the lcm of the input's denomi
 compare every one of them with the plain-Fraction formulas in ``oracles.py``,
 up to 16x20, with denominators that are large and pairwise coprime so that
 the common denominator, and every int, grows.  One checks the fact behind the
-scan: a dominator column is in p iff it is a shifted generator.  The last test
+scan: a dominator column is in p iff it is a shifted generator.  The midpoint
+sampler is compared with the Fraction sampler it replaced.  The last test
 checks the paper's three theorems on seeded 48x60 inputs.
 """
 
 import random
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropgeo import (
@@ -28,11 +29,13 @@ from tropgeo import (
     mat_from_columns,
     member,
     principal_projection,
+    random_member,
     reduce_generators,
     sample_euclidean_midpoints,
 )
 from tropgeo.kleene import _failing_columns
 
+from helpers import random_non_polytrope
 from oracles import (
     direct_max_plus_projection,
     direct_member,
@@ -44,6 +47,8 @@ from oracles import (
     lub_column_fold,
     naive_mat_mul,
     reduce_by_rescanning,
+    reference_random_member,
+    reference_sample_midpoints,
 )
 
 MAX = Flavor.MAX_PLUS
@@ -73,8 +78,8 @@ def columns(draw, n: int, m: int):
 
 
 @st.composite
-def polytopes(draw, flavor=MAX, n_max: int = 16, m_max: int = 20):
-    n = draw(st.integers(1, n_max))
+def polytopes(draw, flavor=MAX, n_max: int = 16, m_max: int = 20, n_min: int = 1):
+    n = draw(st.integers(n_min, n_max))
     m = draw(st.integers(1, m_max))
     return Polytope(flavor, mat_from_columns(draw(columns(n, m))))
 
@@ -167,6 +172,45 @@ def test_projection_and_member_match_direct_formulas(data, flavor):
 def test_reduce_generators_matches_rescan(p):
     kept = reduce_by_rescanning(p)
     assert reduce_generators(p).generators == mat_from_columns([p.generator(k) for k in kept])
+
+
+small = {"n_max": 4, "m_max": 6}
+
+
+def seeded_non_polytropes(test):
+    """Explicit examples, run every time: seeded non-polytropes in both
+    flavors, with budgets well past their guided pairs, so that every kind of
+    trial reports violations."""
+    rng = random.Random(11)
+    for seed in range(6):
+        p = random_non_polytrope(rng, n_max=4, m_max=5)
+        for q in (p, negated(p)):
+            test = example(q, 200, seed)(test)
+    return test
+
+
+@given(
+    st.one_of(
+        polytopes(**small),
+        polytropes(**small),
+        polytopes(MIN, **small),
+        polytropes(**small).map(negated),
+        polytopes(MIN, n_min=3, **small),  # min-plus non-polytropes, mostly
+    ),
+    st.integers(1, 120),
+    st.integers(0, 2**32),
+)
+@seeded_non_polytropes
+def test_sampler_matches_fraction_reference(p, trials, seed):
+    """Same rng draws, same results: the integer sampler and ``random_member``
+    against the Fraction ones."""
+    for max_violations in (None, 1, 3):
+        report = sample_euclidean_midpoints(p, trials, seed, max_violations)
+        assert report == reference_sample_midpoints(p, trials, seed, max_violations)
+    for num_bound, den_bound in ((8, 6), (3, 1), (5, 10)):
+        a, b = random.Random(seed), random.Random(seed)
+        assert random_member(a, p, num_bound, den_bound) == reference_random_member(b, p, num_bound, den_bound)
+        assert a.random() == b.random()
 
 
 def _bump(a: TropMatrix, i: int, j: int, by: int) -> TropMatrix:
