@@ -15,13 +15,11 @@ answer), 1 input or parse error, 2 dimension or precondition error, 3 failed
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     DimensionError,
@@ -131,7 +129,7 @@ def _load_document(path: str) -> MatrixDocument:
         return parse_matrix_document(fh.read())
 
 
-def _polytope(args, path: Optional[str] = None) -> Polytope:
+def _polytope(args, path: str | None = None) -> Polytope:
     """The polytope in ``--file`` (or at ``path``), of the flavor the subcommand requires."""
     path = path or args.file
     p = _load_document(path).to_polytope()
@@ -140,7 +138,7 @@ def _polytope(args, path: Optional[str] = None) -> Polytope:
     return p
 
 
-def _vector_or_file(args) -> Optional[TropVector]:
+def _vector_or_file(args) -> TropVector | None:
     """The ``either`` vector, or None when ``--file`` is given instead."""
     vector = getattr(args, args.either)
     if (vector is None) == (args.file is None):
@@ -207,6 +205,8 @@ def _cmd_project(args) -> int:
 
 
 def _write_points_csv(path: str, points: list[TropVector]) -> None:
+    import csv  # only --emit-csv needs it, so the other calls skip its import
+
     dim = len(points[0])
     if dim == 2:
         header = ["x", "y"]

@@ -15,19 +15,23 @@ carries a ``Lattice`` form (L and the integer numerators over L) computed
 once per instance, and results become ``Fraction``s only when returned.  The
 known cost: inputs whose denominators are pairwise coprime make L, and with it
 every int, large.
+
+The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
+here, and the result types of the other modules) are plain immutable classes
+on ``Frozen``, not dataclasses: importing ``dataclasses`` cost about 15 ms of
+every CLI call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import add
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import add, attrgetter
 
-ScalarLike = Union[Fraction, int, str]
+ScalarLike = Fraction | int | str
 
 
 class DimensionError(ValueError):
@@ -66,7 +70,7 @@ class Flavor(Enum):
         return 1 if self is Flavor.MAX_PLUS else -1
 
 
-def common_denominator(values: Iterable[Fraction], base: int = 1, max_bits: Optional[int] = None) -> int:
+def common_denominator(values: Iterable[Fraction], base: int = 1, max_bits: int | None = None) -> int:
     """The lcm of ``base`` and the denominators of ``values``.
 
     With ``max_bits``, it stops at the first partial lcm longer than that, so
@@ -90,15 +94,53 @@ def from_lattice(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, scale) for x in ints)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Frozen:
+    """Base of the value classes: fields set once, then compared, hashed and shown together.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Instances are equal only to
+    instances of the same class with equal fields, like a frozen dataclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _key: Callable[[Frozen], object]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, or the one field
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Lattice(Frozen):
     """Integer form of a matrix: entry (i, j) is ``rows[i][j] / scale``.
 
     ``scale`` is a common denominator of the entries, not always the least.
     """
 
+    _fields = ("scale", "rows")
     scale: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, scale: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:
@@ -111,16 +153,17 @@ class Lattice:
         return tuple(tuple(factor * x for x in c) for c in self.cols)
 
 
-@dataclass(frozen=True)
-class TropVector:
+class TropVector(Frozen):
     """A dense point of R^n with exact rational coordinates, n >= 1."""
 
+    _fields = ("entries",)
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
+    def __init__(self, entries: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        if len(entries) < 1:
             raise DimensionError("vector must have at least one entry")
-        for e in self.entries:
+        for e in entries:
             if not isinstance(e, Fraction):
                 raise TypeError(f"vector entry {e!r} is not a Fraction")
 
@@ -140,21 +183,22 @@ class TropVector:
         return "vec(%s)" % ", ".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class TropMatrix:
+class TropMatrix(Frozen):
     """A dense n x m array of exact rationals, stored row-major.
 
     Matrices double as generator lists: a polytope's generators are the
     columns of its matrix.
     """
 
+    _fields = ("entries",)
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1 or len(self.entries[0]) < 1:
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        if len(entries) < 1 or len(entries[0]) < 1:
             raise DimensionError("matrix must be at least 1x1")
-        width = len(self.entries[0])
-        for r in self.entries:
+        width = len(entries[0])
+        for r in entries:
             if len(r) != width:
                 raise DimensionError("matrix rows have unequal lengths")
             for e in r:

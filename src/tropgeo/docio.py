@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Flavor, TropMatrix, TropVector, common_denominator
+from .core import Flavor, Frozen, TropMatrix, TropVector, common_denominator
 from .residuation import Polytope
 
 ROLE_MATRIX = "matrix"
@@ -89,15 +88,24 @@ def format_vector(v: TropVector) -> str:
     return "(%s)" % ",".join(format_rational(e) for e in v)
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
+class MatrixDocument(Frozen):
     """In-memory form of one matrix/polytope file."""
 
+    _fields = ("flavor", "rows", "cols", "entries", "role")
     flavor: Flavor
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
     role: str
+
+    def __init__(
+        self, flavor: Flavor, rows: int, cols: int, entries: tuple[Fraction, ...], role: str
+    ) -> None:
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "role", role)
 
     def to_matrix(self) -> TropMatrix:
         return TropMatrix(

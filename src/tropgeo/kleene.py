@@ -13,14 +13,14 @@ negated max-plus ones, computed in one place: ``_star`` and ``_failing_columns``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import add, sub
-from typing import Iterator, Optional
 
 from .core import (
     DimensionError,
     Flavor,
     FlavorError,
+    Frozen,
     Lattice,
     PreconditionError,
     TropMatrix,
@@ -32,21 +32,23 @@ from .core import (
 from .residuation import Polytope
 
 
-@dataclass(frozen=True)
-class KleeneStar:
+class KleeneStar(Frozen):
     """A validated Kleene star: zero diagonal, idempotent under ``flavor``.
 
     Construction re-checks both properties exactly and raises ``ValueError``
     if either fails.
     """
 
+    _fields = ("flavor", "matrix")
     flavor: Flavor
     matrix: TropMatrix
 
-    def __post_init__(self) -> None:
-        problem = _star_defect(self.flavor, self.matrix)
+    def __init__(self, flavor: Flavor, matrix: TropMatrix) -> None:
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "matrix", matrix)
+        problem = _star_defect(flavor, matrix)
         if problem is not None:
-            raise ValueError(f"not a {self.flavor.value} Kleene star: {problem}")
+            raise ValueError(f"not a {flavor.value} Kleene star: {problem}")
 
     @property
     def size(self) -> int:
@@ -57,8 +59,7 @@ class KleeneStar:
         return Polytope(self.flavor, self.matrix)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     """Outcome of deciding whether a max-plus polytope is a polytrope.
 
     ``is_polytrope`` always equals ``is_min_plus_convex``: a max-plus polytope
@@ -67,16 +68,24 @@ class Classification:
     is the lowest-indexed dominator column that fails membership in the input.
     """
 
+    _fields = ("dominator", "is_min_plus_convex", "witness")
     dominator: KleeneStar
     is_min_plus_convex: bool
-    witness: Optional[TropVector]
+    witness: TropVector | None
+
+    def __init__(
+        self, dominator: KleeneStar, is_min_plus_convex: bool, witness: TropVector | None
+    ) -> None:
+        object.__setattr__(self, "dominator", dominator)
+        object.__setattr__(self, "is_min_plus_convex", is_min_plus_convex)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def is_polytrope(self) -> bool:
         return self.is_min_plus_convex
 
 
-def _star_defect(f: Flavor, a: TropMatrix) -> Optional[str]:
+def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
     if not a.is_square:
         return f"matrix is {a.n_rows}x{a.n_cols}, not square"
     for i in range(a.n_rows):

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterator, Optional, Sequence
 
 from .core import (
     DimensionError,
+    Frozen,
     TropVector,
     from_lattice,
     mat_from_columns,
@@ -81,8 +81,7 @@ def polytope_equal(p: Polytope, q: Polytope) -> bool:
     return all(member(q, g) for g in p) and all(member(p, g) for g in q)
 
 
-@dataclass(frozen=True)
-class MidpointReport:
+class MidpointReport(Frozen):
     """Everything a sampling run found.
 
     ``violations`` are affine points of span members that failed membership;
@@ -92,10 +91,23 @@ class MidpointReport:
     non-convexity.
     """
 
+    _fields = ("trials", "seed", "violations", "certificates")
     trials: int
     seed: int
     violations: tuple[TropVector, ...]
     certificates: tuple[tuple[TropVector, TropVector, Fraction], ...]
+
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        violations: tuple[TropVector, ...],
+        certificates: tuple[tuple[TropVector, TropVector, Fraction], ...],
+    ) -> None:
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "certificates", certificates)
 
 
 # The sampler's coefficients a/b have |a| <= _NUM_BOUND and 1 <= b <= _DEN_BOUND.
@@ -202,7 +214,7 @@ def sample_euclidean_midpoints(
     p: Polytope,
     trials: int,
     seed: int,
-    max_violations: Optional[int] = None,
+    max_violations: int | None = None,
 ) -> MidpointReport:
     """Probe the span of p for failures of Euclidean convexity.
 

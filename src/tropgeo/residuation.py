@@ -11,14 +11,14 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterator, Optional, Sequence
 
 from .core import (
     DimensionError,
     Flavor,
+    Frozen,
     TropMatrix,
     TropVector,
     _check_same_length,
@@ -28,8 +28,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Frozen):
     """A finitely generated tropical convex set.
 
     ``generators`` holds one generator per column; the polytope is the set of
@@ -39,8 +38,13 @@ class Polytope:
     redundant generators either presentation carries.
     """
 
+    _fields = ("flavor", "generators")
     flavor: Flavor
     generators: TropMatrix
+
+    def __init__(self, flavor: Flavor, generators: TropMatrix) -> None:
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def ambient_dim(self) -> int:
@@ -57,17 +61,22 @@ class Polytope:
         return self.generators.columns()
 
 
-@dataclass(frozen=True)
-class DominationWitness:
+class DominationWitness(Frozen):
     """Records that ``dominator_point`` dominates some y in ``position``.
 
     ``bracket_value`` is ``<dominator_point|y> = y_i - x_i`` for the
     witnessed y.
     """
 
+    _fields = ("dominator_point", "position", "bracket_value")
     dominator_point: TropVector
     position: int
     bracket_value: Fraction
+
+    def __init__(self, dominator_point: TropVector, position: int, bracket_value: Fraction) -> None:
+        object.__setattr__(self, "dominator_point", dominator_point)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "bracket_value", bracket_value)
 
 
 def bracket(x: TropVector, y: TropVector) -> Fraction:
@@ -87,7 +96,7 @@ def dominates_at(x: TropVector, y: TropVector, i: int) -> bool:
     return bracket(x, y) == y[i] - x[i]
 
 
-def domination_witness(x: TropVector, y: TropVector, i: int) -> Optional[DominationWitness]:
+def domination_witness(x: TropVector, y: TropVector, i: int) -> DominationWitness | None:
     """A checked witness that x dominates y in position i, or None."""
     if not dominates_at(x, y, i):
         return None

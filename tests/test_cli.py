@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tropgeo
 from tropgeo import Flavor, parse_matrix_document, serialize_matrix_document
 from tropgeo.cli import MAX_TRIALS, build_parser, run
 from tropgeo.docio import MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
@@ -606,3 +607,19 @@ class TestHelp:
         argv = [] if name is None else [name]
         for flag in ("-h", "--help"):
             assert cli(capsys, *argv, flag) == (0, expected, "")
+
+
+class TestStartup:
+    def test_import_loads_no_module_the_calls_do_not_need(self):
+        # -I -S: a bare interpreter, so what site preloads cannot hide an import; -B: no .pyc
+        src = os.path.dirname(os.path.dirname(tropgeo.__file__))
+        code = (
+            f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); "
+            "import tropgeo.cli; print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
+        )
+        loaded = set(proc.stdout.split())
+        assert "tropgeo.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "csv", "typing"}), sorted(loaded)

@@ -1,0 +1,137 @@
+"""The value classes: construction, equality, hashing, immutability, copying and validation."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from tropgeo import (
+    Classification,
+    DimensionError,
+    DominationWitness,
+    Flavor,
+    KleeneStar,
+    MatrixDocument,
+    MidpointReport,
+    Polytope,
+    TropMatrix,
+    TropVector,
+    mat,
+    vec,
+)
+from tropgeo.core import Lattice, matrix_from_lattice
+
+F = Fraction
+STAR = mat([[0, -1], [1, 0]])  # a Kleene star in both flavors
+OTHER_STAR = mat([[0, -2], [2, 0]])
+
+# class, field names, field values, and for each field a different valid value
+CASES = [
+    (Lattice, ("scale", "rows"), (2, ((1, 2), (3, 4))), (6, ((1, 2), (3, 5)))),
+    (TropVector, ("entries",), ((F(0), F(1, 2)),), ((F(0), F(1, 3)),)),
+    (TropMatrix, ("entries",), (((F(0), F(1)), (F(2), F(3))),), (((F(0), F(1)), (F(2), F(4))),)),
+    (Polytope, ("flavor", "generators"), (Flavor.MAX_PLUS, STAR), (Flavor.MIN_PLUS, OTHER_STAR)),
+    (
+        DominationWitness,
+        ("dominator_point", "position", "bracket_value"),
+        (vec(0, 1), 1, F(1, 2)),
+        (vec(0, 2), 0, F(-1, 2)),
+    ),
+    (KleeneStar, ("flavor", "matrix"), (Flavor.MAX_PLUS, STAR), (Flavor.MIN_PLUS, OTHER_STAR)),
+    (
+        Classification,
+        ("dominator", "is_min_plus_convex", "witness"),
+        (KleeneStar(Flavor.MAX_PLUS, STAR), False, vec(0, 1)),
+        (KleeneStar(Flavor.MAX_PLUS, OTHER_STAR), True, None),
+    ),
+    (
+        MidpointReport,
+        ("trials", "seed", "violations", "certificates"),
+        (3, 7, (vec(1, 0),), ((vec(0, 1), vec(2, 0), F(1, 2)),)),
+        (4, 8, (), ()),
+    ),
+    (
+        MatrixDocument,
+        ("flavor", "rows", "cols", "entries", "role"),
+        (Flavor.MAX_PLUS, 1, 2, (F(0), F(1)), "matrix"),
+        (Flavor.MIN_PLUS, 2, 1, (F(0), F(2)), "generators-as-columns"),
+    ),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_equality_and_hash_follow_the_fields(cls, names, values, others):
+    a, b = cls(*values), cls(*values)
+    assert a == b and hash(a) == hash(b)
+    for k in range(len(values)):
+        changed = values[:k] + (others[k],) + values[k + 1 :]
+        assert cls(*changed) != a, names[k]
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_other_classes_with_equal_fields_are_not_equal(cls, names, values, others):
+    obj = cls(*values)
+    twin = type("Twin", (cls,), {})(*values)
+    assert obj != twin and twin != obj
+    assert obj != values
+
+
+def test_polytope_and_kleene_star_over_one_matrix_differ():
+    assert Polytope(Flavor.MAX_PLUS, STAR) != KleeneStar(Flavor.MAX_PLUS, STAR)
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_fields_are_immutable(cls, names, values, others):
+    obj = cls(*values)
+    for name, other in zip(names, others):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, other)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert obj == cls(*values)
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, names, values, others):
+    obj = cls(**dict(zip(names, values)))
+    assert obj == cls(*values)
+    assert tuple(getattr(obj, name) for name in names) == values
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_copies_and_pickles_are_equal(cls, names, values, others):
+    obj = cls(*values)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is cls
+        assert twin == obj and hash(twin) == hash(obj)
+
+
+def test_repr_names_the_class_and_its_fields():
+    assert repr(Lattice(2, ((1,),))) == "Lattice(scale=2, rows=((1,),))"
+    assert repr(Polytope(Flavor.MAX_PLUS, STAR)) == (
+        "Polytope(flavor=<Flavor.MAX_PLUS: 'max-plus'>, generators=mat[0,-1; 1,0])"
+    )
+    assert repr(vec(0, "1/2")) == "vec(0, 1/2)"
+
+
+def test_validation_still_raises():
+    with pytest.raises(TypeError):
+        TropVector((F(0), 1))
+    with pytest.raises(DimensionError):
+        TropVector(())
+    with pytest.raises(DimensionError):
+        TropMatrix(((F(0), F(1)), (F(2),)))
+    with pytest.raises(ValueError, match="not idempotent"):
+        KleeneStar(Flavor.MAX_PLUS, mat([[0, 1], [1, 0]]))
+
+
+def test_matrix_from_lattice_keeps_the_lattice():
+    lat = Lattice(2, ((1, 2), (3, 4)))
+    m = matrix_from_lattice(lat)
+    assert m.lattice is lat
+    assert m == mat([["1/2", 1], ["3/2", 2]])
+    assert pickle.loads(pickle.dumps(m)).lattice == lat
