@@ -18,8 +18,8 @@ every int, large.
 
 The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
 here, and the result types of the other modules) are plain immutable classes
-on ``Frozen``, not dataclasses: importing ``dataclasses`` cost about 15 ms of
-every CLI call.
+on ``Frozen``, whose one constructor binds the arguments to the fields, not
+dataclasses: importing ``dataclasses`` cost about 15 ms of every CLI call.
 """
 
 from __future__ import annotations
@@ -97,9 +97,13 @@ def from_lattice(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
 class Frozen:
     """Base of the value classes: fields set once, then compared, hashed and shown together.
 
-    A subclass names its fields in ``_fields`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``.  Instances are equal only to
+    A subclass names its fields in ``_fields``, and this constructor binds
+    positional, then keyword, arguments to them, raising ``TypeError`` as a
+    function with that signature would.  Instances are equal only to
     instances of the same class with equal fields, like a frozen dataclass.
+    Three classes keep their own ``__init__`` to validate: ``KleeneStar``
+    checks the star after this one runs; ``TropVector`` and ``TropMatrix``,
+    built hundreds of times per call, set their field directly (~1 µs less).
     """
 
     _fields: tuple[str, ...] = ()
@@ -108,6 +112,23 @@ class Frozen:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, or the one field
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # object.__setattr__, not self.__dict__: reaching __dict__ builds a dict per instance
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if fields.index(key) < len(args):
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            object.__setattr__(self, key, value)
+        if len(args) + len(kwargs) < len(fields):
+            missing = [f for f in fields[len(args) :] if f not in kwargs]
+            raise TypeError(f"{name}() missing {missing}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -137,10 +158,6 @@ class Lattice(Frozen):
     _fields = ("scale", "rows")
     scale: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, scale: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:

@@ -98,15 +98,6 @@ class MatrixDocument(Frozen):
     entries: tuple[Fraction, ...]
     role: str
 
-    def __init__(
-        self, flavor: Flavor, rows: int, cols: int, entries: tuple[Fraction, ...], role: str
-    ) -> None:
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "role", role)
-
     def to_matrix(self) -> TropMatrix:
         return TropMatrix(
             tuple(self.entries[i * self.cols : (i + 1) * self.cols] for i in range(self.rows))

@@ -44,8 +44,7 @@ class KleeneStar(Frozen):
     matrix: TropMatrix
 
     def __init__(self, flavor: Flavor, matrix: TropMatrix) -> None:
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "matrix", matrix)
+        super().__init__(flavor, matrix)
         problem = _star_defect(flavor, matrix)
         if problem is not None:
             raise ValueError(f"not a {flavor.value} Kleene star: {problem}")
@@ -72,13 +71,6 @@ class Classification(Frozen):
     dominator: KleeneStar
     is_min_plus_convex: bool
     witness: TropVector | None
-
-    def __init__(
-        self, dominator: KleeneStar, is_min_plus_convex: bool, witness: TropVector | None
-    ) -> None:
-        object.__setattr__(self, "dominator", dominator)
-        object.__setattr__(self, "is_min_plus_convex", is_min_plus_convex)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def is_polytrope(self) -> bool:

@@ -97,18 +97,6 @@ class MidpointReport(Frozen):
     violations: tuple[TropVector, ...]
     certificates: tuple[tuple[TropVector, TropVector, Fraction], ...]
 
-    def __init__(
-        self,
-        trials: int,
-        seed: int,
-        violations: tuple[TropVector, ...],
-        certificates: tuple[tuple[TropVector, TropVector, Fraction], ...],
-    ) -> None:
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "certificates", certificates)
-
 
 # The sampler's coefficients a/b have |a| <= _NUM_BOUND and 1 <= b <= _DEN_BOUND.
 _NUM_BOUND, _DEN_BOUND = 8, 6

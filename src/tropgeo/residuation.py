@@ -42,10 +42,6 @@ class Polytope(Frozen):
     flavor: Flavor
     generators: TropMatrix
 
-    def __init__(self, flavor: Flavor, generators: TropMatrix) -> None:
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "generators", generators)
-
     @property
     def ambient_dim(self) -> int:
         return self.generators.n_rows
@@ -72,11 +68,6 @@ class DominationWitness(Frozen):
     dominator_point: TropVector
     position: int
     bracket_value: Fraction
-
-    def __init__(self, dominator_point: TropVector, position: int, bracket_value: Fraction) -> None:
-        object.__setattr__(self, "dominator_point", dominator_point)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "bracket_value", bracket_value)
 
 
 def bracket(x: TropVector, y: TropVector) -> Fraction:

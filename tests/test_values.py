@@ -103,6 +103,24 @@ def test_positional_and_keyword_construction_agree(cls, names, values, others):
 
 
 @pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_bad_arguments_raise_type_error_naming_the_class(cls, names, values, others):
+    bad_calls = {
+        "missing field": (values[:-1], {}),
+        "one value too many": (values + (values[-1],), {}),
+        "field by position and keyword": (values, {names[0]: values[0]}),
+        "unknown keyword": (values, {"bogus": 1}),
+    }
+    for what, (args, kwargs) in bad_calls.items():
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
+            pytest.fail(what)
+    twin_cls = type("Twin", (cls,), {})
+    twin = twin_cls(**dict(zip(names, values)))
+    assert type(twin) is twin_cls and twin == twin_cls(*values)
+    assert tuple(getattr(twin, name) for name in names) == values
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
 def test_copies_and_pickles_are_equal(cls, names, values, others):
     obj = cls(*values)
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
