@@ -29,6 +29,7 @@ from .core import (
     TropVector,
 )
 from .docio import (
+    MAX_DOCUMENT_BYTES,
     ROLE_GENERATORS,
     ROLE_MATRIX,
     DocumentError,
@@ -126,7 +127,10 @@ def _open(path: str, *args, **kwargs):
 
 def _load_document(path: str) -> MatrixDocument:
     with _open(path, "rb") as fh:
-        return parse_matrix_document(fh.read())
+        text = fh.read(MAX_DOCUMENT_BYTES + 1)
+    if len(text) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"{path}: more than {MAX_DOCUMENT_BYTES} bytes")
+    return parse_matrix_document(text)
 
 
 def _polytope(args, path: str | None = None) -> Polytope:

@@ -20,6 +20,7 @@ The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
 here, and the result types of the other modules) are plain immutable classes
 on ``Frozen``, whose one constructor binds the arguments to the fields, not
 dataclasses: importing ``dataclasses`` cost about 15 ms of every CLI call.
+Each names its fields in ``__slots__``, so no instance carries a ``__dict__``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from operator import add, attrgetter
 
 ScalarLike = Fraction | int | str
@@ -97,24 +97,28 @@ def from_lattice(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
 class Frozen:
     """Base of the value classes: fields set once, then compared, hashed and shown together.
 
-    A subclass names its fields in ``_fields``, and this constructor binds
-    positional, then keyword, arguments to them, raising ``TypeError`` as a
-    function with that signature would.  Instances are equal only to
-    instances of the same class with equal fields, like a frozen dataclass.
-    Three classes keep their own ``__init__`` to validate: ``KleeneStar``
-    checks the star after this one runs; ``TropVector`` and ``TropMatrix``,
-    built hundreds of times per call, set their field directly (~1 µs less).
+    A subclass names its fields in ``__slots__``; those without a leading
+    underscore are its ``_fields``, and this constructor binds positional,
+    then keyword, arguments to them, raising ``TypeError`` as a function with
+    that signature would.  Instances are equal only to instances of the same
+    class with equal fields, like a frozen dataclass, and have no
+    ``__dict__``.  ``copy`` and ``pickle`` rebuild an instance through its
+    constructor, so a copied ``KleeneStar`` is checked again.  Three classes
+    keep their own ``__init__`` to validate: ``KleeneStar`` checks the star
+    after this one runs; ``TropVector`` and ``TropMatrix``, built hundreds of
+    times per call, set their field directly (~1 µs less).
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _key: Callable[[Frozen], object]
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, or the one field
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        # object.__setattr__, not self.__dict__: reaching __dict__ builds a dict per instance
         fields, name = self._fields, type(self).__name__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
@@ -144,24 +148,24 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # copy and pickle would restore the slots by setattr, which __setattr__ refuses
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
 
 class Lattice(Frozen):
-    """Integer form of a matrix: entry (i, j) is ``rows[i][j] / scale``.
+    """Integer form of a matrix, column-major: entry (i, j) is ``cols[j][i] / scale``.
 
     ``scale`` is a common denominator of the entries, not always the least.
     """
 
-    _fields = ("scale", "rows")
+    __slots__ = ("scale", "cols")
     scale: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def cols(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows))
+    cols: tuple[tuple[int, ...], ...]
 
     def cols_times(self, factor: int) -> tuple[tuple[int, ...], ...]:
         """The columns multiplied by ``factor``: a rescaling, negated when factor < 0."""
@@ -173,7 +177,7 @@ class Lattice(Frozen):
 class TropVector(Frozen):
     """A dense point of R^n with exact rational coordinates, n >= 1."""
 
-    _fields = ("entries",)
+    __slots__ = ("entries",)
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: tuple[Fraction, ...]) -> None:
@@ -207,7 +211,7 @@ class TropMatrix(Frozen):
     columns of its matrix.
     """
 
-    _fields = ("entries",)
+    __slots__ = ("entries", "_lattice")
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -244,11 +248,16 @@ class TropMatrix(Frozen):
         for j in range(self.n_cols):
             yield self.col(j)
 
-    @cached_property
+    @property
     def lattice(self) -> Lattice:
         """The entries over the lcm of their denominators, computed once."""
-        scale = common_denominator(e for r in self.entries for e in r)
-        return Lattice(scale, tuple(tuple(to_lattice(r, scale)) for r in self.entries))
+        try:
+            return self._lattice
+        except AttributeError:
+            scale = common_denominator(e for r in self.entries for e in r)
+            cols = tuple(tuple(to_lattice(c, scale)) for c in zip(*self.entries))
+            object.__setattr__(self, "_lattice", Lattice(scale, cols))
+            return self._lattice
 
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in r) for r in self.entries)
@@ -257,8 +266,8 @@ class TropMatrix(Frozen):
 
 def matrix_from_lattice(lat: Lattice) -> TropMatrix:
     """The matrix ``lat`` represents, with ``lat`` kept as its lattice form."""
-    m = TropMatrix(tuple(from_lattice(r, lat.scale) for r in lat.rows))
-    m.__dict__["lattice"] = lat  # pre-fill the cached_property
+    m = TropMatrix(tuple(zip(*(from_lattice(c, lat.scale) for c in lat.cols))))
+    object.__setattr__(m, "_lattice", lat)
     return m
 
 
@@ -316,12 +325,6 @@ def scale(lam: ScalarLike, x: TropVector) -> TropVector:
     return TropVector(tuple(e + lam for e in x))
 
 
-def leq(x: TropVector, y: TropVector) -> bool:
-    """Componentwise partial order: true iff ``x_i <= y_i`` for every i."""
-    _check_same_length(x, y)
-    return all(a <= b for a, b in zip(x, y))
-
-
 def trop_mat_mul(f: Flavor, a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: entry (i,j) is max_k (min_k) of ``a[i,k] + b[k,j]``."""
     if a.n_cols != b.n_rows:
@@ -329,10 +332,10 @@ def trop_mat_mul(f: Flavor, a: TropMatrix, b: TropMatrix) -> TropMatrix:
     sign = f.sign  # min-plus: the negated max-plus product of the negated operands
     la, lb = a.lattice, b.lattice
     scale = math.lcm(la.scale, lb.scale)
-    arows = zip(*la.cols_times(sign * (scale // la.scale)))
+    arows = tuple(zip(*la.cols_times(sign * (scale // la.scale))))
     bcols = lb.cols_times(sign * (scale // lb.scale))
-    rows = tuple(tuple(sign * max(map(add, r, c)) for c in bcols) for r in arows)
-    return matrix_from_lattice(Lattice(scale, rows))
+    cols = tuple(tuple(sign * max(map(add, r, c)) for r in arows) for c in bcols)
+    return matrix_from_lattice(Lattice(scale, cols))
 
 
 def negate_transpose(a: TropMatrix) -> TropMatrix:
@@ -342,4 +345,4 @@ def negate_transpose(a: TropMatrix) -> TropMatrix:
     exchanges their matrix products: ``-(A (x) B)^T = (-B^T) (min*) (-A^T)``.
     """
     lat = a.lattice
-    return matrix_from_lattice(Lattice(lat.scale, lat.cols_times(-1)))
+    return matrix_from_lattice(Lattice(lat.scale, tuple(zip(*lat.cols_times(-1)))))

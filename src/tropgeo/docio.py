@@ -32,6 +32,10 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 # the cost of each operation grows with the bit length of L.
 MAX_SCALE_BITS = 4096
 
+# A document is held as bytes, text and parsed JSON at once, so a large one ends
+# in a MemoryError; 16 MiB is about 200 times the 84 KB of a 96x120 document.
+MAX_DOCUMENT_BYTES = 16 * 2**20
+
 
 class DocumentError(ValueError):
     """Malformed document: bad syntax, bad entry, or inconsistent shape."""
@@ -91,7 +95,7 @@ def format_vector(v: TropVector) -> str:
 class MatrixDocument(Frozen):
     """In-memory form of one matrix/polytope file."""
 
-    _fields = ("flavor", "rows", "cols", "entries", "role")
+    __slots__ = ("flavor", "rows", "cols", "entries", "role")
     flavor: Flavor
     rows: int
     cols: int

@@ -39,7 +39,7 @@ class KleeneStar(Frozen):
     if either fails.
     """
 
-    _fields = ("flavor", "matrix")
+    __slots__ = ("flavor", "matrix")
     flavor: Flavor
     matrix: TropMatrix
 
@@ -53,10 +53,6 @@ class KleeneStar(Frozen):
     def size(self) -> int:
         return self.matrix.n_rows
 
-    def column_space(self) -> Polytope:
-        """The polytope generated by the columns, in this star's flavor."""
-        return Polytope(self.flavor, self.matrix)
-
 
 class Classification(Frozen):
     """Outcome of deciding whether a max-plus polytope is a polytrope.
@@ -67,7 +63,7 @@ class Classification(Frozen):
     is the lowest-indexed dominator column that fails membership in the input.
     """
 
-    _fields = ("dominator", "is_min_plus_convex", "witness")
+    __slots__ = ("dominator", "is_min_plus_convex", "witness")
     dominator: KleeneStar
     is_min_plus_convex: bool
     witness: TropVector | None
@@ -108,7 +104,7 @@ def _star(p: Polytope) -> KleeneStar:
     lat = p.generators.lattice
     sign = p.flavor.sign
     rows = tuple(zip(*lat.cols_times(sign)))
-    d = tuple(tuple(sign * min(map(sub, vj, vi)) for vi in rows) for vj in rows)
+    d = tuple(tuple(sign * min(map(sub, vj, vi)) for vj in rows) for vi in rows)
     return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, d)))
 
 

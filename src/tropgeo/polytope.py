@@ -91,7 +91,7 @@ class MidpointReport(Frozen):
     non-convexity.
     """
 
-    _fields = ("trials", "seed", "violations", "certificates")
+    __slots__ = ("trials", "seed", "violations", "certificates")
     trials: int
     seed: int
     violations: tuple[TropVector, ...]
@@ -102,11 +102,9 @@ class MidpointReport(Frozen):
 _NUM_BOUND, _DEN_BOUND = 8, 6
 
 
-def _random_rational(
-    rng: random.Random, num_bound: int = _NUM_BOUND, den_bound: int = _DEN_BOUND
-) -> tuple[int, int]:
-    """``(a, b)``: the rational a/b with ``|a| <= num_bound`` and ``1 <= b <= den_bound``."""
-    return rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)
+def _random_rational(rng: random.Random) -> tuple[int, int]:
+    """``(a, b)``: the rational a/b with ``|a| <= _NUM_BOUND`` and ``1 <= b <= _DEN_BOUND``."""
+    return rng.randint(-_NUM_BOUND, _NUM_BOUND), rng.randint(1, _DEN_BOUND)
 
 
 def _random_unit_interval(rng: random.Random) -> tuple[int, int]:
@@ -115,30 +113,24 @@ def _random_unit_interval(rng: random.Random) -> tuple[int, int]:
     return rng.randint(1, den - 1), den
 
 
-def _sampler_lattice(
-    p: Polytope, den_bound: int = _DEN_BOUND
-) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
-    """p's generators on the scale ``S = L * lcm(1..den_bound)``: ``(S, columns, steps)``.
+def _sampler_lattice(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
+    """p's generators on the scale ``S = L * lcm(1.._DEN_BOUND)``: ``(S, columns, steps)``.
 
-    Every coefficient a/b with ``b <= den_bound`` is then a whole shift
+    Every coefficient a/b with ``b <= _DEN_BOUND`` is then a whole shift
     ``a * steps[b]``, where ``steps[b] = sign * S // b``.  The columns and the
     shifts are times ``p.flavor.sign``, so a min-plus combination is the
     negated max-plus one.
     """
     lat = p.generators.lattice
     sign = p.flavor.sign
-    unit = math.lcm(*range(1, den_bound + 1))
+    unit = math.lcm(*range(1, _DEN_BOUND + 1))
     scale = lat.scale * unit
-    steps = [0] + [sign * (scale // b) for b in range(1, den_bound + 1)]
+    steps = [0] + [sign * (scale // b) for b in range(1, _DEN_BOUND + 1)]
     return scale, lat.cols_times(sign * unit), steps
 
 
 def _random_member_ints(
-    rng: random.Random,
-    cols: Sequence[Sequence[int]],
-    steps: Sequence[int],
-    num_bound: int = _NUM_BOUND,
-    den_bound: int = _DEN_BOUND,
+    rng: random.Random, cols: Sequence[Sequence[int]], steps: Sequence[int]
 ) -> list[int]:
     """A random span member on the lattice of ``_sampler_lattice``: the max over a
     random generator subset, each column shifted by a random coefficient."""
@@ -146,35 +138,22 @@ def _random_member_ints(
     picks = rng.sample(range(len(cols)), size)
     shifted = []
     for k in picks:
-        a, b = _random_rational(rng, num_bound, den_bound)
+        a, b = _random_rational(rng)
         lam = a * steps[b]
         shifted.append([x + lam for x in cols[k]])
     return [max(r) for r in zip(*shifted)]
 
 
-def random_member(
-    rng: random.Random,
-    p: Polytope,
-    num_bound: int = _NUM_BOUND,
-    den_bound: int = _DEN_BOUND,
-) -> TropVector:
+def random_member(rng: random.Random, p: Polytope) -> TropVector:
     """A random span member: a tropical combination of a random generator subset.
 
     Each picked generator is scaled by a rational with ``|numerator| <=
-    num_bound`` and denominator at most ``den_bound``.  This is the draw the
+    _NUM_BOUND`` and denominator at most ``_DEN_BOUND``.  This is the draw the
     midpoint sampler makes, returned as Fractions.
     """
-    scale, cols, steps = _sampler_lattice(p, den_bound)
-    member_ints = _random_member_ints(rng, cols, steps, num_bound, den_bound)
+    scale, cols, steps = _sampler_lattice(p)
+    member_ints = _random_member_ints(rng, cols, steps)
     return TropVector(from_lattice((p.flavor.sign * x for x in member_ints), scale))
-
-
-def affine_point(u: TropVector, v: TropVector, t: Fraction) -> TropVector:
-    """The exact ordinary affine combination ``t*u + (1-t)*v``."""
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    s = 1 - t
-    return TropVector(tuple(t * a + s * b for a, b in zip(u, v)))
 
 
 def _scaled_generator_pairs(

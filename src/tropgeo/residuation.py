@@ -38,7 +38,7 @@ class Polytope(Frozen):
     redundant generators either presentation carries.
     """
 
-    _fields = ("flavor", "generators")
+    __slots__ = ("flavor", "generators")
     flavor: Flavor
     generators: TropMatrix
 
@@ -57,19 +57,6 @@ class Polytope(Frozen):
         return self.generators.columns()
 
 
-class DominationWitness(Frozen):
-    """Records that ``dominator_point`` dominates some y in ``position``.
-
-    ``bracket_value`` is ``<dominator_point|y> = y_i - x_i`` for the
-    witnessed y.
-    """
-
-    _fields = ("dominator_point", "position", "bracket_value")
-    dominator_point: TropVector
-    position: int
-    bracket_value: Fraction
-
-
 def bracket(x: TropVector, y: TropVector) -> Fraction:
     """The residuation bracket ``min_i (y_i - x_i)``.
 
@@ -85,13 +72,6 @@ def dominates_at(x: TropVector, y: TropVector, i: int) -> bool:
     if not 0 <= i < len(x):
         raise IndexError(f"position {i} out of range for dimension {len(x)}")
     return bracket(x, y) == y[i] - x[i]
-
-
-def domination_witness(x: TropVector, y: TropVector, i: int) -> DominationWitness | None:
-    """A checked witness that x dominates y in position i, or None."""
-    if not dominates_at(x, y, i):
-        return None
-    return DominationWitness(dominator_point=x, position=i, bracket_value=y[i] - x[i])
 
 
 def dominates_polytope_at(x: TropVector, p: Polytope, i: int) -> bool:

@@ -12,19 +12,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from tropgeo import (
-    Flavor,
-    MidpointReport,
-    Polytope,
-    TropMatrix,
-    TropVector,
-    affine_point,
-    member,
-    scale,
-    trop_sum,
-)
-from tropgeo.core import from_lattice
-from tropgeo.kleene import _failing_columns, _star
+from tropgeo import Flavor, MidpointReport, Polytope, TropMatrix, TropVector
 
 
 def naive_mat_mul(use_max: bool, a: TropMatrix, b: TropMatrix) -> list[list[Fraction]]:
@@ -183,24 +171,34 @@ def _columns(gens: list[TropVector]) -> TropMatrix:
     return TropMatrix(tuple(tuple(g[i] for g in gens) for i in range(len(gens[0]))))
 
 
+def affine_point(u, v, t: Fraction) -> TropVector:
+    """The ordinary affine combination ``t*u + (1-t)*v``, coordinate by coordinate."""
+    return TropVector(tuple(t * a + (1 - t) * b for a, b in zip(u, v)))
+
+
 # The midpoint sampler as it ran on Fractions, kept as the reference for the
 # integer sampler: that must make the same rng calls, in the same order, and
-# return an equal report.  Unlike the oracles above, it uses the library's
-# Fraction vector operations and its membership test, which are checked
-# against the oracles elsewhere.
+# return an equal report.  Like the oracles above, it uses none of the
+# library's operations: membership is ``direct_member``, the guided pairs come
+# from ``dominator_columns``, and scaling, folding and the affine point are
+# Fraction loops.
 
 
 def _reference_rational(rng: random.Random, num_bound: int = 8, den_bound: int = 6) -> Fraction:
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
+def _shifted(v, lam: Fraction) -> TropVector:
+    return TropVector(tuple(e + lam for e in v))
+
+
 def reference_random_member(rng: random.Random, p: Polytope, num_bound: int = 8, den_bound: int = 6) -> TropVector:
+    pick = max if p.flavor is Flavor.MAX_PLUS else min
     size = rng.randint(1, p.n_generators)
     picks = rng.sample(range(p.n_generators), size)
-    return trop_sum(
-        p.flavor,
-        (scale(_reference_rational(rng, num_bound, den_bound), p.generator(k)) for k in picks),
-    )
+    gens = list(p)
+    shifted = [_shifted(gens[k], _reference_rational(rng, num_bound, den_bound)) for k in picks]
+    return TropVector(tuple(pick(v[i] for v in shifted) for i in range(p.ambient_dim)))
 
 
 def _reference_unit_interval(rng: random.Random) -> Fraction:
@@ -209,15 +207,17 @@ def _reference_unit_interval(rng: random.Random) -> Fraction:
 
 
 def _reference_guided_pairs(p: Polytope) -> Iterator[tuple[TropVector, TropVector]]:
-    lat = p.generators.lattice
-    for i in _failing_columns(p, _star(p)):
-        ws: list[tuple[int, ...]] = []
-        for col in lat.cols:
-            w = tuple(x - col[i] for x in col)
+    """For each dominator column outside p, in order, every pair of distinct
+    generators scaled to have that coordinate 0, in generator order."""
+    for i, column in enumerate(dominator_columns(p)):
+        if direct_member(p, TropVector(column)):
+            continue
+        ws: list[TropVector] = []
+        for g in p:
+            w = _shifted(g, -g[i])
             if w not in ws:
                 ws.append(w)
-        vs = [TropVector(from_lattice(w, lat.scale)) for w in ws]
-        yield from itertools.combinations(vs, 2)
+        yield from itertools.combinations(ws, 2)
 
 
 def reference_sample_midpoints(
@@ -240,14 +240,14 @@ def reference_sample_midpoints(
             u, v = guided[rng.randrange(len(guided))]
             t = _reference_unit_interval(rng)
             if rng.random() < 0.5:
-                u = scale(_reference_rational(rng), u)
+                u = _shifted(u, _reference_rational(rng))
         else:
             u = reference_random_member(rng, p)
             v = reference_random_member(rng, p)
             t = _reference_unit_interval(rng)
         performed += 1
         z = affine_point(u, v, t)
-        if not member(p, z):
+        if not direct_member(p, z):
             violations.append(z)
             certificates.append((u, v, t))
             if max_violations is not None and len(violations) >= max_violations:

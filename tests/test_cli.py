@@ -11,7 +11,7 @@ import pytest
 import tropgeo
 from tropgeo import Flavor, parse_matrix_document, serialize_matrix_document
 from tropgeo.cli import MAX_TRIALS, build_parser, run
-from tropgeo.docio import MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
+from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
 
 SEGMENT_DOC = {
@@ -443,6 +443,20 @@ class TestErrorPaths:
             assert err == f"error: {flag}: common denominator has more than {MAX_SCALE_BITS} bits\n"
         else:
             assert code == 0 and err == "" and json.loads(out) == expected
+
+    @pytest.mark.parametrize("extra_bytes", [0, 1], ids=["at-limit", "above-limit"])
+    def test_document_above_the_byte_limit_is_exit_1(self, capsys, tmp_path, extra_bytes):
+        assert MAX_DOCUMENT_BYTES == 16 * 2**20
+        # a valid document padded with whitespace, which JSON ignores
+        text = json.dumps(SEGMENT_DOC).encode()
+        path = tmp_path / "padded.json"
+        path.write_bytes(text + b" " * (MAX_DOCUMENT_BYTES - len(text) + extra_bytes))
+        code, out, err = cli(capsys, "classify", "--file", str(path))
+        if extra_bytes:
+            assert code == 1 and out == ""
+            assert err == f"error: {path}: more than {MAX_DOCUMENT_BYTES} bytes\n"
+        else:
+            assert code == 0 and err == "" and json.loads(out)["is_polytrope"] is False
 
     def test_deeply_nested_json_is_one_line_exit_1(self, tmp_path):
         path = tmp_path / "nested.json"

@@ -10,7 +10,6 @@ from tropgeo import (
     Flavor,
     TropMatrix,
     TropVector,
-    leq,
     mat,
     mat_from_columns,
     negate_transpose,
@@ -26,6 +25,11 @@ from oracles import naive_mat_mul
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
+
+
+def leq(x, y) -> bool:
+    """The componentwise order: ``x_i <= y_i`` for every i."""
+    return all(a <= b for a, b in zip(x, y, strict=True))
 
 
 class TestScalarsAndConstruction:
@@ -112,19 +116,6 @@ class TestScale:
         x, y = batch
         for f in Flavor:
             assert scale(lam, trop_add(f, x, y)) == trop_add(f, scale(lam, x), scale(lam, y))
-
-
-class TestLeq:
-    def test_reflexive(self):
-        assert leq(vec(0, 0), vec(0, 0))
-
-    def test_componentwise(self):
-        assert leq(vec(0, -1), vec(0, 0))
-        assert not leq(vec(1, -1), vec(0, 0))
-
-    def test_mismatch(self):
-        with pytest.raises(DimensionError):
-            leq(vec(0), vec(0, 1))
 
 
 class TestMatMul:

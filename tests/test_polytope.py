@@ -9,7 +9,6 @@ from tropgeo import (
     DimensionError,
     Flavor,
     Polytope,
-    affine_point,
     classify,
     dominator,
     mat,
@@ -25,6 +24,7 @@ from tropgeo import (
 )
 
 from helpers import max_plus_polytopes, random_non_polytrope, random_polytrope, rationals, vectors
+from oracles import affine_point
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -131,16 +131,6 @@ class TestPolytopeEqual:
         q = Polytope(MAX, mat_from_columns([scale(rng.randint(-4, 4), c) for c in cols]))
         r = Polytope(MAX, mat_from_columns(list(q) + [random_member(rng, q)]))
         assert polytope_equal(p, q) and polytope_equal(q, r) and polytope_equal(p, r)
-
-
-class TestAffinePoint:
-    def test_midpoint(self):
-        assert affine_point(vec(0, 0, 0), vec(0, 1, 2), Fraction(1, 2)) == vec(0, "1/2", 1)
-
-    def test_endpoints(self):
-        u, v = vec(1, 2), vec(3, 4)
-        assert affine_point(u, v, Fraction(1)) == u
-        assert affine_point(u, v, Fraction(0)) == v
 
 
 class TestMidpointSampler:

@@ -12,8 +12,6 @@ from tropgeo import (
     bracket,
     dominates_at,
     dominates_polytope_at,
-    domination_witness,
-    leq,
     mat_from_columns,
     member,
     principal_projection,
@@ -28,10 +26,16 @@ from oracles import (
     member_by_integer_grid,
     member_by_principal_subsets,
     naive_bracket,
+    reference_random_member,
 )
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
+
+
+def leq(x, y) -> bool:
+    """The componentwise order: ``x_i <= y_i`` for every i."""
+    return all(a <= b for a, b in zip(x, y, strict=True))
 
 
 def poly(flavor, *gens):
@@ -110,12 +114,6 @@ class TestDomination:
         x, y = batch
         for i in range(len(x)):
             assert dominates_at(x, y, i) == dominates_at(scale(lam, x), scale(mu, y), i)
-
-    def test_witness_construction(self):
-        w = domination_witness(vec(0, 0), vec(0, 1), 0)
-        assert w is not None
-        assert w.bracket_value == 0 and w.position == 0
-        assert domination_witness(vec(0, 0), vec(0, 1), 1) is None
 
     def test_closure_of_dominated_set(self):
         # max-plus sum, min-plus sum and affine combinations stay dominated
@@ -240,9 +238,7 @@ class TestMember:
             )
             # half the queries are forced members so both branches get exercised
             if rng.random() < 0.5:
-                from tropgeo import random_member
-
-                y = random_member(rng, p, 3, 1)
+                y = reference_random_member(rng, p, 3, 1)
             else:
                 y = vec(*(ints() for _ in range(n)))
             assert member(p, y) == member_by_integer_grid(p, y)

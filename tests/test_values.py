@@ -1,4 +1,4 @@
-"""The value classes: construction, equality, hashing, immutability, copying and validation."""
+"""The value classes: construction, equality, hashing, immutability, slots, copying and validation."""
 
 import copy
 import pickle
@@ -9,7 +9,6 @@ import pytest
 from tropgeo import (
     Classification,
     DimensionError,
-    DominationWitness,
     Flavor,
     KleeneStar,
     MatrixDocument,
@@ -28,16 +27,10 @@ OTHER_STAR = mat([[0, -2], [2, 0]])
 
 # class, field names, field values, and for each field a different valid value
 CASES = [
-    (Lattice, ("scale", "rows"), (2, ((1, 2), (3, 4))), (6, ((1, 2), (3, 5)))),
+    (Lattice, ("scale", "cols"), (2, ((1, 2), (3, 4))), (6, ((1, 2), (3, 5)))),
     (TropVector, ("entries",), ((F(0), F(1, 2)),), ((F(0), F(1, 3)),)),
     (TropMatrix, ("entries",), (((F(0), F(1)), (F(2), F(3))),), (((F(0), F(1)), (F(2), F(4))),)),
     (Polytope, ("flavor", "generators"), (Flavor.MAX_PLUS, STAR), (Flavor.MIN_PLUS, OTHER_STAR)),
-    (
-        DominationWitness,
-        ("dominator_point", "position", "bracket_value"),
-        (vec(0, 1), 1, F(1, 2)),
-        (vec(0, 2), 0, F(-1, 2)),
-    ),
     (KleeneStar, ("flavor", "matrix"), (Flavor.MAX_PLUS, STAR), (Flavor.MIN_PLUS, OTHER_STAR)),
     (
         Classification,
@@ -129,7 +122,7 @@ def test_copies_and_pickles_are_equal(cls, names, values, others):
 
 
 def test_repr_names_the_class_and_its_fields():
-    assert repr(Lattice(2, ((1,),))) == "Lattice(scale=2, rows=((1,),))"
+    assert repr(Lattice(2, ((1,),))) == "Lattice(scale=2, cols=((1,),))"
     assert repr(Polytope(Flavor.MAX_PLUS, STAR)) == (
         "Polytope(flavor=<Flavor.MAX_PLUS: 'max-plus'>, generators=mat[0,-1; 1,0])"
     )
@@ -148,8 +141,25 @@ def test_validation_still_raises():
 
 
 def test_matrix_from_lattice_keeps_the_lattice():
-    lat = Lattice(2, ((1, 2), (3, 4)))
+    lat = Lattice(2, ((1, 2), (3, 4)))  # columns
     m = matrix_from_lattice(lat)
     assert m.lattice is lat
-    assert m == mat([["1/2", 1], ["3/2", 2]])
+    assert m == mat([["1/2", "3/2"], [1, 2]])
     assert pickle.loads(pickle.dumps(m)).lattice == lat
+
+
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
+def test_instances_have_no_dict(cls, names, values, others):
+    obj = cls(*values)
+    assert not hasattr(obj, "__dict__")
+    if isinstance(obj, TropMatrix):
+        assert obj.lattice == Lattice(1, ((0, 2), (1, 3)))
+        assert not hasattr(obj, "__dict__") and not hasattr(obj.lattice, "__dict__")
+        assert not hasattr(matrix_from_lattice(obj.lattice), "__dict__")
+
+
+def test_copies_of_a_matrix_keep_its_lattice():
+    m = mat([["1/2", 1, "-2/3"], [0, "5/6", 2]])
+    lat = m.lattice
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and twin.lattice == lat
