@@ -36,6 +36,11 @@ MAX_SCALE_BITS = 4096
 # in a MemoryError; 16 MiB is about 200 times the 84 KB of a 96x120 document.
 MAX_DOCUMENT_BYTES = 16 * 2**20
 
+# A parsed entry costs about 160 bytes, so the byte limit alone lets through
+# 4,000,000 one-digit entries, which ended in a MemoryError under a 400 MB
+# address-space limit. The count is checked before any Fraction is built.
+MAX_ENTRIES = 1_000_000
+
 
 class DocumentError(ValueError):
     """Malformed document: bad syntax, bad entry, or inconsistent shape."""
@@ -138,8 +143,8 @@ def _require_positive_int(obj: dict, key: str) -> int:
 def parse_matrix_document(text: bytes | str) -> MatrixDocument:
     """Parse one matrix document, reporting the offending position on failure.
 
-    A document whose entries' common denominator has more than
-    ``MAX_SCALE_BITS`` bits is refused.
+    A document of more than ``MAX_ENTRIES`` entries, or whose entries' common
+    denominator has more than ``MAX_SCALE_BITS`` bits, is refused.
     """
     if isinstance(text, bytes):
         try:
@@ -179,6 +184,8 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
         except ValueError:  # more digits than CPython's int-string limit allows
             expected = f"{rows}*{cols}"
         raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
+    if len(raw) > MAX_ENTRIES:
+        raise DocumentError(f"entries: more than {MAX_ENTRIES} entries")
     entries = tuple(parse_rational(e, f"entries[{k}]") for k, e in enumerate(raw))
     _check_scale(entries, "entries")
     return MatrixDocument(flavor=flavor, rows=rows, cols=cols, entries=entries, role=role)

@@ -9,12 +9,22 @@ exactly when that hull adds nothing, i.e. when every dominator column already
 belongs to P.  This turns Euclidean convexity of a tropical polytope into an
 exact rational decision with no geometry involved.  Min-plus results are
 negated max-plus ones, computed in one place: ``_star`` and ``_failing_columns``.
+
+A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
+all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
+``max_k (A_ik + A_kj)``, and the terms k = i and k = j are ``A_ij`` itself,
+so the product is at least A and equals it iff no term exceeds ``A_ij``.
+The check tests these n^3 inequalities on packed ints: each column becomes
+one int with a lane of whole bytes per entry, offset by the least entry and
+wide enough for twice the span plus a guard bit, so that four big-int
+operations test the n inequalities of one pair (j, k) at once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import add, sub
+from itertools import chain
+from operator import sub
 
 from .core import (
     DimensionError,
@@ -36,7 +46,9 @@ class KleeneStar(Frozen):
     """A validated Kleene star: zero diagonal, idempotent under ``flavor``.
 
     Construction re-checks both properties exactly and raises ``ValueError``
-    if either fails.
+    if either fails.  With the diagonal zero, idempotency is the triangle
+    inequalities ``a_ij >= a_ik + a_kj`` (max-plus; ``<=`` min-plus), which
+    is how it is checked.
     """
 
     __slots__ = ("flavor", "matrix")
@@ -76,19 +88,44 @@ class Classification(Frozen):
 def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
     if not a.is_square:
         return f"matrix is {a.n_rows}x{a.n_cols}, not square"
-    for i in range(a.n_rows):
-        if a.entries[i][i] != 0:
-            return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
-    # a (x) a == a, row by row in ints; a min-plus star is a negated max-plus one
     cols = a.lattice.cols_times(f.sign)
-    for row in zip(*cols):
-        if [max(map(add, row, c)) for c in cols] != list(row):
+    for i, col in enumerate(cols):
+        if col[i]:
+            return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
+    # a (x) a == a iff a_ij >= a_ik + a_kj for all i, j, k (see the module
+    # docstring), tested a column j at a time on packed lanes; a min-plus
+    # star is a negated max-plus one
+    flat = [*chain.from_iterable(cols)]
+    lo = min(flat)  # <= 0: the diagonal is 0
+    guard = (2 * (max(flat) - lo)).bit_length()  # 2**guard > |a_ij - a_ik - a_kj|
+    size = guard // 8 + 1  # whole bytes a lane, with the guard bit on top
+    lane = 8 * size
+    n = len(cols)
+    width = lane * n
+    mask = (1 << width) - 1
+    ones = mask // ((1 << lane) - 1)
+    guards = ones << guard
+    # lane i of packed[k] is a_ik - lo, so lane i of top - packed[k] - a_kj * ones
+    # is 2**guard + a_ij - a_ik - a_kj, which keeps its guard bit iff it is >= 0
+    whole = int.from_bytes(b"".join([(x - lo).to_bytes(size, "little") for x in flat]), "little")
+    packed = [whole >> shift & mask for shift in range(0, n * width, width)]
+    for col, top in zip(cols, packed):
+        top += guards
+        acc = guards
+        for p, a_kj in zip(packed, col):
+            acc &= top - p - a_kj * ones
+        if acc != guards:
             return "matrix is not idempotent"
     return None
 
 
 def is_kleene_star(f: Flavor, a: TropMatrix) -> bool:
-    """True iff ``a`` has an all-zero diagonal and ``a (*) a == a`` under f."""
+    """True iff ``a`` has an all-zero diagonal and ``a (*) a == a`` under f.
+
+    Given the zero diagonal, ``a (*) a == a`` iff every ``a_ij >= a_ik + a_kj``
+    (max-plus; ``<=`` min-plus), since the terms k = i and k = j of the product
+    already give ``a_ij``.
+    """
     if not a.is_square:
         raise DimensionError(f"expected a square matrix, got {a.n_rows}x{a.n_cols}")
     return _star_defect(f, a) is None

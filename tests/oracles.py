@@ -26,6 +26,30 @@ def naive_mat_mul(use_max: bool, a: TropMatrix, b: TropMatrix) -> list[list[Frac
     return out
 
 
+def is_star_by_product(use_max: bool, a: TropMatrix) -> bool:
+    """Zero diagonal and ``a (x) a == a``, by the plain Fraction product."""
+    n = a.n_rows
+    return all(a.entries[i][i] == 0 for i in range(n)) and naive_mat_mul(use_max, a, a) == [list(r) for r in a.entries]
+
+
+def bumped(a: TropMatrix, cell: tuple[int, int], by: Fraction) -> TropMatrix:
+    """``a`` with ``by`` added to the entry at ``cell``."""
+    return TropMatrix(
+        tuple(tuple(e + by if (i, j) == cell else e for j, e in enumerate(r)) for i, r in enumerate(a.entries))
+    )
+
+
+def potential_star(x, y) -> TropMatrix:
+    """The max-plus Kleene star ``a_ij = min(0, x_i - x_j) + y_i - y_j``.
+
+    ``min(0, x_i - x_k) + min(0, x_k - x_j)`` is at most both 0 and
+    ``x_i - x_j``, so every ``a_ik + a_kj <= a_ij`` and the diagonal is 0.
+    With y = 0 its entries span ``[min(x) - max(x), 0]`` exactly.
+    """
+    n = len(x)
+    return TropMatrix(tuple(tuple(Fraction(min(0, x[i] - x[j]) + y[i] - y[j]) for j in range(n)) for i in range(n)))
+
+
 def naive_bracket(x: TropVector, y: TropVector) -> Fraction:
     best = y[0] - x[0]
     for i in range(1, len(x)):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tropgeo
-from tropgeo import Flavor, parse_matrix_document, serialize_matrix_document
+from tropgeo import Flavor, docio, parse_matrix_document, serialize_matrix_document
 from tropgeo.cli import MAX_TRIALS, build_parser, run
 from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
@@ -455,6 +455,21 @@ class TestErrorPaths:
         if extra_bytes:
             assert code == 1 and out == ""
             assert err == f"error: {path}: more than {MAX_DOCUMENT_BYTES} bytes\n"
+        else:
+            assert code == 0 and err == "" and json.loads(out)["is_polytrope"] is False
+
+    @pytest.mark.parametrize("extra_cols", [0, 1], ids=["at-limit", "above-limit"])
+    def test_document_above_the_entry_limit_is_exit_1(self, capsys, tmp_path, monkeypatch, extra_cols):
+        assert docio.MAX_ENTRIES == 1_000_000
+        monkeypatch.setattr(docio, "MAX_ENTRIES", 6)
+        # the 3x2 segment with extra_cols more copies of its first generator
+        rows = [SEGMENT_DOC["entries"][2 * i : 2 * i + 2] for i in range(3)]
+        entries = [e for row in rows for e in row + row[:1] * extra_cols]
+        path = write(tmp_path, "wide.json", {**SEGMENT_DOC, "cols": 2 + extra_cols, "entries": entries})
+        code, out, err = cli(capsys, "classify", "--file", path)
+        if extra_cols:
+            assert code == 1 and out == ""
+            assert err == "error: entries: more than 6 entries\n"
         else:
             assert code == 0 and err == "" and json.loads(out)["is_polytrope"] is False
 

@@ -41,6 +41,7 @@ from tropgeo.kleene import _failing_columns
 from helpers import random_non_polytrope
 from oracles import (
     affine_point,
+    bumped,
     direct_max_plus_projection,
     direct_member,
     direct_min_plus_projection,
@@ -48,8 +49,10 @@ from oracles import (
     first_failing_glb_column,
     glb_column_fold,
     is_shifted_generator,
+    is_star_by_product,
     lub_column_fold,
     naive_mat_mul,
+    potential_star,
     reduce_by_rescanning,
     reference_random_member,
     reference_sample_midpoints,
@@ -240,28 +243,34 @@ def test_sampler_matches_fraction_reference(p, trials, seed):
     assert a.random() == b.random()
 
 
-def _bump(a: TropMatrix, i: int, j: int, by: int) -> TropMatrix:
-    return TropMatrix(
-        tuple(tuple(e + by if (r, c) == (i, j) else e for c, e in enumerate(row)) for r, row in enumerate(a.entries))
-    )
+LARGE_PRIMES = tuple(den for den in DENOMINATORS if den > 10**4)
 
 
 @given(polytopes(n_max=8, m_max=8), st.sampled_from([MAX, MIN]), st.data())
 def test_kleene_star_check_matches_product(p, flavor, data):
-    """The star check agrees with ``A (x) A == A`` on dominators, their
-    perturbations, and random zero-diagonal matrices."""
+    """The star check agrees with ``A (x) A == A`` on dominators, their bumps
+    by the smallest lattice step 1/L, stars built from potentials, and
+    zero-diagonal matrices of integer noise and of rational noise over
+    distinct large primes, whose ints exceed 64 bits."""
     d = dominator(p).matrix
     n = d.n_rows
-    noise = data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
-    zero_diagonal = TropMatrix(
-        tuple(tuple(Fraction(0 if i == j else noise[i * n + j]) for j in range(n)) for i in range(n))
-    )
+    step = Fraction(1, d.lattice.scale)
+
+    def zero_diagonal(values):
+        return TropMatrix(tuple(tuple(Fraction(0) if i == j else Fraction(values[i * n + j]) for j in range(n)) for i in range(n)))
+
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    primes = data.draw(st.permutations(LARGE_PRIMES))
+    nums = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=n * n, max_size=n * n))
+    rational_noise = [Fraction(num, primes[k % len(primes)]) for k, num in enumerate(nums)]
+    x, y = (data.draw(st.lists(rationals(data.draw(st.sampled_from(DENOMINATORS))), min_size=n, max_size=n)) for _ in "xy")
+    star = potential_star(x, y)
     negated = TropMatrix(tuple(tuple(-e for e in r) for r in d.entries))
-    for a in (d, negated, _bump(d, 0, n - 1, 1), _bump(d, n - 1, 0, -1), zero_diagonal):
-        expected = all(a.entries[i][i] == 0 for i in range(n)) and naive_mat_mul(flavor is MAX, a, a) == [
-            list(r) for r in a.entries
-        ]
-        assert is_kleene_star(flavor, a) == expected
+    candidates = [d, negated, bumped(d, (0, n - 1), step), bumped(d, (n - 1, 0), -step), star]
+    candidates += [bumped(star, (n - 1, 0), Fraction(by, star.lattice.scale)) for by in (-1, 1)]
+    candidates += [zero_diagonal(ints), zero_diagonal(rational_noise)]
+    for a in candidates:
+        assert is_kleene_star(flavor, a) == is_star_by_product(flavor is MAX, a)
 
 
 def _seeded_polytopes(seed: int, n: int, m: int) -> tuple[Polytope, Polytope]:
