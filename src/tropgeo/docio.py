@@ -56,10 +56,14 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
         raise DocumentError(f"{where}: not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    body = text.strip() if isinstance(text, str) else ""
+    if not _RATIONAL_RE.match(body):
         raise DocumentError(f"{where}: not a rational: {text!r}")
+    # the pattern has checked the syntax, so the parts go straight to int
+    # instead of through Fraction's own parse of the string
+    num, _, den = body.partition("/")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise DocumentError(f"{where}: zero denominator: {text!r}") from None
     except ValueError as e:  # CPython's limit on digits in an int string

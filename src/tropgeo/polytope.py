@@ -2,15 +2,18 @@
 
 Redundancy elimination, projectivisation (the cross-section of scaling orbits
 with first coordinate 0), extensional equality, and a randomized falsifier
-for Euclidean convexity.  The falsifier only ever *disproves* convexity: any
-point it reports really is an exact rational affine combination of two span
-members that fails membership.  The decision procedure for convexity lives in
-:mod:`tropgeo.kleene`; the sampler exists to cross-check it.  Min-plus results
-are negated max-plus ones, computed in one place (``Flavor.sign``); the
-sampler builds only the guided pairs its trial budget can use.  It runs in
-ints on one scale ``L * lcm(1..6) * b``, where L is the generators' lattice
-scale and b the denominator of the affine parameter; only the points it
-reports become ``Fraction``s.
+for Euclidean convexity.  Redundancy elimination keeps the extremal
+generators, one per scaling class, found by one bracket pass per class on
+the integer lattice, with no projection.  The falsifier only ever
+*disproves* convexity: any point it reports really is an exact rational
+affine combination of two span members that fails membership.  The
+decision procedure for convexity lives in :mod:`tropgeo.kleene`; the sampler
+exists to cross-check it.  Min-plus results are negated max-plus ones,
+computed in one place (``Flavor.sign``); the sampler builds only the guided
+pairs its trial budget can use.  It runs in ints on one scale
+``L * lcm(1..6) * b``, where L is the generators' lattice scale and b the
+denominator of the affine parameter; only the points it reports become
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ import random
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
+from operator import add, sub
 
 from .core import (
     DimensionError,
     Frozen,
+    TropMatrix,
     TropVector,
     from_lattice,
-    mat_from_columns,
 )
-from .kleene import _failing_columns, _star
+from .kleene import _failing_columns, _normalised, _star
 from .residuation import Polytope, _max_plus_projection, member
 
 
@@ -45,24 +49,46 @@ def projectivise(x: TropVector) -> TropVector:
 
 
 def reduce_generators(p: Polytope) -> Polytope:
-    """Drop generators that lie in the span of the remaining ones.
+    """Drop every generator that is not extremal, keeping one of each scaling class.
 
-    Generators are examined one at a time from the highest index down, each
-    tested against the span of all others still retained; a redundant one is
-    removed before the scan continues.  The result generates the same span
-    and contains no generator in the span of the others.  Among mutually
-    redundant generators (e.g. scalings of one another) the earliest-indexed
-    survives.
+    A generator lies in the span of the others iff it is not extremal in the
+    span, and every generating set holds a tropical scaling of each extremal
+    (Butkovič–Schneider–Sergeev and Gaubert–Katz, LAA 421, 2007).  So the
+    result keeps the earliest-indexed member of each scaling class of
+    extremal generators, in input order.  Which classes are kept does not
+    depend on the order of the generators, and the columns kept are those
+    that dropping redundant generators one at a time, from the highest index
+    down, would keep.  The result generates the same span and contains no
+    generator in the span of the others.
+
+    The earliest member g of each class is tested against the earliest
+    members h of the other classes: its coordinate i is covered iff some
+    ``h + <h|g>`` reaches ``g_i``, and g is kept iff some coordinate is not
+    covered.  That is O(n·m²) time and O(n·m) memory for n coordinates and
+    m generators.
     """
     cols = p.generators.lattice.cols_times(p.flavor.sign)
-    keep = list(range(len(cols)))
-    for j in reversed(range(len(cols))):
-        if len(keep) == 1:
-            break
-        others = [cols[k] for k in keep if k != j]
-        if _max_plus_projection(others, cols[j]) == list(cols[j]):
-            keep.remove(j)
-    return Polytope(p.flavor, mat_from_columns([p.generator(k) for k in keep]))
+    first: dict[tuple[int, ...], int] = {}
+    for k, col in enumerate(cols):
+        first.setdefault(_normalised(col), k)
+    reps = list(first.values())
+    gens = [cols[k] for k in reps]
+    rows = list(zip(*gens))
+    tops = [max(r) for r in rows]
+    keep = []
+    for j, (k, g) in enumerate(zip(reps, gens)):
+        lams = [min(map(sub, g, h)) for h in gens]
+        # every term h_i + <h|g> is at most g_i; g's own is g_i - 1, so only
+        # the other classes can cover a coordinate
+        lams[j] = -1
+        # an uncovered coordinate is likeliest where g is nearest its row's
+        # maximum, so that one is tested first
+        gaps = list(map(sub, tops, g))
+        i = gaps.index(min(gaps))
+        if max(map(add, rows[i], lams)) < g[i] or any(max(map(add, r, lams)) < x for r, x in zip(rows, g)):
+            keep.append(k)
+    # the input's own Fractions: no TropVector per column, no Fraction rebuilt
+    return Polytope(p.flavor, TropMatrix(tuple(tuple(r[k] for k in keep) for r in p.generators.entries)))
 
 
 def polytope_equal(p: Polytope, q: Polytope) -> bool:

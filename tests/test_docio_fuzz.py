@@ -1,13 +1,16 @@
 """Fuzz ``parse_matrix_document`` on its own: any input either raises
 ``DocumentError`` or gives a document that survives a serialize/parse round
-trip unchanged.  No other exception may escape."""
+trip unchanged.  No other exception may escape.  ``parse_rational`` is also
+compared with the parse it replaced, which handed the string to ``Fraction``."""
 
 import json
+import re
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropgeo.docio import DocumentError, parse_matrix_document, serialize_matrix_document
+from tropgeo.docio import DocumentError, parse_matrix_document, parse_rational, serialize_matrix_document
 
 HUGE = "@huge@"  # stands for a JSON number of 5000 digits, which json.dumps cannot write
 
@@ -98,3 +101,57 @@ def test_arbitrary_json(obj, nest, as_bytes):
 def test_near_documents(obj, as_bytes):
     text = _text(obj, 0)
     _check(text.encode() if as_bytes else text)
+
+
+def parse_rational_by_fraction(text, where: str = "value") -> Fraction:
+    """``parse_rational`` as it was: the pattern checks the string, then
+    ``Fraction(text)`` parses it again."""
+    if isinstance(text, bool):
+        raise DocumentError(f"{where}: not a rational: {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str) or not re.match(r"[+-]?[0-9]+(/[0-9]+)?\Z", text.strip()):
+        raise DocumentError(f"{where}: not a rational: {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise DocumentError(f"{where}: zero denominator: {text!r}") from None
+    except ValueError as e:
+        raise DocumentError(f"{where}: {e}") from None
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text, "entries[3]")
+    except DocumentError as e:
+        return "error", str(e)
+    return "value", type(value), value.numerator, value.denominator
+
+
+digits = st.integers(0, 10**12).map(str) | st.sampled_from(["0", "00", "0007", "9" * 4300, "9" * 4301, "1" + "0" * 4300])
+spaces = st.sampled_from(["", "", " ", "\t", "\n", " \r\n ", "\u2003", "\x0b"])
+rational_texts = st.builds(
+    lambda pre, sign, num, slash, den, post: f"{pre}{sign}{num}{slash}{den if slash else ''}{post}",
+    spaces,
+    st.sampled_from(["", "-", "+", "--", "+-"]),
+    digits,
+    st.sampled_from(["", "/", "/", "//", " /"]),
+    digits | st.sampled_from(["", "-3", "0"]),
+    spaces,
+)
+
+
+@settings(max_examples=300)
+@given(rational_texts | json_values)
+@example("-0")
+@example("0/5")
+@example(" +007/010 ")
+@example("-0/0")
+@example("1/" + "7" * 5000)
+@example("9" * 4301 + "/0")
+@example(True)
+@example(0.5)
+@example(10**4000)
+def test_parse_rational_matches_fraction_parse(text):
+    """Same value, or the same message, as ``Fraction(text)`` behind the same pattern."""
+    assert _outcome(parse_rational, text) == _outcome(parse_rational_by_fraction, text)

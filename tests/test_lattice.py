@@ -6,10 +6,13 @@ compare every one of them with the plain-Fraction formulas in ``oracles.py``,
 up to 16x20, with denominators that are large and pairwise coprime so that
 the common denominator, and every int, grows.  One checks that each kernel
 keeps its result's lattice column-major.  One checks the fact behind the
-scan: a dominator column is in p iff it is a shifted generator.  The midpoint
-sampler is compared with the Fraction sampler it replaced, which shares no
-kernel with it.  The last test
-checks the paper's three theorems on seeded 48x60 inputs.
+scan: a dominator column is in p iff it is a shifted generator.  One checks
+what the extremal theorem says of reduction: the kept generators are
+irredundant, reducing again keeps them all, and the classes kept do not
+depend on the order of the input.  The midpoint sampler is compared with the
+Fraction sampler it replaced, which shares no kernel with it.  The last two
+tests check the paper's three theorems, and reduction, on seeded 48x60
+inputs.
 """
 
 import random
@@ -199,10 +202,95 @@ def test_projection_and_member_match_direct_formulas(data, flavor):
     assert member(p, y) == direct_member(p, y)
 
 
-@given(st.sampled_from([MAX, MIN]).flatmap(lambda f: polytopes(f, m_max=12)))
+@st.composite
+def with_scaled_copies(draw, base):
+    """A polytope from ``base`` with up to four tropical scalings of its
+    generators inserted anywhere, before or after the original."""
+    p = draw(base)
+    cols = list(p)
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(st.sampled_from(cols))
+        lam = draw(rationals(draw(st.sampled_from(DENOMINATORS))))
+        cols.insert(draw(st.integers(0, len(cols))), TropVector(tuple(e + lam for e in g)))
+    return Polytope(p.flavor, mat_from_columns(cols))
+
+
+@st.composite
+def one_class(draw, flavor):
+    """1 to 6 tropical scalings of one vector of dimension 1 to 4."""
+    den = draw(st.sampled_from(DENOMINATORS))
+    g = draw(st.lists(rationals(den), min_size=1, max_size=4))
+    lams = draw(st.lists(rationals(den), min_size=1, max_size=6))
+    return Polytope(flavor, mat_from_columns([TropVector(tuple(e + lam for e in g)) for lam in lams]))
+
+
+def _poly(flavor, *cols):
+    return Polytope(flavor, mat_from_columns([TropVector(tuple(map(Fraction, c))) for c in cols]))
+
+
+# Both flavors: random polytopes, polytropes padded with span members, n = 1,
+# and single scaling classes, each with scaled copies inserted.
+reduce_inputs = st.sampled_from([MAX, MIN]).flatmap(
+    lambda f: with_scaled_copies(
+        st.one_of(
+            polytopes(f, m_max=12),
+            polytropes(m_max=12).map(lambda p: p if f is MAX else negated(p)),
+            polytopes(f, n_max=1, m_max=6),
+            one_class(f),
+        )
+    )
+)
+REDUCE_EXAMPLES = [
+    _poly(MAX, (3, 4, 3), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 3)),  # a copy of (0,1,0) before it
+    _poly(MIN, (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 3), (1, 2, 1)),  # copies after the originals
+    _poly(MAX, (0, 1), (1, 0), (0, 0)),  # a span member
+    _poly(MAX, (3,), (-1,), (5,)),  # n = 1: one class
+    _poly(MIN, (2,)),  # n = 1, m = 1
+    _poly(MAX, (2, 2, 2)),  # m = 1, all entries equal
+    _poly(MIN, (0, 0), (1, 1), (-1, -1)),  # one class of constant vectors
+    _poly(MAX, (0, 1, 2), (1, 2, 3), (-1, 0, 1)),  # one class
+]
+
+
+def _examples(*args):
+    """Each of ``REDUCE_EXAMPLES``, followed by ``args``, as an explicit example."""
+
+    def add(test):
+        for p in REDUCE_EXAMPLES:
+            test = example(p, *args)(test)
+        return test
+
+    return add
+
+
+@given(reduce_inputs)
+@_examples()
 def test_reduce_generators_matches_rescan(p):
     kept = reduce_by_rescanning(p)
     assert reduce_generators(p).generators == mat_from_columns([p.generator(k) for k in kept])
+
+
+def _classes(p: Polytope) -> set:
+    """The scaling classes of p's generators, each as the generator shifted to first coordinate 0."""
+    return {tuple(e - g[0] for e in g) for g in p}
+
+
+@given(reduce_inputs, st.randoms(use_true_random=False))
+@_examples(random.Random(0))
+def test_reduce_generators_keeps_the_extremals(p, rng):
+    """The kept generators are extremal: none is a member of the span of the
+    others, reducing again drops nothing, and the scaling classes kept are
+    the same in any order of the input."""
+    reduced = reduce_generators(p)
+    assert reduce_generators(reduced) == reduced
+    cols = list(reduced)
+    for j in range(len(cols)):
+        others = cols[:j] + cols[j + 1 :]
+        assert not (others and direct_member(Polytope(p.flavor, mat_from_columns(others)), cols[j]))
+    order = list(range(p.n_generators))
+    rng.shuffle(order)
+    shuffled = Polytope(p.flavor, mat_from_columns([p.generator(k) for k in order]))
+    assert _classes(reduce_generators(shuffled)) == _classes(reduced)
 
 
 small = {"n_max": 4, "m_max": 6}
@@ -333,3 +421,18 @@ def test_paper_theorems_at_48x60():
     dual_report = sample_euclidean_midpoints(negated(random_polytope), trials=50, seed=0)
     assert dual_report.violations == tuple(-z for z in report.violations)
     assert dual_report.certificates == tuple((-u, -w, t) for u, w, t in report.certificates)
+
+
+def test_reduce_generators_matches_rescan_at_48x60():
+    """The seeded 48x60 polytrope, whose span members are dropped, with scaled
+    copies inserted before and after their originals."""
+    rng = random.Random(4861)
+    polytrope, _ = _seeded_polytopes(4861, 48, 60)
+    cols = list(polytrope)
+    for k in (0, 7, 30, 59):
+        lam = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        cols.insert(rng.randint(0, len(cols)), TropVector(tuple(e + lam for e in cols[k])))
+    p = Polytope(MAX, mat_from_columns(cols))
+    kept = reduce_by_rescanning(p)
+    assert len(kept) == 48  # the dominator columns: every span member and copy is dropped
+    assert reduce_generators(p).generators == mat_from_columns([p.generator(k) for k in kept])
