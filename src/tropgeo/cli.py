@@ -50,7 +50,13 @@ from .kleene import (
     min_plus_hull,
     verify_dominator_relation,
 )
-from .polytope import projectivise, polytope_equal, reduce_generators, sample_euclidean_midpoints
+from .polytope import (
+    polytope_equal,
+    projectivise,
+    projectivise_generators,
+    reduce_generators,
+    sample_euclidean_midpoints,
+)
 from .residuation import (
     Polytope,
     bracket,
@@ -201,7 +207,7 @@ def _cmd_project(args) -> int:
     x = _vector_or_file(args)
     if x is not None:
         return _result(args, format_vector(projectivise(x)))
-    points = [projectivise(g) for g in _polytope(args)]
+    points = projectivise_generators(_polytope(args))
     if args.emit_csv:
         _write_points_csv(args.emit_csv, points)
         _note(args, f"wrote {len(points)} points to {args.emit_csv}")

@@ -144,6 +144,31 @@ def _require_positive_int(obj: dict, key: str) -> int:
     return value
 
 
+def _parse_entries(raw: list) -> tuple[Fraction, ...]:
+    """``parse_rational`` of each entry, labelled ``entries[k]`` on failure.
+
+    Equal strings are parsed once and share one ``Fraction``: a 96x120
+    document of small rationals has a few hundred distinct strings.  Only
+    strings are cached, since JSON ``1``, ``1.0`` and ``true`` are equal keys.
+    """
+    parsed: dict[str, Fraction] = {}
+    entries = []
+    for e in raw:
+        try:
+            if type(e) is str:
+                value = parsed.get(e)
+                if value is None:
+                    value = parsed[e] = parse_rational(e)
+            else:
+                value = parse_rational(e)
+        except DocumentError:
+            # the same parse fails again, now with the entry's label
+            parse_rational(e, f"entries[{len(entries)}]")
+            raise
+        entries.append(value)
+    return tuple(entries)
+
+
 def parse_matrix_document(text: bytes | str) -> MatrixDocument:
     """Parse one matrix document, reporting the offending position on failure.
 
@@ -190,7 +215,7 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
         raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
     if len(raw) > MAX_ENTRIES:
         raise DocumentError(f"entries: more than {MAX_ENTRIES} entries")
-    entries = tuple(parse_rational(e, f"entries[{k}]") for k, e in enumerate(raw))
+    entries = _parse_entries(raw)
     _check_scale(entries, "entries")
     return MatrixDocument(flavor=flavor, rows=rows, cols=cols, entries=entries, role=role)
 

@@ -137,12 +137,26 @@ def _require_flavor(p: Polytope, f: Flavor, what: str) -> None:
 
 
 def _star(p: Polytope) -> KleeneStar:
-    """The dominator in p's flavor, on p's lattice scale: ``dominator_dual(P) = -dominator(-P)``."""
+    """The dominator in p's flavor, on p's lattice scale: ``dominator_dual(P) = -dominator(-P)``.
+
+    On the signed rows v, ``D_ji = sign * min(v_j - v_i)``, and since
+    ``min(v_i - v_j) = -max(v_j - v_i)`` one difference per unordered pair
+    i < j gives both ``D_ji`` (its min) and ``D_ij`` (its negated max): the
+    n(n-1)/2 differences of length m are the fold's int subtractions, and
+    the diagonal is 0.  The result is column-major, as ``Lattice`` stores it.
+    """
     lat = p.generators.lattice
     sign = p.flavor.sign
     rows = tuple(zip(*lat.cols_times(sign)))
-    d = tuple(tuple(sign * min(map(sub, vj, vi)) for vj in rows) for vi in rows)
-    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, d)))
+    n = len(rows)
+    d = [[0] * n for _ in rows]  # d[i][j] is D_ji: column i of D
+    for i, vi in enumerate(rows):
+        di = d[i]
+        for j in range(i + 1, n):
+            diff = [*map(sub, rows[j], vi)]
+            di[j] = sign * min(diff)
+            d[j][i] = -sign * max(diff)
+    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, tuple(map(tuple, d)))))
 
 
 def _normalised(col: tuple[int, ...]) -> tuple[int, ...]:

@@ -28,9 +28,11 @@ from operator import add, sub
 from .core import (
     DimensionError,
     Frozen,
+    Lattice,
     TropMatrix,
     TropVector,
     from_lattice,
+    matrix_from_lattice,
 )
 from .kleene import _failing_columns, _normalised, _star
 from .residuation import Polytope, _max_plus_projection, member
@@ -46,6 +48,19 @@ def projectivise(x: TropVector) -> TropVector:
         raise DimensionError("projectivisation needs dimension >= 2")
     first = x[0]
     return TropVector(tuple(e - first for e in x.entries[1:]))
+
+
+def projectivise_generators(p: Polytope) -> list[TropVector]:
+    """``projectivise`` of every generator of p, in order.
+
+    The shifts ``x_i - x_0`` are taken on p's lattice ints, and equal results
+    share one ``Fraction``, as ``matrix_from_lattice`` builds them.
+    """
+    if p.ambient_dim < 2:
+        raise DimensionError("projectivisation needs dimension >= 2")
+    lat = p.generators.lattice
+    shifted = Lattice(lat.scale, tuple(tuple([x - c[0] for x in c[1:]]) for c in lat.cols))
+    return [*matrix_from_lattice(shifted).columns()]
 
 
 def reduce_generators(p: Polytope) -> Polytope:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -184,6 +185,24 @@ class TestPolytopeCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "x,y"
         assert lines[1:] == ["0,0", "1,2"]
+
+    @pytest.mark.parametrize("flavor", ["max-plus", "min-plus"])
+    def test_project_file_matches_projectivise_per_generator(self, capsys, tmp_path, flavor):
+        """The points are computed on the lattice; the bytes must be those of
+        ``projectivise`` applied to each generator."""
+        rng = random.Random(5)
+        rows, cols = 6, 9
+        entries = [f"{rng.randint(-20, 20)}/{rng.choice([1, 2, 3, 7, 10])}" for _ in range(rows * cols)]
+        obj = {"flavor": flavor, "rows": rows, "cols": cols, "entries": entries, "role": "generators-as-columns"}
+        code, out, _ = cli(capsys, "project", "--file", write(tmp_path, "g.json", obj))
+        points = [tropgeo.projectivise(g) for g in parse_matrix_document(json.dumps(obj)).to_polytope()]
+        assert code == 0
+        assert out == json.dumps({"points": [format_vector(pt) for pt in points]}, indent=2) + "\n"
+
+    def test_project_file_needs_dimension_2(self, capsys, tmp_path):
+        obj = {"flavor": "max-plus", "rows": 1, "cols": 2, "entries": ["1", "2"], "role": "generators-as-columns"}
+        code, out, err = cli(capsys, "project", "--file", write(tmp_path, "g.json", obj))
+        assert (code, out) == (2, "") and "dimension >= 2" in err
 
     def test_project_needs_exactly_one_input(self, capsys):
         code, _, _ = cli(capsys, "project")

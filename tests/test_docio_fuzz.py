@@ -155,3 +155,34 @@ rational_texts = st.builds(
 def test_parse_rational_matches_fraction_parse(text):
     """Same value, or the same message, as ``Fraction(text)`` behind the same pattern."""
     assert _outcome(parse_rational, text) == _outcome(parse_rational_by_fraction, text)
+
+
+# few distinct strings, so that entries repeat; equal values in other spellings;
+# JSON values that compare equal to 1 (1, 1.0, true) but are not all rationals
+repeated_entries = st.sampled_from(["1/2", "2/4", " 1/2", "-3", "0", "1", "1/0", "x", ""]) | st.sampled_from(
+    [1, 1.0, True, 0, -3, None]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(repeated_entries, min_size=1, max_size=12))
+@example(["1/2", "x", "1/2", "x"])
+@example([1, "1", True, 1.0])
+@example(["1", 1, 1.0])
+def test_document_entries_parse_as_each_alone(raw):
+    """A document's entries have the values, or the first failure's message,
+    of ``parse_rational`` on each entry alone, and equal strings share one
+    ``Fraction``."""
+    text = json.dumps({"flavor": "max-plus", "rows": 1, "cols": len(raw), "entries": raw, "role": "matrix"})
+    try:
+        expected = tuple(parse_rational(e, f"entries[{k}]") for k, e in enumerate(raw))
+    except DocumentError as e:
+        expected = str(e)
+    try:
+        entries = parse_matrix_document(text).entries
+    except DocumentError as e:
+        assert str(e) == expected
+        return
+    assert entries == expected and all(type(x) is Fraction for x in entries)
+    for k, e in enumerate(raw):
+        assert entries[k] is entries[raw.index(e)] or type(e) is not str
