@@ -3,17 +3,14 @@
 Redundancy elimination, projectivisation (the cross-section of scaling orbits
 with first coordinate 0), extensional equality, and a randomized falsifier
 for Euclidean convexity.  Redundancy elimination keeps the extremal
-generators, one per scaling class, found by one bracket pass per class on
-the integer lattice, with no projection.  The falsifier only ever
+generators, one per scaling class, on the integer lattice with no
+projection; a generator computes its brackets only when the coordinate where
+it is nearest its row's maximum is covered.  The falsifier only ever
 *disproves* convexity: any point it reports really is an exact rational
 affine combination of two span members that fails membership.  The
 decision procedure for convexity lives in :mod:`tropgeo.kleene`; the sampler
 exists to cross-check it.  Min-plus results are negated max-plus ones,
-computed in one place (``Flavor.sign``); the sampler builds only the guided
-pairs its trial budget can use.  It runs in ints on one scale
-``L * lcm(1..6) * b``, where L is the generators' lattice scale and b the
-denominator of the affine parameter; only the points it reports become
-``Fraction``s.
+computed in one place (``Flavor.sign``).
 """
 
 from __future__ import annotations
@@ -66,21 +63,20 @@ def projectivise_generators(p: Polytope) -> list[TropVector]:
 def reduce_generators(p: Polytope) -> Polytope:
     """Drop every generator that is not extremal, keeping one of each scaling class.
 
-    A generator lies in the span of the others iff it is not extremal in the
-    span, and every generating set holds a tropical scaling of each extremal
+    A generator lies in the span of the others iff it is not extremal, and
+    every generating set holds a tropical scaling of each extremal
     (Butkovič–Schneider–Sergeev and Gaubert–Katz, LAA 421, 2007).  So the
-    result keeps the earliest-indexed member of each scaling class of
-    extremal generators, in input order.  Which classes are kept does not
-    depend on the order of the generators, and the columns kept are those
-    that dropping redundant generators one at a time, from the highest index
-    down, would keep.  The result generates the same span and contains no
-    generator in the span of the others.
+    earliest member of each extremal class is kept, in input order: what
+    dropping redundant generators from the highest index down would keep.
+    Which classes are kept does not depend on the order of the generators.
 
-    The earliest member g of each class is tested against the earliest
-    members h of the other classes: its coordinate i is covered iff some
-    ``h + <h|g>`` reaches ``g_i``, and g is kept iff some coordinate is not
-    covered.  That is O(n·m²) time and O(n·m) memory for n coordinates and
-    m generators.
+    The earliest member g of a class is extremal iff some coordinate i is
+    covered by no earliest member h of another class: ``h - h_i·1 <= g -
+    g_i·1``.  The likeliest such i, where g is nearest its row's maximum, is
+    tested first and with no brackets, by filtering the other classes one
+    coordinate at a time, farthest below the row maximum first; only if it
+    is covered are g's brackets computed to test the rest.  That is O(n·m²)
+    time and O(n·m) memory for n coordinates and m generators.
     """
     cols = p.generators.lattice.cols_times(p.flavor.sign)
     first: dict[tuple[int, ...], int] = {}
@@ -92,16 +88,20 @@ def reduce_generators(p: Polytope) -> Polytope:
     tops = [max(r) for r in rows]
     keep = []
     for j, (k, g) in enumerate(zip(reps, gens)):
-        lams = [min(map(sub, g, h)) for h in gens]
-        # every term h_i + <h|g> is at most g_i; g's own is g_i - 1, so only
-        # the other classes can cover a coordinate
-        lams[j] = -1
-        # an uncovered coordinate is likeliest where g is nearest its row's
-        # maximum, so that one is tested first
         gaps = list(map(sub, tops, g))
-        i = gaps.index(min(gaps))
-        if max(map(add, rows[i], lams)) < g[i] or any(max(map(add, r, lams)) < x for r, x in zip(rows, g)):
-            keep.append(k)
+        order = sorted(range(len(g)), key=gaps.__getitem__, reverse=True)
+        i = order.pop()
+        ri, hs = rows[i], [*range(j), *range(j + 1, len(gens))]
+        for c in order:
+            rc, d = rows[c], g[c] - g[i]
+            if not (hs := [h for h in hs if rc[h] - ri[h] <= d]):
+                break
+        if hs:
+            lams = [min(map(sub, g, h)) for h in gens]
+            lams[j] = -1  # no term exceeds g_c, and g's own is g_c - 1: only others cover
+            if not any(max(map(add, rows[c], lams)) < g[c] for c in reversed(order)):
+                continue
+        keep.append(k)
     # the input's own Fractions: no TropVector per column, no Fraction rebuilt
     return Polytope(p.flavor, TropMatrix(tuple(tuple(r[k] for k in keep) for r in p.generators.entries)))
 

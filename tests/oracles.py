@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Optional
 
 from tropgeo import Flavor, MidpointReport, Polytope, TropMatrix, TropVector
@@ -199,6 +199,29 @@ def reduce_by_rescanning(p: Polytope) -> list[int]:
         others = [gens[k] for k in keep if k != j]
         if others and direct_member(Polytope(p.flavor, _columns(others)), gens[j]):
             keep.remove(j)
+    return keep
+
+
+def reduce_by_brackets(p: Polytope) -> list[int]:
+    """Indices kept by the bracket test on p's lattice ints: the earliest member
+    g of each scaling class is kept iff at some coordinate i every earliest
+    member h of another class has ``h_i + <h|g> < g_i``, where ``<h|g> =
+    min(g - h)`` is h's bracket.  It computes every bracket of every class, and
+    is the reference for ``reduce_generators``, which computes a class's
+    brackets only when its best-first coordinate is covered."""
+    cols = p.generators.lattice.cols_times(p.flavor.sign)
+    first: dict = {}
+    for k, col in enumerate(cols):
+        first.setdefault(tuple(x - col[0] for x in col), k)
+    reps = list(first.values())
+    gens = [cols[k] for k in reps]
+    rows = list(zip(*gens))
+    keep = []
+    for j, (k, g) in enumerate(zip(reps, gens)):
+        lams = [min(map(sub, g, h)) for h in gens]
+        lams[j] = -1  # g's own term is g_i - 1: only the other classes cover
+        if any(max(map(add, r, lams)) < x for r, x in zip(rows, g)):
+            keep.append(k)
     return keep
 
 

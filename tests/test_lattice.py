@@ -9,7 +9,8 @@ keeps its result's lattice column-major.  One checks the fact behind the
 scan: a dominator column is in p iff it is a shifted generator.  One checks
 what the extremal theorem says of reduction: the kept generators are
 irredundant, reducing again keeps them all, and the classes kept do not
-depend on the order of the input.  The midpoint sampler is compared with the
+depend on the order of the input.  On a polytrope they are exactly the classes
+of the dominator's columns.  The midpoint sampler is compared with the
 Fraction sampler it replaced, which shares no kernel with it.  The last two
 tests check the paper's three theorems, and reduction, on seeded 48x60
 inputs.
@@ -293,6 +294,19 @@ def test_reduce_generators_keeps_the_extremals(p, rng):
     assert _classes(reduce_generators(shuffled)) == _classes(reduced)
 
 
+@given(polytropes(n_max=8, m_max=12), st.sampled_from([MAX, MIN]))
+def test_reduce_generators_keeps_the_dominator_classes_of_a_polytrope(p, flavor):
+    """On a polytrope, reduction keeps exactly the scaling classes of the
+    dominator's columns.  Each column of a Kleene star is the least point of
+    its slice, so it is extremal in the column space, which is P; and each
+    is a shifted generator.  Min-plus by negation; the reference forms no
+    bracket."""
+    if flavor is MIN:
+        p = negated(p)
+    star = dominator(p) if flavor is MAX else dominator_dual(p)
+    assert _classes(reduce_generators(p)) == _classes(Polytope(flavor, star.matrix))
+
+
 small = {"n_max": 4, "m_max": 6}
 
 
@@ -401,6 +415,12 @@ def test_paper_theorems_at_48x60():
         failing = next((c for c in d.columns() if not direct_member(p, c)), None)
         assert result.is_polytrope is convex and (failing is None) is convex
         assert result.witness == failing
+        # 4. on a polytrope, reduction keeps exactly the classes of the
+        # dominator's columns, in both flavors
+        if convex:
+            assert _classes(reduce_generators(p)) == _classes(hull)
+            dual = dominator_dual(negated(p)).matrix
+            assert _classes(reduce_generators(negated(p))) == _classes(Polytope(MIN, dual))
         # column i lies in P iff it is a generator v shifted by -v_i
         for i, c in enumerate(d.columns()):
             assert direct_member(p, c) == is_shifted_generator(p, i, c)
