@@ -72,7 +72,7 @@ EXIT_ASSERT = 3
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "TROPGEO_SEED"
-MAX_TRIALS = 100_000  # sample-midpoints: 100,000 trials on a 2x2 polytope take about 2 s
+MAX_TRIALS = 100_000  # sample-midpoints: 100,000 trials on a 2x2 polytope take about 2.3 s
 
 
 class CliUsageError(Exception):

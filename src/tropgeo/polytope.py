@@ -1,23 +1,20 @@
 """Generator-level polytope manipulation and a Euclidean-convexity sampler.
 
-Redundancy elimination, projectivisation (the cross-section of scaling orbits
-with first coordinate 0), extensional equality, and a randomized falsifier
-for Euclidean convexity.  Redundancy elimination keeps the extremal
-generators, one per scaling class, on the integer lattice with no
-projection; a generator computes its brackets only when the coordinate where
-it is nearest its row's maximum is covered.  The falsifier only ever
-*disproves* convexity: any point it reports really is an exact rational
-affine combination of two span members that fails membership.  The
-decision procedure for convexity lives in :mod:`tropgeo.kleene`; the sampler
-exists to cross-check it.  Min-plus results are negated max-plus ones,
-computed in one place (``Flavor.sign``).
+Redundancy elimination (extremal generators, see ``reduce_generators``),
+projectivisation (the cross-section of scaling orbits with first coordinate
+0), extensional equality, and a randomized falsifier for Euclidean convexity.
+The falsifier only ever *disproves* convexity: any point it reports really is
+an exact rational affine combination of two span members that fails
+membership.  The decision procedure for convexity lives in
+:mod:`tropgeo.kleene`; the sampler exists to cross-check it.  Min-plus
+results are negated max-plus ones, computed in one place (``Flavor.sign``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from operator import add, sub
@@ -32,7 +29,7 @@ from .core import (
     matrix_from_lattice,
 )
 from .kleene import _failing_columns, _normalised, _star
-from .residuation import Polytope, _max_plus_projection, member
+from .residuation import Polytope, member
 
 
 def projectivise(x: TropVector) -> TropVector:
@@ -143,24 +140,31 @@ class MidpointReport(Frozen):
 _NUM_BOUND, _DEN_BOUND = 8, 6
 
 
-def _random_rational(rng: random.Random) -> tuple[int, int]:
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """``Random.randrange(n)`` from ``bits = rng.getrandbits``: redraw ``n.bit_length()`` bits until below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_rational(bits: Callable[[int], int]) -> tuple[int, int]:
     """``(a, b)``: the rational a/b with ``|a| <= _NUM_BOUND`` and ``1 <= b <= _DEN_BOUND``."""
-    return rng.randint(-_NUM_BOUND, _NUM_BOUND), rng.randint(1, _DEN_BOUND)
+    return _below(bits, 2 * _NUM_BOUND + 1) - _NUM_BOUND, _below(bits, _DEN_BOUND) + 1
 
 
-def _random_unit_interval(rng: random.Random) -> tuple[int, int]:
+def _random_unit_interval(bits: Callable[[int], int]) -> tuple[int, int]:
     """``(a, b)``: the rational a/b in (0, 1) with ``2 <= b <= 16``."""
-    den = rng.randint(2, 16)
-    return rng.randint(1, den - 1), den
+    den = _below(bits, 15) + 2
+    return _below(bits, den - 1) + 1, den
 
 
 def _sampler_lattice(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
     """p's generators on the scale ``S = L * lcm(1.._DEN_BOUND)``: ``(S, columns, steps)``.
 
-    Every coefficient a/b with ``b <= _DEN_BOUND`` is then a whole shift
-    ``a * steps[b]``, where ``steps[b] = sign * S // b``.  The columns and the
-    shifts are times ``p.flavor.sign``, so a min-plus combination is the
-    negated max-plus one.
+    A coefficient a/b with ``b <= _DEN_BOUND`` is the whole shift ``a * steps[b]``,
+    ``steps[b] = sign * S // b``; columns and shifts are times ``p.flavor.sign``.
     """
     lat = p.generators.lattice
     sign = p.flavor.sign
@@ -175,26 +179,27 @@ def _random_member_ints(
 ) -> list[int]:
     """A random span member on the lattice of ``_sampler_lattice``: the max over a
     random generator subset, each column shifted by a random coefficient."""
-    size = rng.randint(1, len(cols))
-    picks = rng.sample(range(len(cols)), size)
+    bits = rng.getrandbits
+    picks = rng.sample(range(len(cols)), _below(bits, len(cols)) + 1)
     shifted = []
     for k in picks:
-        a, b = _random_rational(rng)
+        a, b = _random_rational(bits)
         lam = a * steps[b]
         shifted.append([x + lam for x in cols[k]])
-    return [max(r) for r in zip(*shifted)]
+    return [*map(max, *shifted)] if len(shifted) > 1 else shifted[0]
 
 
 def random_member(rng: random.Random, p: Polytope) -> TropVector:
-    """A random span member: a tropical combination of a random generator subset.
+    """A random span member: the midpoint sampler's draw, returned as Fractions.
 
-    Each picked generator is scaled by a rational with ``|numerator| <=
-    _NUM_BOUND`` and denominator at most ``_DEN_BOUND``.  This is the draw the
-    midpoint sampler makes, returned as Fractions.
+    Each generator of a random subset is scaled by a rational with
+    ``|numerator| <= _NUM_BOUND`` and denominator at most ``_DEN_BOUND``.
+    Draws come from ``rng.getrandbits`` and ``rng.sample``: what ``randint``
+    gives for ``Random`` and ``SystemRandom``, but not for a ``Random``
+    subclass that overrides ``random()`` and not ``getrandbits``.
     """
     scale, cols, steps = _sampler_lattice(p)
-    member_ints = _random_member_ints(rng, cols, steps)
-    return TropVector(from_lattice((p.flavor.sign * x for x in member_ints), scale))
+    return TropVector(from_lattice((p.flavor.sign * x for x in _random_member_ints(rng, cols, steps)), scale))
 
 
 def _scaled_generator_pairs(
@@ -210,12 +215,7 @@ def _scaled_generator_pairs(
     pairs when the polytope is convex (no failing columns).
     """
     for i in _failing_columns(p, _star(p)):
-        ws: list[tuple[int, ...]] = []
-        for col in cols:
-            w = tuple([x - col[i] for x in col])
-            if w not in ws:
-                ws.append(w)
-        yield from combinations(ws, 2)
+        yield from combinations(dict.fromkeys(tuple([x - col[i] for x in col]) for col in cols), 2)
 
 
 def sample_euclidean_midpoints(
@@ -232,24 +232,21 @@ def sample_euclidean_midpoints(
     first trials walk the dominator-guided pairs from
     ``_scaled_generator_pairs`` at t = 1/2, then with random t; remaining
     trials alternate guided and unguided pairs.  Fully deterministic given
-    the seed.  ``max_violations`` stops the run early once that many
-    violations are in hand (None collects everything the budget allows).
-
-    Every trial runs in ints: u and v are signed numerators over the scale
-    S of ``_sampler_lattice``, and with t = a/b the affine point is
-    ``a*u + (b-a)*v`` over ``S*b``, tested against the generators over
-    ``S*b``.  Only reported points become Fractions.
+    the seed; the README says how draws and trials run in ints.
+    ``max_violations`` stops the run early once that many violations are in
+    hand (None collects everything the budget allows).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_violations is not None and max_violations < 1:
         raise ValueError("max_violations must be >= 1")
     rng = random.Random(seed)
+    bits = rng.getrandbits
     sign = p.flavor.sign
     scale, cols, steps = _sampler_lattice(p)
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
     guided = list(islice(_scaled_generator_pairs(p, cols), trials))
-    cols_over: dict[int, tuple[tuple[int, ...], ...]] = {}  # b -> the generators over S*b
+    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b, and their rows
     # A report repeats the guided pairs and few distinct coordinates, so equal
     # reported vectors share one TropVector and equal entries one Fraction: a
     # report of many violations then holds about a third of the objects.
@@ -277,22 +274,25 @@ def sample_euclidean_midpoints(
             u, v = guided[trial]
             a, b = 1, 2
         elif guided and trial % 2 == 0:
-            u, v = guided[rng.randrange(len(guided))]
-            a, b = _random_unit_interval(rng)
+            u, v = guided[_below(bits, len(guided))]
+            a, b = _random_unit_interval(bits)
             if rng.random() < 0.5:
-                c, d = _random_rational(rng)
+                c, d = _random_rational(bits)
                 lam = c * steps[d]
                 u = [x + lam for x in u]
         else:
             u = _random_member_ints(rng, cols, steps)
             v = _random_member_ints(rng, cols, steps)
-            a, b = _random_unit_interval(rng)
+            a, b = _random_unit_interval(bits)
         performed += 1
         z = [a * x + (b - a) * y for x, y in zip(u, v)]
-        gens = cols_over.get(b)
-        if gens is None:
-            gens = cols_over[b] = tuple(tuple(b * x for x in g) for g in cols)
-        if _max_plus_projection(gens, z) != z:
+        if b not in cols_over:
+            gens = tuple(tuple(b * x for x in g) for g in cols)
+            cols_over[b] = gens, tuple(zip(*gens))
+        gens, rows = cols_over[b]
+        # z is a member iff its principal projection, max_k (g_k + <g_k|z>), is z
+        lams = [min(map(sub, z, g)) for g in gens]
+        if not all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
             violations.append(as_vector(z, scale * b))
             certificates.append((as_vector(u, scale), as_vector(v, scale), Fraction(a, b)))
             if max_violations is not None and len(violations) >= max_violations:
