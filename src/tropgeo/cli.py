@@ -42,7 +42,6 @@ from .docio import (
 from .kleene import (
     classify,
     dominator,
-    dominator_dual,
     duality_chi,
     duality_rho,
     is_kleene_star,
@@ -259,13 +258,13 @@ def _cmd_decide(args) -> int:
 
 def _cmd_classify(args) -> int:
     result = classify(_polytope(args))
-    star_doc = MatrixDocument.from_matrix(result.dominator.matrix, Flavor.MAX_PLUS, ROLE_MATRIX)
+    star_doc = MatrixDocument.from_matrix(result.dominator.matrix, result.dominator.flavor, ROLE_MATRIX)
     _note(args, f"polytrope: {result.is_polytrope}")
     return _result(
         args,
         {
             "is_polytrope": result.is_polytrope,
-            "is_min_plus_convex": result.is_min_plus_convex,
+            "is_min_plus_convex": result.is_polytrope,
             "witness": None if result.witness is None else format_vector(result.witness),
             "dominator": star_doc.to_json_obj(),
         },
@@ -368,7 +367,7 @@ def build_parser() -> _Parser:
     add("dominator", _cmd_matrix, "dominator matrix of a max-plus polytope", build=dominator, **max_plus)
     add(
         "dominator-dual", _cmd_matrix, "dual dominator of a min-plus polytope",
-        build=dominator_dual, require=Flavor.MIN_PLUS,
+        build=dominator, require=Flavor.MIN_PLUS,
     )
     add("hull-min", _cmd_matrix, "min-plus hull of a max-plus polytope", build=min_plus_hull, **max_plus)
     add(

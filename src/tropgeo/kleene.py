@@ -1,4 +1,4 @@
-"""Kleene stars, dominator matrices, min-plus hulls, and polytrope decisions.
+"""Kleene stars, dominator matrices, hulls, and polytrope decisions.
 
 A Kleene star is a square matrix with zero diagonal that is idempotent under
 its semiring's product.  The dominator of a max-plus polytope P is the matrix
@@ -7,8 +7,10 @@ whose i-th column is the greatest lower bound of the slice
 is the min-plus convex hull of P, and P is Euclidean convex (a polytrope)
 exactly when that hull adds nothing, i.e. when every dominator column already
 belongs to P.  This turns Euclidean convexity of a tropical polytope into an
-exact rational decision with no geometry involved.  Min-plus results are
-negated max-plus ones, computed in one place: ``_star`` and ``_failing_columns``.
+exact rational decision with no geometry involved.  Every function here
+takes either flavor: the dominator of a min-plus polytope is the negated
+max-plus one, a min-plus star whose column space is the max-plus hull, so the
+int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
@@ -29,7 +31,6 @@ from operator import sub
 from .core import (
     DimensionError,
     Flavor,
-    FlavorError,
     Frozen,
     Lattice,
     PreconditionError,
@@ -45,10 +46,9 @@ from .residuation import Polytope
 class KleeneStar(Frozen):
     """A validated Kleene star: zero diagonal, idempotent under ``flavor``.
 
-    Construction re-checks both properties exactly and raises ``ValueError``
-    if either fails.  With the diagonal zero, idempotency is the triangle
-    inequalities ``a_ij >= a_ik + a_kj`` (max-plus; ``<=`` min-plus), which
-    is how it is checked.
+    Construction re-checks both properties exactly, as the triangle
+    inequalities of the module docstring, and raises ``ValueError`` if either
+    fails.
     """
 
     __slots__ = ("flavor", "matrix")
@@ -67,22 +67,18 @@ class KleeneStar(Frozen):
 
 
 class Classification(Frozen):
-    """Outcome of deciding whether a max-plus polytope is a polytrope.
+    """Outcome of deciding whether a polytope is a polytrope.
 
-    ``is_polytrope`` always equals ``is_min_plus_convex``: a max-plus polytope
-    is Euclidean convex iff it is min-plus convex, and both hold iff it is the
-    column space of its dominator.  When the answer is negative, ``witness``
-    is the lowest-indexed dominator column that fails membership in the input.
+    A polytope is Euclidean convex iff it is convex in the other semiring too,
+    and both hold iff it is the column space of its dominator.  When the
+    answer is negative, ``witness`` is the lowest-indexed dominator column
+    that fails membership in the input.
     """
 
-    __slots__ = ("dominator", "is_min_plus_convex", "witness")
+    __slots__ = ("dominator", "is_polytrope", "witness")
     dominator: KleeneStar
-    is_min_plus_convex: bool
+    is_polytrope: bool
     witness: TropVector | None
-
-    @property
-    def is_polytrope(self) -> bool:
-        return self.is_min_plus_convex
 
 
 def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
@@ -92,9 +88,8 @@ def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
     for i, col in enumerate(cols):
         if col[i]:
             return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
-    # a (x) a == a iff a_ij >= a_ik + a_kj for all i, j, k (see the module
-    # docstring), tested a column j at a time on packed lanes; a min-plus
-    # star is a negated max-plus one
+    # the triangle inequalities of the module docstring, a column j at a time
+    # on packed lanes; a min-plus star is a negated max-plus one
     flat = [*chain.from_iterable(cols)]
     lo = min(flat)  # <= 0: the diagonal is 0
     guard = (2 * (max(flat) - lo)).bit_length()  # 2**guard > |a_ij - a_ik - a_kj|
@@ -120,30 +115,30 @@ def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
 
 
 def is_kleene_star(f: Flavor, a: TropMatrix) -> bool:
-    """True iff ``a`` has an all-zero diagonal and ``a (*) a == a`` under f.
-
-    Given the zero diagonal, ``a (*) a == a`` iff every ``a_ij >= a_ik + a_kj``
-    (max-plus; ``<=`` min-plus), since the terms k = i and k = j of the product
-    already give ``a_ij``.
-    """
+    """True iff ``a`` has an all-zero diagonal and ``a (*) a == a`` under f,
+    tested as the triangle inequalities of the module docstring."""
     if not a.is_square:
         raise DimensionError(f"expected a square matrix, got {a.n_rows}x{a.n_cols}")
     return _star_defect(f, a) is None
 
 
-def _require_flavor(p: Polytope, f: Flavor, what: str) -> None:
-    if p.flavor is not f:
-        raise FlavorError(f"{what} requires a {f.value} polytope, got {p.flavor.value}")
+def dominator(p: Polytope) -> KleeneStar:
+    """The dominator of p: a Kleene star in p's flavor, on p's lattice scale.
 
-
-def _star(p: Polytope) -> KleeneStar:
-    """The dominator in p's flavor, on p's lattice scale: ``dominator_dual(P) = -dominator(-P)``.
+    For a max-plus p with generator matrix V, entry (j, i) is
+    ``min_k (V[j,k] - V[i,k])``, i.e. the whole matrix is ``V (min*) (-V^T)``.
+    Column i is the greatest lower bound of ``{u in P : u_i >= 0}``: for a
+    finite generator list that infimum is attained by scaling each generator
+    to have i-th coordinate 0 and taking the componentwise min.  A min-plus p
+    swaps min for max and lower for upper bounds (``u_i <= 0``), so its
+    dominator is the negated max-plus dominator of -p.
 
     On the signed rows v, ``D_ji = sign * min(v_j - v_i)``, and since
     ``min(v_i - v_j) = -max(v_j - v_i)`` one difference per unordered pair
     i < j gives both ``D_ji`` (its min) and ``D_ij`` (its negated max): the
     n(n-1)/2 differences of length m are the fold's int subtractions, and
-    the diagonal is 0.  The result is column-major, as ``Lattice`` stores it.
+    the diagonal is 0.  The result is column-major, as ``Lattice`` stores it,
+    and validated as a star on construction.
     """
     lat = p.generators.lattice
     sign = p.flavor.sign
@@ -169,9 +164,9 @@ def _normalised(col: tuple[int, ...]) -> tuple[int, ...]:
 def _failing_columns(p: Polytope, star: KleeneStar) -> Iterator[int]:
     """Lazily and in order, the indices of the columns of p's dominator that are not in p.
 
-    Column i is in p iff it is a shifted generator ``v_k - v_ik * 1`` (see
-    ``classify``), so each column is one set lookup of its normalised form.
-    The ints compare as they stand: ``_star`` builds the star on p's lattice scale.
+    Each column is one set lookup of its normalised form (see ``classify``).
+    The ints compare as they stand: ``dominator`` builds the star on p's
+    lattice scale.
     """
     sign = p.flavor.sign
     shifted_generators = {_normalised(g) for g in p.generators.lattice.cols_times(sign)}
@@ -180,69 +175,45 @@ def _failing_columns(p: Polytope, star: KleeneStar) -> Iterator[int]:
             yield i
 
 
-def dominator(p: Polytope) -> KleeneStar:
-    """The dominator matrix of a max-plus polytope.
-
-    Entry (j, i) is ``min_k (V[j,k] - V[i,k])`` over the generator matrix V,
-    i.e. the whole matrix is ``V (min*) (-V^T)``.  Column i is the greatest
-    lower bound of ``{u in P : u_i >= 0}``: for a finite generator list that
-    infimum is attained by scaling each generator to have i-th coordinate 0
-    and taking the componentwise min, which is exactly this formula.  The
-    result is always a max-plus Kleene star (validated on construction).
-    """
-    _require_flavor(p, Flavor.MAX_PLUS, "dominator")
-    return _star(p)
-
-
-def dominator_dual(p: Polytope) -> KleeneStar:
-    """The dual dominator of a min-plus polytope.
-
-    Entry (j, i) is ``max_k (V[j,k] - V[i,k])``, i.e. ``V (x) (-V^T)``;
-    column i is the least upper bound of ``{u in P : u_i <= 0}``.  The result
-    is a min-plus Kleene star.
-    """
-    _require_flavor(p, Flavor.MIN_PLUS, "dominator_dual")
-    return _star(p)
-
-
 def min_plus_hull(p: Polytope) -> Polytope:
-    """The min-plus convex hull of a max-plus polytope, as a max-plus polytope.
+    """The hull of p in the other semiring, as a polytope of p's flavor.
 
-    The hull equals the max-plus column space of the dominator, so it is
-    simultaneously max-plus and min-plus convex and this operation is
-    idempotent.
+    For a max-plus p this is its min-plus convex hull, and for a min-plus p its
+    max-plus hull: the column space of the dominator, which is convex in both
+    senses, so this operation is idempotent.
     """
-    return Polytope(Flavor.MAX_PLUS, dominator(p).matrix)
+    return Polytope(p.flavor, dominator(p).matrix)
 
 
 def classify(p: Polytope) -> Classification:
-    """Decide whether a max-plus polytope is a polytrope (Euclidean convex).
+    """Decide whether p, of either flavor, is a polytrope (Euclidean convex).
 
     Computes the dominator and tests each of its columns for membership in p,
-    in column order.  All columns members: p is min-plus convex, hence
-    Euclidean convex, and p equals the column space of its dominator (the
-    unique Kleene star with that column space).  Otherwise the first failing
-    column certifies non-convexity.
+    in column order.  All columns members: p is convex in the other semiring
+    too, hence Euclidean convex, and p equals the column space of its
+    dominator (the unique Kleene star with that column space).  Otherwise the
+    first failing column certifies non-convexity.
 
-    Column ``D_i`` is in p iff it is a shifted generator ``v_k - v_ik * 1``:
-    every u in p with ``u_i >= 0`` satisfies ``u >= D_i``.  If ``D_i`` is in p,
-    the term ``lambda_k + v_k`` that attains ``D_ii = 0`` has
-    ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.  Conversely a
-    shifted generator is in p.  So each column costs one set lookup, and
-    deciding p costs the dominator plus O(nm + n^2).
+    Column ``D_i`` is in p iff it is a shifted generator ``v_k - v_ik * 1``
+    (max-plus; min-plus by negation): every u in p with ``u_i >= 0`` satisfies
+    ``u >= D_i``.  If ``D_i`` is in p, the term ``lambda_k + v_k`` that attains
+    ``D_ii = 0`` has ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.
+    Conversely a shifted generator is in p.  So each column costs one set
+    lookup, and deciding p costs the dominator plus O(nm + n^2).
     """
     star = dominator(p)
     i = next(_failing_columns(p, star), None)
     return Classification(
         dominator=star,
-        is_min_plus_convex=i is None,
+        is_polytrope=i is None,
         witness=None if i is None else star.matrix.col(i),
     )
 
 
 def is_min_plus_convex(p: Polytope) -> bool:
-    """True iff every dominator column is already a member of p."""
-    return classify(p).is_min_plus_convex
+    """True iff every dominator column is already a member of p: p is convex
+    in the other semiring too (min-plus, for a max-plus p)."""
+    return classify(p).is_polytrope
 
 
 def duality_rho(a: TropMatrix, r: TropVector) -> TropVector:
@@ -267,14 +238,14 @@ def duality_chi(a: TropMatrix, c: TropVector) -> TropVector:
 def verify_dominator_relation(p: Polytope) -> bool:
     """Check that the dual dominator is the negated transpose of the dominator.
 
-    Requires p to be min-plus convex (so that it is a set with dominators on
-    both sides).  The polytope is re-presented min-plus as the span of the
-    rows of the negated dominator, the dual dominator of that presentation is
-    computed, and the two matrices are compared exactly.
+    Requires p to be convex in the other semiring (so that it is a set with
+    dominators on both sides).  The polytope is re-presented in that other
+    flavor as the span of the rows of the negated dominator, the dominator of
+    that presentation is computed, and the two matrices are compared exactly.
     """
+    other = Flavor.MIN_PLUS if p.flavor is Flavor.MAX_PLUS else Flavor.MAX_PLUS
     result = classify(p)
-    if not result.is_min_plus_convex:
-        raise PreconditionError("polytope is not min-plus convex; it has no dual dominator")
+    if not result.is_polytrope:
+        raise PreconditionError(f"polytope is not {other.value} convex; it has no dual dominator")
     negt = negate_transpose(result.dominator.matrix)
-    dual = dominator_dual(Polytope(Flavor.MIN_PLUS, negt))
-    return dual.matrix == negt
+    return dominator(Polytope(other, negt)).matrix == negt

@@ -28,7 +28,7 @@ from .core import (
     from_lattice,
     matrix_from_lattice,
 )
-from .kleene import _failing_columns, _normalised, _star
+from .kleene import _failing_columns, _normalised, dominator
 from .residuation import Polytope, member
 
 
@@ -214,7 +214,7 @@ def _scaled_generator_pairs(
     signed ints on any scale; the pairs are on the same scale.  Returns no
     pairs when the polytope is convex (no failing columns).
     """
-    for i in _failing_columns(p, _star(p)):
+    for i in _failing_columns(p, dominator(p)):
         yield from combinations(dict.fromkeys(tuple([x - col[i] for x in col]) for col in cols), 2)
 
 

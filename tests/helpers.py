@@ -98,3 +98,34 @@ def max_plus_polytopes(n_max: int = 4, m_max: int = 5):
     return generator_matrices(n_max=n_max, m_max=m_max).map(
         lambda g: Polytope(Flavor.MAX_PLUS, g)
     )
+
+
+# small denominators share factors; the large ones are distinct primes
+DENOMINATORS = (1, 2, 3, 4, 6, 10, 10007, 10009, 65537, 1000003, 998244353, 2**61 - 1)
+
+
+def rationals_over(den: int):
+    """Rationals over ``den`` in [-20, 20]."""
+    return st.integers(-20 * den, 20 * den).map(lambda num: Fraction(num, den))
+
+
+@st.composite
+def columns(draw, n: int, m: int):
+    """m generator columns of length n, each over its own denominator; some
+    are scalings of earlier ones."""
+    cols = []
+    for _ in range(m):
+        den = draw(st.sampled_from(DENOMINATORS))
+        if cols and draw(st.integers(0, 4)) == 0:
+            lam = draw(rationals_over(den))
+            cols.append(TropVector(tuple(e + lam for e in draw(st.sampled_from(cols)))))
+        else:
+            cols.append(TropVector(tuple(draw(st.lists(rationals_over(den), min_size=n, max_size=n)))))
+    return cols
+
+
+@st.composite
+def polytopes(draw, flavor: Flavor = Flavor.MAX_PLUS, n_max: int = 16, m_max: int = 20, n_min: int = 1):
+    n = draw(st.integers(n_min, n_max))
+    m = draw(st.integers(1, m_max))
+    return Polytope(flavor, mat_from_columns(draw(columns(n, m))))

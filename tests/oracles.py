@@ -172,7 +172,7 @@ def fold_over_ordered_pairs(p: Polytope) -> tuple[tuple[int, ...], ...]:
     """The lattice ints of p's dominator, column-major, by the fold that forms
     the difference of every ordered pair of signed rows: ``D_ji = sign *
     min(v_j - v_i)``.  It is the reference for the one-difference-per-pair fold
-    in ``kleene._star``, and so reads p's lattice as that does."""
+    in ``kleene.dominator``, and so reads p's lattice as that does."""
     sign = p.flavor.sign
     rows = tuple(zip(*p.generators.lattice.cols_times(sign)))
     return tuple(tuple(sign * min(map(sub, vj, vi)) for vj in rows) for vi in rows)

@@ -256,6 +256,18 @@ class TestPolytopeCommands:
         code, _, err = cli(capsys, "dominator-dual", "--file", write(tmp_path, "h.json", SEGMENT_DOC))
         assert code == 2 and "expected a min-plus polytope" in err
 
+    @pytest.mark.parametrize(
+        "command, flavor, wanted",
+        [(c, "min-plus", "max-plus") for c in ("dominator", "hull-min", "convex-check", "classify", "dom-relation")]
+        + [("dominator-dual", "max-plus", "min-plus")],
+    )
+    def test_flavor_guard_is_one_line_exit_2(self, capsys, tmp_path, command, flavor, wanted):
+        """The ``require=`` table is the only flavor check: the library takes either flavor."""
+        gens = write(tmp_path, "g.json", {**SEGMENT_DOC, "flavor": flavor})
+        code, out, err = cli(capsys, command, "--file", gens)
+        assert (code, out) == (2, "")
+        assert err == f"error: {gens}: expected a {wanted} polytope, got {flavor}\n"
+
     def test_dominator_dual(self, capsys, tmp_path):
         gens = write(tmp_path, "g.json", {
             "flavor": "min-plus", "rows": 2, "cols": 2,

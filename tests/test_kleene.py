@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tropgeo import (
     DimensionError,
     Flavor,
-    FlavorError,
     KleeneStar,
     Polytope,
     PreconditionError,
@@ -16,7 +15,6 @@ from tropgeo import (
     classify,
     dominates_at,
     dominator,
-    dominator_dual,
     duality_chi,
     duality_rho,
     is_kleene_star,
@@ -35,7 +33,7 @@ from tropgeo import (
     verify_dominator_relation,
 )
 
-from helpers import max_plus_polytopes, random_polytope, random_vector, transpose
+from helpers import max_plus_polytopes, polytopes, random_polytope, random_vector, transpose
 from oracles import glb_column_fold
 
 MAX = Flavor.MAX_PLUS
@@ -44,6 +42,11 @@ MIN = Flavor.MIN_PLUS
 
 def poly(flavor, *gens):
     return Polytope(flavor, mat_from_columns([vec(*g) for g in gens]))
+
+
+def negated(v):
+    """The entrywise negation of a matrix."""
+    return mat_from_columns([-c for c in v.columns()])
 
 
 SEGMENT = poly(MAX, (0, 0, 0), (0, 1, 2))
@@ -92,10 +95,6 @@ class TestDominator:
         d = dominator(poly(MAX, *gens))
         assert d.matrix == mat([[0, 0, 0], [-2, 0, -1], [-1, 0, 0]])
 
-    def test_requires_max_plus(self):
-        with pytest.raises(FlavorError):
-            dominator(poly(MIN, (0, 1)))
-
     @given(max_plus_polytopes())
     def test_columns_match_glb_fold_oracle(self, p):
         d = dominator(p)
@@ -127,12 +126,15 @@ class TestDominator:
 
 
 class TestDominatorDual:
+    """``dominator`` of a min-plus polytope: the dual dominator, a min-plus star."""
+
     def test_single_generator_matches_primal(self):
         v = (0, 1, 2)
-        assert dominator_dual(poly(MIN, v)).matrix == dominator(poly(MAX, v)).matrix
+        assert dominator(poly(MIN, v)).matrix == dominator(poly(MAX, v)).matrix
 
     def test_swap_generators(self):
-        d = dominator_dual(poly(MIN, (0, 1), (1, 0)))
+        d = dominator(poly(MIN, (0, 1), (1, 0)))
+        assert d.flavor is MIN
         assert d.matrix == mat([[0, 1], [1, 0]])
         assert is_kleene_star(MIN, d.matrix)
         assert trop_mat_mul(MIN, d.matrix, d.matrix) == d.matrix
@@ -140,11 +142,41 @@ class TestDominatorDual:
     def test_negated_transpose_instance(self):
         d = mat([[0, -1], [-1, 0]])
         q = Polytope(MIN, negate_transpose(d))
-        assert dominator_dual(q).matrix == negate_transpose(d)
+        assert dominator(q).matrix == negate_transpose(d)
 
-    def test_requires_min_plus(self):
-        with pytest.raises(FlavorError):
-            dominator_dual(SEGMENT)
+
+class TestFlavorDuality:
+    """A min-plus polytope -P is the max-plus P under negation: its dominator,
+    decision, witness and hull are P's, negated."""
+
+    wide = polytopes(n_max=8, m_max=10).map(lambda p: p.generators)
+
+    @given(wide)
+    def test_dominator_of_the_negation_is_negated(self, v):
+        d = dominator(Polytope(MIN, negated(v)))
+        assert d.flavor is MIN
+        assert d.matrix == negated(dominator(Polytope(MAX, v)).matrix)
+
+    @given(wide, st.booleans())
+    def test_classify_agrees_and_negates_the_witness(self, v, polytrope):
+        if polytrope:
+            v = dominator(Polytope(MAX, v)).matrix
+        primal = classify(Polytope(MAX, v))
+        dual = classify(Polytope(MIN, negated(v)))
+        assert dual.is_polytrope == primal.is_polytrope == is_min_plus_convex(Polytope(MIN, negated(v)))
+        assert dual.dominator.matrix == negated(primal.dominator.matrix)
+        assert dual.witness == (None if primal.witness is None else -primal.witness)
+
+    @given(wide)
+    def test_min_plus_hull_commutes_with_negation(self, v):
+        hull = min_plus_hull(Polytope(MIN, negated(v)))
+        assert hull.flavor is MIN
+        assert hull.generators == negated(min_plus_hull(Polytope(MAX, v)).generators)
+
+    @given(wide)
+    def test_dominator_relation_holds_on_polytropes_of_both_flavors(self, v):
+        for f in (MAX, MIN):
+            assert verify_dominator_relation(Polytope(f, dominator(Polytope(f, v)).matrix))
 
 
 class TestMinPlusHull:
@@ -175,8 +207,8 @@ class TestConvexityAndClassification:
         assert is_min_plus_convex(poly(MAX, (0, -1), (-1, 0)))
 
     def test_segment_is_not(self):
+        assert not is_min_plus_convex(SEGMENT)
         result = classify(SEGMENT)
-        assert not result.is_min_plus_convex
         assert not result.is_polytrope
         assert result.witness == vec(-1, 0, 0)
 
@@ -270,8 +302,10 @@ class TestDominatorRelation:
         assert verify_dominator_relation(poly(MAX, (0, -1), (-1, 0)))
 
     def test_precondition_failure(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not min-plus convex"):
             verify_dominator_relation(SEGMENT)
+        with pytest.raises(PreconditionError, match="not max-plus convex"):
+            verify_dominator_relation(Polytope(MIN, negated(SEGMENT.generators)))
 
     @given(max_plus_polytopes())
     def test_holds_on_random_polytropes(self, p):
@@ -282,8 +316,7 @@ class TestStarDuality:
     @given(max_plus_polytopes())
     def test_negated_star_is_min_plus_star(self, p):
         k = dominator(p).matrix
-        neg = mat_from_columns([-c for c in k.columns()])
-        assert is_kleene_star(MIN, neg)
+        assert is_kleene_star(MIN, negated(k))
 
     @given(max_plus_polytopes(), st.data())
     def test_column_space_equals_dual_column_space(self, p, data):

@@ -29,7 +29,6 @@ from tropgeo import (
     TropVector,
     classify,
     dominator,
-    dominator_dual,
     is_kleene_star,
     mat_from_columns,
     member,
@@ -42,7 +41,7 @@ from tropgeo import (
 )
 from tropgeo.kleene import _failing_columns
 
-from helpers import random_non_polytrope
+from helpers import DENOMINATORS, columns, polytopes, random_non_polytrope, rationals_over
 from oracles import (
     affine_point,
     bumped,
@@ -65,36 +64,6 @@ from oracles import (
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
 
-# small denominators share factors; the large ones are distinct primes
-DENOMINATORS = (1, 2, 3, 4, 6, 10, 10007, 10009, 65537, 1000003, 998244353, 2**61 - 1)
-
-
-def rationals(den: int):
-    return st.integers(-20 * den, 20 * den).map(lambda num: Fraction(num, den))
-
-
-@st.composite
-def columns(draw, n: int, m: int):
-    """m generator columns of length n, each over its own denominator; some
-    are scalings of earlier ones."""
-    cols = []
-    for _ in range(m):
-        den = draw(st.sampled_from(DENOMINATORS))
-        if cols and draw(st.integers(0, 4)) == 0:
-            lam = draw(rationals(den))
-            cols.append(TropVector(tuple(e + lam for e in draw(st.sampled_from(cols)))))
-        else:
-            cols.append(TropVector(tuple(draw(st.lists(rationals(den), min_size=n, max_size=n)))))
-    return cols
-
-
-@st.composite
-def polytopes(draw, flavor=MAX, n_max: int = 16, m_max: int = 20, n_min: int = 1):
-    n = draw(st.integers(n_min, n_max))
-    m = draw(st.integers(1, m_max))
-    return Polytope(flavor, mat_from_columns(draw(columns(n, m))))
-
-
 @st.composite
 def polytropes(draw, n_max: int = 16, m_max: int = 20):
     """The min-fold columns of a random polytope, padded with members, shuffled.
@@ -107,7 +76,7 @@ def polytropes(draw, n_max: int = 16, m_max: int = 20):
     cols = [TropVector(glb_column_fold(base.generators, i)) for i in range(n)]
     for _ in range(draw(st.integers(0, max(0, m_max - n)))):
         picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        lams = draw(st.lists(rationals(draw(st.sampled_from(DENOMINATORS))), min_size=len(picks), max_size=len(picks)))
+        lams = draw(st.lists(rationals_over(draw(st.sampled_from(DENOMINATORS))), min_size=len(picks), max_size=len(picks)))
         cols.append(TropVector(tuple(max(cols[k][i] + lam for k, lam in zip(picks, lams)) for i in range(n))))
     order = draw(st.permutations(range(len(cols))))
     return Polytope(MAX, mat_from_columns([cols[k] for k in order]))
@@ -117,7 +86,7 @@ def queries(p: Polytope):
     """A random point of the ambient space, or a random generator of p."""
     free = (
         st.sampled_from(DENOMINATORS)
-        .flatmap(lambda den: st.lists(rationals(den), min_size=p.ambient_dim, max_size=p.ambient_dim))
+        .flatmap(lambda den: st.lists(rationals_over(den), min_size=p.ambient_dim, max_size=p.ambient_dim))
         .map(lambda es: TropVector(tuple(es)))
     )
     return st.one_of(free, st.sampled_from(list(p)))
@@ -137,7 +106,7 @@ def test_kernel_lattices_are_column_major(data, n, extra, m):
         (trop_mat_mul(MIN, a, b), naive_mat_mul(False, a, b)),
         (negate_transpose(a), neg_t),
         (dominator(Polytope(MAX, a)).matrix, [list(r) for r in zip(*dominator_columns(Polytope(MAX, a)))]),
-        (dominator_dual(Polytope(MIN, a)).matrix, [list(r) for r in zip(*dominator_columns(Polytope(MIN, a)))]),
+        (dominator(Polytope(MIN, a)).matrix, [list(r) for r in zip(*dominator_columns(Polytope(MIN, a)))]),
     ]
     for out, expected in built:
         assert [list(r) for r in out.entries] == expected
@@ -156,7 +125,7 @@ def test_dominator_matches_min_fold(p):
 
 @given(polytopes(MIN))
 def test_dominator_dual_matches_max_fold(p):
-    star = dominator_dual(p)
+    star = dominator(p)
     assert star.matrix.entries == tuple(zip(*(lub_column_fold(p.generators, i) for i in range(p.ambient_dim))))
     assert naive_mat_mul(False, star.matrix, star.matrix) == [list(r) for r in star.matrix.entries]
 
@@ -176,7 +145,7 @@ def negated(p: Polytope) -> Polytope:
 
 @given(st.one_of(polytopes(), polytropes(), polytopes(MIN), polytropes().map(negated)))
 def test_failing_columns_match_direct_membership(p):
-    star = dominator(p) if p.flavor is MAX else dominator_dual(p)
+    star = dominator(p)
     expected = [i for i, c in enumerate(star.matrix.columns()) if not direct_member(p, c)]
     assert list(_failing_columns(p, star)) == expected
 
@@ -211,7 +180,7 @@ def with_scaled_copies(draw, base):
     cols = list(p)
     for _ in range(draw(st.integers(0, 4))):
         g = draw(st.sampled_from(cols))
-        lam = draw(rationals(draw(st.sampled_from(DENOMINATORS))))
+        lam = draw(rationals_over(draw(st.sampled_from(DENOMINATORS))))
         cols.insert(draw(st.integers(0, len(cols))), TropVector(tuple(e + lam for e in g)))
     return Polytope(p.flavor, mat_from_columns(cols))
 
@@ -220,8 +189,8 @@ def with_scaled_copies(draw, base):
 def one_class(draw, flavor):
     """1 to 6 tropical scalings of one vector of dimension 1 to 4."""
     den = draw(st.sampled_from(DENOMINATORS))
-    g = draw(st.lists(rationals(den), min_size=1, max_size=4))
-    lams = draw(st.lists(rationals(den), min_size=1, max_size=6))
+    g = draw(st.lists(rationals_over(den), min_size=1, max_size=4))
+    lams = draw(st.lists(rationals_over(den), min_size=1, max_size=6))
     return Polytope(flavor, mat_from_columns([TropVector(tuple(e + lam for e in g)) for lam in lams]))
 
 
@@ -303,7 +272,7 @@ def test_reduce_generators_keeps_the_dominator_classes_of_a_polytrope(p, flavor)
     bracket."""
     if flavor is MIN:
         p = negated(p)
-    star = dominator(p) if flavor is MAX else dominator_dual(p)
+    star = dominator(p)
     assert _classes(reduce_generators(p)) == _classes(Polytope(flavor, star.matrix))
 
 
@@ -365,7 +334,7 @@ def test_kleene_star_check_matches_product(p, flavor, data):
     primes = data.draw(st.permutations(LARGE_PRIMES))
     nums = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=n * n, max_size=n * n))
     rational_noise = [Fraction(num, primes[k % len(primes)]) for k, num in enumerate(nums)]
-    x, y = (data.draw(st.lists(rationals(data.draw(st.sampled_from(DENOMINATORS))), min_size=n, max_size=n)) for _ in "xy")
+    x, y = (data.draw(st.lists(rationals_over(data.draw(st.sampled_from(DENOMINATORS))), min_size=n, max_size=n)) for _ in "xy")
     star = potential_star(x, y)
     negated = TropMatrix(tuple(tuple(-e for e in r) for r in d.entries))
     candidates = [d, negated, bumped(d, (0, n - 1), step), bumped(d, (n - 1, 0), -step), star]
@@ -419,7 +388,7 @@ def test_paper_theorems_at_48x60():
         # dominator's columns, in both flavors
         if convex:
             assert _classes(reduce_generators(p)) == _classes(hull)
-            dual = dominator_dual(negated(p)).matrix
+            dual = dominator(negated(p)).matrix
             assert _classes(reduce_generators(negated(p))) == _classes(Polytope(MIN, dual))
         # column i lies in P iff it is a generator v shifted by -v_i
         for i, c in enumerate(d.columns()):

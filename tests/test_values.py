@@ -34,7 +34,7 @@ CASES = [
     (KleeneStar, ("flavor", "matrix"), (Flavor.MAX_PLUS, STAR), (Flavor.MIN_PLUS, OTHER_STAR)),
     (
         Classification,
-        ("dominator", "is_min_plus_convex", "witness"),
+        ("dominator", "is_polytrope", "witness"),
         (KleeneStar(Flavor.MAX_PLUS, STAR), False, vec(0, 1)),
         (KleeneStar(Flavor.MAX_PLUS, OTHER_STAR), True, None),
     ),
