@@ -7,10 +7,10 @@ whose i-th column is the greatest lower bound of the slice
 is the min-plus convex hull of P, and P is Euclidean convex (a polytrope)
 exactly when that hull adds nothing, i.e. when every dominator column already
 belongs to P.  This turns Euclidean convexity of a tropical polytope into an
-exact rational decision with no geometry involved.  Every function here
-takes either flavor: the dominator of a min-plus polytope is the negated
-max-plus one, a min-plus star whose column space is the max-plus hull, so the
-int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
+exact rational decision with no geometry involved.  Every function here on
+a polytope takes either flavor: the dominator of a min-plus polytope is the
+negated max-plus one, a min-plus star whose column space is the max-plus
+hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
