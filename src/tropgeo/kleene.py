@@ -11,6 +11,10 @@ exact rational decision with no geometry involved.  Every function here on
 a polytope takes either flavor: the dominator of a min-plus polytope is the
 negated max-plus one, a min-plus star whose column space is the max-plus
 hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
+One fold yields the dominator column by column: ``is_min_plus_convex``,
+``verify_dominator_relation`` and the sampler's guided pairs stop it at the
+first column outside P, which settles "no"; ``dominator`` and ``classify``
+run it to the end, which builds and checks the star.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
@@ -24,7 +28,7 @@ operations test the n inequalities of one pair (j, k) at once.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Generator, Sequence
 from itertools import chain
 from operator import sub
 
@@ -44,12 +48,8 @@ from .residuation import Polytope
 
 
 class KleeneStar(Frozen):
-    """A validated Kleene star: zero diagonal, idempotent under ``flavor``.
-
-    Construction re-checks both properties exactly, as the triangle
-    inequalities of the module docstring, and raises ``ValueError`` if either
-    fails.
-    """
+    """A Kleene star under ``flavor``; construction re-checks the zero diagonal
+    and the triangle inequalities of the module docstring, or raises ``ValueError``."""
 
     __slots__ = ("flavor", "matrix")
     flavor: Flavor
@@ -67,13 +67,8 @@ class KleeneStar(Frozen):
 
 
 class Classification(Frozen):
-    """Outcome of deciding whether a polytope is a polytrope.
-
-    A polytope is Euclidean convex iff it is convex in the other semiring too,
-    and both hold iff it is the column space of its dominator.  When the
-    answer is negative, ``witness`` is the lowest-indexed dominator column
-    that fails membership in the input.
-    """
+    """Outcome of ``classify``: ``witness`` is the lowest-indexed dominator
+    column outside the input, or None for a polytrope."""
 
     __slots__ = ("dominator", "is_polytrope", "witness")
     dominator: KleeneStar
@@ -122,98 +117,100 @@ def is_kleene_star(f: Flavor, a: TropMatrix) -> bool:
     return _star_defect(f, a) is None
 
 
-def dominator(p: Polytope) -> KleeneStar:
-    """The dominator of p: a Kleene star in p's flavor, on p's lattice scale.
-
-    For a max-plus p with generator matrix V, entry (j, i) is
-    ``min_k (V[j,k] - V[i,k])``, i.e. the whole matrix is ``V (min*) (-V^T)``.
-    Column i is the greatest lower bound of ``{u in P : u_i >= 0}``: for a
-    finite generator list that infimum is attained by scaling each generator
-    to have i-th coordinate 0 and taking the componentwise min.  A min-plus p
-    swaps min for max and lower for upper bounds (``u_i <= 0``), so its
-    dominator is the negated max-plus dominator of -p.
-
-    On the signed rows v, ``D_ji = sign * min(v_j - v_i)``, and since
-    ``min(v_i - v_j) = -max(v_j - v_i)`` one difference per unordered pair
-    i < j gives both ``D_ji`` (its min) and ``D_ij`` (its negated max): the
-    n(n-1)/2 differences of length m are the fold's int subtractions, and
-    the diagonal is 0.  The result is column-major, as ``Lattice`` stores it,
-    and validated as a star on construction.
-    """
+def _fold(p: Polytope) -> Generator[list[int], None, KleeneStar]:
+    """Column i of p's dominator on p's lattice scale, for i in order; drained, it
+    returns the dominator.  On the signed rows v, step i forms ``v_j - v_i`` for each
+    j > i: its min is ``sign * D_ji``; its negated max, kept for column j, ``sign * D_ij``."""
     lat = p.generators.lattice
     sign = p.flavor.sign
     rows = tuple(zip(*lat.cols_times(sign)))
     n = len(rows)
-    d = [[0] * n for _ in rows]  # d[i][j] is D_ji: column i of D
+    cols = [[0] * n for _ in rows]  # cols[i][j] is D_ji
     for i, vi in enumerate(rows):
-        di = d[i]
+        col = cols[i]
         for j in range(i + 1, n):
             diff = [*map(sub, rows[j], vi)]
-            di[j] = sign * min(diff)
-            d[j][i] = -sign * max(diff)
-    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, tuple(map(tuple, d)))))
+            col[j] = sign * min(diff)
+            cols[j][i] = -sign * max(diff)
+        yield col
+    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, tuple(map(tuple, cols)))))
 
 
-def _normalised(col: tuple[int, ...]) -> tuple[int, ...]:
+def _drained(gen: Generator[object, None, KleeneStar]) -> KleeneStar:
+    """Run ``gen`` to its end and return what it returns."""
+    try:
+        while True:
+            next(gen)
+    except StopIteration as end:
+        return end.value
+
+
+def dominator(p: Polytope) -> KleeneStar:
+    """The dominator of p: a Kleene star in p's flavor, on p's lattice scale.
+
+    For a max-plus p with generator matrix V, entry (j, i) is
+    ``min_k (V[j,k] - V[i,k])``, i.e. the whole matrix is ``V (min*) (-V^T)``:
+    the infimum of the slice ``u_i >= 0`` is attained by scaling each
+    generator to have i-th coordinate 0 and taking the componentwise min.  A
+    min-plus p swaps min for max and lower for upper bounds (``u_i <= 0``).
+    The fold forms n(n-1)/2 row differences of length m.
+    """
+    return _drained(_fold(p))
+
+
+def _normalised(col: Sequence[int]) -> tuple[int, ...]:
     """``col`` shifted to first coordinate 0: two columns are tropical scalings
     of each other iff their normalised forms are equal."""
     c0 = col[0]
     return tuple([x - c0 for x in col])
 
 
-def _failing_columns(p: Polytope, star: KleeneStar) -> Iterator[int]:
-    """Lazily and in order, the indices of the columns of p's dominator that are not in p.
-
-    Each column is one set lookup of its normalised form (see ``classify``).
-    The ints compare as they stand: ``dominator`` builds the star on p's
-    lattice scale.
-    """
-    sign = p.flavor.sign
-    shifted_generators = {_normalised(g) for g in p.generators.lattice.cols_times(sign)}
-    for i, col in enumerate(star.matrix.lattice.cols_times(sign)):
-        if _normalised(col) not in shifted_generators:
-            yield i
+def _failing_columns(p: Polytope) -> Generator[int, bool | None, KleeneStar]:
+    """Lazily, the indices of p's dominator columns outside p, each one set lookup as
+    the fold yields it (see ``classify``).  Drained, or sent True after an index, it
+    runs the rest of the fold untested and returns the dominator."""
+    shifted_generators = {_normalised(g) for g in p.generators.lattice.cols}
+    fold = _fold(p)
+    for i in range(p.ambient_dim):
+        if _normalised(next(fold)) not in shifted_generators and (yield i):
+            break
+    return _drained(fold)
 
 
 def min_plus_hull(p: Polytope) -> Polytope:
-    """The hull of p in the other semiring, as a polytope of p's flavor.
-
-    For a max-plus p this is its min-plus convex hull, and for a min-plus p its
-    max-plus hull: the column space of the dominator, which is convex in both
-    senses, so this operation is idempotent.
-    """
+    """The hull of p in the other semiring (min-plus, for a max-plus p), as a
+    polytope of p's flavor: the dominator's column space, so this is idempotent."""
     return Polytope(p.flavor, dominator(p).matrix)
 
 
 def classify(p: Polytope) -> Classification:
     """Decide whether p, of either flavor, is a polytrope (Euclidean convex).
 
-    Computes the dominator and tests each of its columns for membership in p,
-    in column order.  All columns members: p is convex in the other semiring
-    too, hence Euclidean convex, and p equals the column space of its
-    dominator (the unique Kleene star with that column space).  Otherwise the
-    first failing column certifies non-convexity.
-
-    Column ``D_i`` is in p iff it is a shifted generator ``v_k - v_ik * 1``
-    (max-plus; min-plus by negation): every u in p with ``u_i >= 0`` satisfies
-    ``u >= D_i``.  If ``D_i`` is in p, the term ``lambda_k + v_k`` that attains
-    ``D_ii = 0`` has ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.
-    Conversely a shifted generator is in p.  So each column costs one set
-    lookup, and deciding p costs the dominator plus O(nm + n^2).
+    Tests each dominator column for membership in p, in order; the first
+    failing one certifies non-convexity.  Column ``D_i`` is in p iff it is a
+    shifted generator ``v_k - v_ik * 1`` (max-plus; min-plus by negation):
+    every u in p with ``u_i >= 0`` satisfies ``u >= D_i``.  If ``D_i`` is in p,
+    the term ``lambda_k + v_k`` that attains ``D_ii = 0`` has
+    ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.  Conversely a
+    shifted generator is in p.  The whole dominator is returned, so the fold runs to
+    its end, but no column after the first failing one is tested.
     """
-    star = dominator(p)
-    i = next(_failing_columns(p, star), None)
-    return Classification(
-        dominator=star,
-        is_polytrope=i is None,
-        witness=None if i is None else star.matrix.col(i),
-    )
+    scan = _failing_columns(p)
+    i = None
+    try:
+        i = next(scan)
+        scan.send(True)  # the first failing column is the witness: test no more
+    except StopIteration as drained:
+        star = drained.value
+    witness = None if i is None else star.matrix.col(i)
+    return Classification(dominator=star, is_polytrope=i is None, witness=witness)
 
 
 def is_min_plus_convex(p: Polytope) -> bool:
-    """True iff every dominator column is already a member of p: p is convex
-    in the other semiring too (min-plus, for a max-plus p)."""
-    return classify(p).is_polytrope
+    """True iff p is convex in the other semiring too (min-plus, for a max-plus
+    p).  The fold stops at the first dominator column outside p and builds no
+    star; a "yes" builds and checks the whole dominator, as ``classify`` does."""
+    return next(_failing_columns(p), None) is None
 
 
 def duality_rho(a: TropMatrix, r: TropVector) -> TropVector:
@@ -238,14 +235,15 @@ def duality_chi(a: TropMatrix, c: TropVector) -> TropVector:
 def verify_dominator_relation(p: Polytope) -> bool:
     """Check that the dual dominator is the negated transpose of the dominator.
 
-    Requires p to be convex in the other semiring (so that it is a set with
-    dominators on both sides).  The polytope is re-presented in that other
-    flavor as the span of the rows of the negated dominator, the dominator of
-    that presentation is computed, and the two matrices are compared exactly.
+    p is re-presented in the other flavor as the span of the rows of the negated
+    dominator, and the dominator of that presentation is compared exactly.  A p not
+    convex in the other flavor has no dual dominator: ``PreconditionError`` at its
+    first failing dominator column.
     """
     other = Flavor.MIN_PLUS if p.flavor is Flavor.MAX_PLUS else Flavor.MAX_PLUS
-    result = classify(p)
-    if not result.is_polytrope:
-        raise PreconditionError(f"polytope is not {other.value} convex; it has no dual dominator")
-    negt = negate_transpose(result.dominator.matrix)
-    return dominator(Polytope(other, negt)).matrix == negt
+    try:
+        next(_failing_columns(p))
+    except StopIteration as drained:  # no failing column: the scan built the whole star
+        negt = negate_transpose(drained.value.matrix)
+        return dominator(Polytope(other, negt)).matrix == negt
+    raise PreconditionError(f"polytope is not {other.value} convex; it has no dual dominator")

@@ -28,7 +28,7 @@ from .core import (
     from_lattice,
     matrix_from_lattice,
 )
-from .kleene import _failing_columns, _normalised, dominator
+from .kleene import _failing_columns, _normalised
 from .residuation import Polytope, member
 
 
@@ -160,6 +160,17 @@ def _random_unit_interval(bits: Callable[[int], int]) -> tuple[int, int]:
     return _below(bits, den - 1) + 1, den
 
 
+class _Entries(dict):
+    """``x -> Fraction(sign * x, over)``, each made once, on first use."""
+
+    def __init__(self, sign: int, over: int) -> None:
+        self.sign, self.over = sign, over
+
+    def __missing__(self, x: int) -> Fraction:
+        e = self[x] = Fraction(self.sign * x, self.over)
+        return e
+
+
 def _sampler_lattice(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
     """p's generators on the scale ``S = L * lcm(1.._DEN_BOUND)``: ``(S, columns, steps)``.
 
@@ -207,14 +218,12 @@ def _scaled_generator_pairs(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Span-member pairs, lazily, aimed at where non-convexity must show up, if anywhere.
 
-    For each dominator column that fails membership, scale every generator to
-    have that coordinate 0.  The componentwise extremum of those scaled
-    generators is the failing column itself, so segments between them probe
-    the region the span fails to cover.  ``cols`` are p's generators as
-    signed ints on any scale; the pairs are on the same scale.  Returns no
-    pairs when the polytope is convex (no failing columns).
+    For each failing dominator column i, as the fold yields it, the generators
+    scaled to have coordinate i 0: their componentwise extremum is that column,
+    so segments between them probe the region the span fails to cover.
+    ``cols`` are p's generators as signed ints on any scale, as are the pairs.
     """
-    for i in _failing_columns(p, dominator(p)):
+    for i in _failing_columns(p):
         yield from combinations(dict.fromkeys(tuple([x - col[i] for x in col]) for col in cols), 2)
 
 
@@ -246,24 +255,17 @@ def sample_euclidean_midpoints(
     scale, cols, steps = _sampler_lattice(p)
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
     guided = list(islice(_scaled_generator_pairs(p, cols), trials))
-    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b, and their rows
+    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b, their rows, and Fractions over S*b
     # A report repeats the guided pairs and few distinct coordinates, so equal
     # reported vectors share one TropVector and equal entries one Fraction: a
     # report of many violations then holds about a third of the objects.
-    reported: dict[tuple[tuple[int, ...], int], TropVector] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
+    reported: dict[tuple[int, ...], TropVector] = {}  # (*ints, over) -> vector
+    over_s = _Entries(sign, scale)
 
-    def as_vector(ints: Sequence[int], over: int) -> TropVector:
-        key = (tuple(ints), over)
-        vector = reported.get(key)
-        if vector is None:
-            out = []
-            for x in ints:
-                e = entries.get((x, over))
-                if e is None:
-                    e = entries[x, over] = Fraction(sign * x, over)
-                out.append(e)
-            vector = reported[key] = TropVector(tuple(out))
+    def as_vector(ints: Sequence[int], entries: _Entries) -> TropVector:
+        key = (*ints, entries.over)
+        if (vector := reported.get(key)) is None:
+            vector = reported[key] = TropVector(tuple(map(entries.__getitem__, ints)))
         return vector
 
     violations: list[TropVector] = []
@@ -288,13 +290,13 @@ def sample_euclidean_midpoints(
         z = [a * x + (b - a) * y for x, y in zip(u, v)]
         if b not in cols_over:
             gens = tuple(tuple(b * x for x in g) for g in cols)
-            cols_over[b] = gens, tuple(zip(*gens))
-        gens, rows = cols_over[b]
+            cols_over[b] = gens, tuple(zip(*gens)), _Entries(sign, scale * b)
+        gens, rows, over_sb = cols_over[b]
         # z is a member iff its principal projection, max_k (g_k + <g_k|z>), is z
         lams = [min(map(sub, z, g)) for g in gens]
         if not all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
-            violations.append(as_vector(z, scale * b))
-            certificates.append((as_vector(u, scale), as_vector(v, scale), Fraction(a, b)))
+            violations.append(as_vector(z, over_sb))
+            certificates.append((as_vector(u, over_s), as_vector(v, over_s), Fraction(a, b)))
             if max_violations is not None and len(violations) >= max_violations:
                 break
     return MidpointReport(

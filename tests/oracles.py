@@ -178,6 +178,18 @@ def fold_over_ordered_pairs(p: Polytope) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sign * min(map(sub, vj, vi)) for vj in rows) for vi in rows)
 
 
+def failing_columns_of_star(p: Polytope, star) -> list[int]:
+    """The indices of the columns of the built dominator ``star`` that are not
+    shifted generators of p, each by one set lookup of its shift to first
+    coordinate 0 on the lattice ints.  This is the scan as it ran once the
+    whole star was built, the reference for ``kleene._failing_columns``,
+    which tests each column as the fold yields it."""
+    sign = p.flavor.sign
+    shifted = {tuple(x - g[0] for x in g) for g in p.generators.lattice.cols_times(sign)}
+    cols = star.matrix.lattice.cols_times(sign)
+    return [i for i, c in enumerate(cols) if tuple(x - c[0] for x in c) not in shifted]
+
+
 def dominator_columns(p: Polytope) -> list[tuple[Fraction, ...]]:
     """The columns of p's dominator in p's flavor: min-folds for max-plus,
     max-folds for min-plus."""

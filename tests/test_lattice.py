@@ -49,6 +49,7 @@ from oracles import (
     direct_member,
     direct_min_plus_projection,
     dominator_columns,
+    failing_columns_of_star,
     first_failing_glb_column,
     glb_column_fold,
     is_shifted_generator,
@@ -147,7 +148,8 @@ def negated(p: Polytope) -> Polytope:
 def test_failing_columns_match_direct_membership(p):
     star = dominator(p)
     expected = [i for i, c in enumerate(star.matrix.columns()) if not direct_member(p, c)]
-    assert list(_failing_columns(p, star)) == expected
+    assert failing_columns_of_star(p, star) == expected
+    assert list(_failing_columns(p)) == expected
 
 
 @given(st.one_of(polytopes(), polytropes(), polytopes(MIN), polytropes().map(negated)))

@@ -1,0 +1,226 @@
+"""Seeded tests of the lazy polytrope decision, which stops at the first failing dominator column.
+
+``kleene`` forms the dominator in one fold that yields it column by column.
+``is_min_plus_convex``, ``verify_dominator_relation`` and the sampler's guided
+pairs stop the fold at the first column that is not in p; ``dominator`` and
+``classify`` run it to the end, which builds one checked ``KleeneStar``.
+These tests compare the early answers with ``classify`` and with the Fraction
+oracles in ``oracles.py``, in both flavors (min-plus by negation): on inputs
+that fail at column 0, on inputs that fail only at their last column (an
+input with one failing column, its coordinates permuted), at n = 1 and m = 1,
+on dominators and on polytropes padded with span members.  Counting through
+the module's ``sub`` and ``_star_defect``, they check that a "no" at column 0
+forms n - 1 row differences and builds no star, that ``classify`` tests no
+column after the first failing one, and that a drained fold builds exactly
+one.  They need neither pytest nor hypothesis, so any Python
+the package supports can run them as a script:
+
+    PYTHONPATH=src:tests python tests/test_lazy_decision.py
+"""
+
+import operator
+import random
+from fractions import Fraction
+from itertools import islice
+
+from tropgeo import (
+    Flavor,
+    Polytope,
+    PreconditionError,
+    TropMatrix,
+    TropVector,
+    classify,
+    dominator,
+    is_min_plus_convex,
+    random_member,
+    verify_dominator_relation,
+)
+from tropgeo import kleene, polytope
+
+from oracles import direct_member, dominator_columns, fold_over_ordered_pairs
+
+MAX = Flavor.MAX_PLUS
+MIN = Flavor.MIN_PLUS
+
+# a 3x4 max-plus polytope, generators as columns, whose only failing dominator
+# column is the last, (-5/2, -5/2, 0)
+LAST_ONLY = (("-3/2", 0, 1), (0, 0, 1), ("3/2", -2, 0), ("1/2", -2, "1/2"))
+
+
+def polytope_of(flavor: Flavor, cols) -> Polytope:
+    return Polytope(flavor, TropMatrix(tuple(zip(*[tuple(map(Fraction, c)) for c in cols]))))
+
+
+def negated(p: Polytope) -> Polytope:
+    return Polytope(MIN, TropMatrix(tuple(tuple(-e for e in r) for r in p.generators.entries)))
+
+
+def permuted(p: Polytope, order) -> Polytope:
+    """p with coordinate ``order[i]`` moved to place i."""
+    return Polytope(p.flavor, TropMatrix(tuple(p.generators.entries[i] for i in order)))
+
+
+def random_polytope(rng: random.Random, n: int, m: int, num: int = 20, den: int = 10) -> Polytope:
+    cols = [[Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(n)] for _ in range(m)]
+    return polytope_of(MAX, cols)
+
+
+def failing_by_oracle(p: Polytope) -> list:
+    """The indices of p's dominator columns outside p, in Fraction loops."""
+    return [i for i, c in enumerate(dominator_columns(p)) if not direct_member(p, TropVector(c))]
+
+
+def decide(p: Polytope) -> list:
+    """Check every decision on max-plus p and on min-plus -p against the
+    oracles; return the failing indices."""
+    failing = failing_by_oracle(p)
+    for q in (p, negated(p)):
+        assert failing_by_oracle(q) == failing, q
+        result = classify(q)
+        assert result.is_polytrope == (not failing), q
+        assert result.dominator.matrix.lattice.cols == fold_over_ordered_pairs(q), q
+        witness = None if not failing else dominator_columns(q)[failing[0]]
+        assert (None if result.witness is None else result.witness.entries) == witness, q
+        assert is_min_plus_convex(q) == result.is_polytrope, q
+        assert list(kleene._failing_columns(q)) == failing, q
+        if failing:
+            try:
+                verify_dominator_relation(q)
+            except PreconditionError:
+                pass
+            else:
+                raise AssertionError(f"no precondition error on {q}")
+        else:
+            assert verify_dominator_relation(q), q
+    return failing
+
+
+def counted(name: str, replacement, call, p: Polytope) -> int:
+    """How often ``call(p)`` calls ``kleene.<name>``: the module's binding is
+    swapped for a counting wrapper of ``replacement`` while it runs."""
+    count = 0
+    original = getattr(kleene, name)
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return replacement(*args)
+
+    setattr(kleene, name, counting)
+    try:
+        call(p)
+    except PreconditionError:
+        pass
+    finally:
+        setattr(kleene, name, original)
+    return count
+
+
+def differences_formed(call, p: Polytope) -> int:
+    """Row differences the fold forms during ``call(p)``: its ``sub`` calls over m."""
+    return counted("sub", operator.sub, call, p) // p.n_generators
+
+
+def columns_tested(call, p: Polytope) -> int:
+    """Columns normalised during ``call(p)``: p's generators, then each dominator
+    column the scan tests."""
+    return counted("_normalised", kleene._normalised, call, p)
+
+
+def stars_built(call, p: Polytope) -> int:
+    """Kleene-star checks run during ``call(p)``: one per ``KleeneStar`` built."""
+    return counted("_star_defect", kleene._star_defect, call, p)
+
+
+def guided_pairs(k: int):
+    def call(p: Polytope) -> list:
+        cols = p.generators.lattice.cols_times(p.flavor.sign)
+        return list(islice(polytope._scaled_generator_pairs(p, cols), k))
+
+    return call
+
+
+def test_inputs_that_fail_at_column_0():
+    rng = random.Random(1801)
+    seen = 0
+    for n, m in ((2, 3), (3, 4), (5, 6), (8, 10), (16, 20)):
+        for _ in range(6):
+            p = random_polytope(rng, n, m)
+            failing = decide(p)
+            if failing[:1] != [0]:
+                continue
+            seen += 1
+            for q in (p, negated(p)):
+                assert differences_formed(is_min_plus_convex, q) == n - 1
+                assert differences_formed(verify_dominator_relation, q) == n - 1
+                assert differences_formed(guided_pairs(1), q) == n - 1
+                assert differences_formed(classify, q) == n * (n - 1) // 2
+                # the generators' shifted forms, then column 0 alone
+                assert columns_tested(classify, q) == columns_tested(is_min_plus_convex, q) == m + 1
+                assert stars_built(is_min_plus_convex, q) == 0
+                assert stars_built(verify_dominator_relation, q) == 0
+    assert seen >= 20
+
+
+def test_inputs_that_fail_only_at_the_last_column():
+    p = polytope_of(MAX, LAST_ONLY)
+    assert decide(p) == [2]
+    assert classify(p).witness == TropVector((Fraction(-5, 2), Fraction(-5, 2), Fraction(0)))
+    for q in (p, negated(p)):
+        assert differences_formed(is_min_plus_convex, q) == 3
+        assert stars_built(is_min_plus_convex, q) == 0
+    rng = random.Random(1802)
+    seen = 0
+    for n, m in ((2, 2), (3, 3), (3, 4), (4, 4), (4, 6)):
+        for _ in range(40):
+            p = random_polytope(rng, n, m, num=4, den=2)
+            failing = decide(p)
+            if len(failing) != 1:
+                continue
+            k = failing[0]
+            order = list(range(n))
+            order[k], order[-1] = order[-1], order[k]
+            assert decide(permuted(p, order)) == [n - 1]
+            seen += 1
+    assert seen >= 20
+
+
+def test_n1_m1_dominators_and_padded_polytropes():
+    rng = random.Random(1803)
+    assert decide(polytope_of(MAX, [("7/3",)])) == []
+    assert decide(polytope_of(MAX, [(3,), (-1,), ("5/2",)])) == []
+    assert decide(polytope_of(MAX, [(1, "-1/2", 3)])) == []
+    for n, m in ((1, 4), (2, 3), (4, 5), (8, 10)):
+        for _ in range(4):
+            star = dominator(random_polytope(rng, n, m))
+            assert decide(Polytope(MAX, star.matrix)) == []
+            base = Polytope(MAX, star.matrix)
+            cols = [*base, *(random_member(rng, base) for _ in range(m))]
+            rng.shuffle(cols)
+            padded = Polytope(MAX, TropMatrix(tuple(zip(*[c.entries for c in cols]))))
+            assert decide(padded) == []
+
+
+def test_a_drained_fold_builds_one_checked_star():
+    rng = random.Random(1804)
+    for n, m in ((1, 1), (3, 4), (6, 8)):
+        star = dominator(random_polytope(rng, n, m))
+        for q in (Polytope(MAX, star.matrix), negated(Polytope(MAX, star.matrix))):
+            assert stars_built(dominator, q) == 1
+            assert stars_built(classify, q) == 1
+            assert stars_built(is_min_plus_convex, q) == 1
+            assert stars_built(guided_pairs(5), q) == 1
+            # its own dominator, and that of the presentation in the other flavor
+            assert stars_built(verify_dominator_relation, q) == 2
+            assert differences_formed(is_min_plus_convex, q) == n * (n - 1) // 2
+            assert columns_tested(classify, q) == n + q.n_generators
+    p = random_polytope(rng, 8, 10)
+    assert failing_by_oracle(p)
+    assert stars_built(dominator, p) == stars_built(classify, p) == 1
+
+
+if __name__ == "__main__":
+    for name, test in list(globals().items()):
+        if name.startswith("test_"):
+            test()
+            print(f"{name}: ok")
