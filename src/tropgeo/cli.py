@@ -39,23 +39,6 @@ from .docio import (
     parse_matrix_document,
     parse_vector,
 )
-from .kleene import (
-    classify,
-    dominator,
-    duality_chi,
-    duality_rho,
-    is_kleene_star,
-    is_min_plus_convex,
-    min_plus_hull,
-    verify_dominator_relation,
-)
-from .polytope import (
-    polytope_equal,
-    projectivise,
-    projectivise_generators,
-    reduce_generators,
-    sample_euclidean_midpoints,
-)
 from .residuation import (
     Polytope,
     bracket,
@@ -196,6 +179,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .polytope import reduce_generators
+
     p = _polytope(args)
     reduced = reduce_generators(p)
     _note(args, f"kept {reduced.n_generators} of {p.n_generators} generators")
@@ -203,13 +188,15 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .polytope import projectivise, projectivise_generators
+
     x = _vector_or_file(args)
-    if x is not None:
-        return _result(args, format_vector(projectivise(x)))
-    points = projectivise_generators(_polytope(args))
+    points = [projectivise(x)] if x is not None else projectivise_generators(_polytope(args))
     if args.emit_csv:
         _write_points_csv(args.emit_csv, points)
         _note(args, f"wrote {len(points)} points to {args.emit_csv}")
+    if x is not None:
+        return _result(args, format_vector(points[0]))
     return _result(args, {"points": [format_vector(pt) for pt in points]})
 
 
@@ -231,12 +218,16 @@ def _write_points_csv(path: str, points: list[TropVector]) -> None:
 
 
 def _cmd_equal(args) -> int:
+    from .polytope import polytope_equal
+
     result = polytope_equal(_polytope(args), _polytope(args, args.other))
     _note(args, f"equal: {result}")
     return _result(args, result, result)
 
 
 def _cmd_star_check(args) -> int:
+    from .kleene import is_kleene_star
+
     doc = _load_document(args.file)
     flavor = Flavor(args.flavor) if args.flavor else doc.flavor
     result = is_kleene_star(flavor, doc.to_matrix())
@@ -246,17 +237,23 @@ def _cmd_star_check(args) -> int:
 
 def _cmd_matrix(args) -> int:
     """dominator, dominator-dual and hull-min: a matrix built from the polytope."""
-    return _matrix_result(args, args.build(_polytope(args)))
+    from . import kleene
+
+    return _matrix_result(args, getattr(kleene, args.build)(_polytope(args)))
 
 
 def _cmd_decide(args) -> int:
     """convex-check and dom-relation: one boolean about a max-plus polytope."""
-    result = args.decide(_polytope(args))
+    from . import kleene
+
+    result = getattr(kleene, args.decide)(_polytope(args))
     _note(args, f"{args.label}: {result}")
     return _result(args, result, result)
 
 
 def _cmd_classify(args) -> int:
+    from .kleene import classify
+
     result = classify(_polytope(args))
     star_doc = MatrixDocument.from_matrix(result.dominator.matrix, result.dominator.flavor, ROLE_MATRIX)
     _note(args, f"polytrope: {result.is_polytrope}")
@@ -274,11 +271,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_dual_map(args) -> int:
     """dual-rho (of ``--r``) and dual-chi (of ``--c``) on the document's matrix."""
+    from . import kleene
+
     matrix = _load_document(args.file).to_matrix()
-    return _result(args, format_vector(args.dual_map(matrix, getattr(args, args.point))))
+    return _result(args, format_vector(getattr(kleene, args.dual_map)(matrix, getattr(args, args.point))))
 
 
 def _cmd_sample_midpoints(args) -> int:
+    from .polytope import sample_euclidean_midpoints
+
     if args.trials > MAX_TRIALS:
         raise CliUsageError(f"--trials: at most {MAX_TRIALS}, got {args.trials}")
     p = _polytope(args)
@@ -321,7 +322,8 @@ def build_parser() -> _Parser:
         TropVectors.  ``file`` is True for a required ``--file``, or the help of
         an optional one that stands in for the vector flag named ``either``.  A
         polytope read from ``--file`` must have flavor ``require`` unless it is
-        None.  ``defaults`` tell apart twins that share a handler.
+        None.  ``defaults`` tell apart twins that share a handler; a function among
+        them is named, and its handler finds it in ``kleene`` when the command runs.
         """
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler, require=require, either=either, **defaults)
@@ -364,28 +366,28 @@ def build_parser() -> _Parser:
     p.add_argument("--other", required=True)
     p = add("star-check", _cmd_star_check, "is the matrix a Kleene star?", boolean=True)
     p.add_argument("--flavor", choices=[f.value for f in Flavor], help="override the file's flavor")
-    add("dominator", _cmd_matrix, "dominator matrix of a max-plus polytope", build=dominator, **max_plus)
+    add("dominator", _cmd_matrix, "dominator matrix of a max-plus polytope", build="dominator", **max_plus)
     add(
         "dominator-dual", _cmd_matrix, "dual dominator of a min-plus polytope",
-        build=dominator, require=Flavor.MIN_PLUS,
+        build="dominator", require=Flavor.MIN_PLUS,
     )
-    add("hull-min", _cmd_matrix, "min-plus hull of a max-plus polytope", build=min_plus_hull, **max_plus)
+    add("hull-min", _cmd_matrix, "min-plus hull of a max-plus polytope", build="min_plus_hull", **max_plus)
     add(
         "convex-check", _cmd_decide, "is the max-plus polytope min-plus convex?", boolean=True,
-        decide=is_min_plus_convex, label="min-plus convex", **max_plus,
+        decide="is_min_plus_convex", label="min-plus convex", **max_plus,
     )
     add("classify", _cmd_classify, "polytrope decision with dominator and witness", boolean=True, **max_plus)
     add(
         "dual-rho", _cmd_dual_map, "row-space to column-space duality map", ("r", "row-space member"),
-        dual_map=duality_rho, point="r",
+        dual_map="duality_rho", point="r",
     )
     add(
         "dual-chi", _cmd_dual_map, "column-space to row-space duality map", ("c", "column-space member"),
-        dual_map=duality_chi, point="c",
+        dual_map="duality_chi", point="c",
     )
     add(
         "dom-relation", _cmd_decide, "dual dominator vs negated transpose", boolean=True,
-        decide=verify_dominator_relation, label="dual dominator equals negated transpose", **max_plus,
+        decide="verify_dominator_relation", label="dual dominator equals negated transpose", **max_plus,
     )
     p = add("sample-midpoints", _cmd_sample_midpoints, "randomized Euclidean-convexity falsifier", boolean=True)
     p.add_argument("--trials", type=int, default=200)

@@ -95,6 +95,13 @@ def from_lattice(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, scale) for x in ints)
 
 
+def _normalised(col: Sequence[int]) -> tuple[int, ...]:
+    """``col`` shifted to first coordinate 0: two columns are tropical scalings
+    of each other iff their normalised forms are equal."""
+    c0 = col[0]
+    return tuple([x - c0 for x in col])
+
+
 class Frozen:
     """Base of the value classes: fields set once, then compared, hashed and shown together.
 

@@ -28,7 +28,7 @@ operations test the n inequalities of one pair (j, k) at once.
 
 from __future__ import annotations
 
-from collections.abc import Generator, Sequence
+from collections.abc import Generator
 from itertools import chain
 from operator import sub
 
@@ -40,6 +40,7 @@ from .core import (
     PreconditionError,
     TropMatrix,
     TropVector,
+    _normalised,
     matrix_from_lattice,
     negate_transpose,
     trop_mat_mul,
@@ -156,13 +157,6 @@ def dominator(p: Polytope) -> KleeneStar:
     The fold forms n(n-1)/2 row differences of length m.
     """
     return _drained(_fold(p))
-
-
-def _normalised(col: Sequence[int]) -> tuple[int, ...]:
-    """``col`` shifted to first coordinate 0: two columns are tropical scalings
-    of each other iff their normalised forms are equal."""
-    c0 = col[0]
-    return tuple([x - c0 for x in col])
 
 
 def _failing_columns(p: Polytope) -> Generator[int, bool | None, KleeneStar]:

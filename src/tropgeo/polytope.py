@@ -13,7 +13,6 @@ results are negated max-plus ones, computed in one place (``Flavor.sign``).
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
@@ -25,10 +24,10 @@ from .core import (
     Lattice,
     TropMatrix,
     TropVector,
+    _normalised,
     from_lattice,
     matrix_from_lattice,
 )
-from .kleene import _failing_columns, _normalised
 from .residuation import Polytope, member
 
 
@@ -223,6 +222,8 @@ def _scaled_generator_pairs(
     so segments between them probe the region the span fails to cover.
     ``cols`` are p's generators as signed ints on any scale, as are the pairs.
     """
+    from .kleene import _failing_columns  # the sampler alone needs the dominator here
+
     for i in _failing_columns(p):
         yield from combinations(dict.fromkeys(tuple([x - col[i] for x in col]) for col in cols), 2)
 
@@ -249,6 +250,8 @@ def sample_euclidean_midpoints(
         raise ValueError("trials must be >= 1")
     if max_violations is not None and max_violations < 1:
         raise ValueError("max_violations must be >= 1")
+    import random  # only the sampler draws, so no other call pays for this import
+
     rng = random.Random(seed)
     bits = rng.getrandbits
     sign = p.flavor.sign

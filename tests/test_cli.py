@@ -186,6 +186,17 @@ class TestPolytopeCommands:
         assert lines[0] == "x,y"
         assert lines[1:] == ["0,0", "1,2"]
 
+    @pytest.mark.parametrize(
+        "x, header, row", [("1,2,3", "x,y", "1,2"), ("(0,1/2,-1,3)", "x1,x2,x3", "1/2,-1,3")]
+    )
+    def test_project_single_vector_and_csv(self, capsys, tmp_path, x, header, row):
+        """``--emit-csv`` writes the one projected point, under the header ``--file`` would give it;
+        stdout is what the call without ``--emit-csv`` prints."""
+        csv_path = tmp_path / "pt.csv"
+        code, out, _ = cli(capsys, "project", "--x", x, "--emit-csv", str(csv_path))
+        assert (code, out) == cli(capsys, "project", "--x", x)[:2]
+        assert csv_path.read_text().splitlines() == [header, row]
+
     @pytest.mark.parametrize("flavor", ["max-plus", "min-plus"])
     def test_project_file_matches_projectivise_per_generator(self, capsys, tmp_path, flavor):
         """The points are computed on the lattice; the bytes must be those of
@@ -669,17 +680,45 @@ class TestHelp:
             assert cli(capsys, *argv, flag) == (0, expected, "")
 
 
+# what each subcommand imports beyond the modules every call loads
+BASE_MODULES = {"tropgeo", "tropgeo.core", "tropgeo.residuation", "tropgeo.docio", "tropgeo.cli"}
+ADDED_MODULES = {
+    "member": set(),
+    "classify": {"tropgeo.kleene"},
+    "reduce": {"tropgeo.polytope"},
+    "sample-midpoints": {"tropgeo.kleene", "tropgeo.polytope", "random"},
+}
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a bare interpreter loads while it runs ``code`` after ``import tropgeo.cli``.
+
+    -I -S: what site preloads cannot hide an import; -B: no .pyc.  ``code`` may
+    print to stdout, so the module names go to stderr.
+    """
+    src = os.path.dirname(os.path.dirname(tropgeo.__file__))
+    program = (
+        f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); import tropgeo.cli\n"
+        f"{code}\nprint(*sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", program], capture_output=True, text=True, check=True
+    )
+    return set(proc.stderr.split())
+
+
 class TestStartup:
     def test_import_loads_no_module_the_calls_do_not_need(self):
-        # -I -S: a bare interpreter, so what site preloads cannot hide an import; -B: no .pyc
-        src = os.path.dirname(os.path.dirname(tropgeo.__file__))
-        code = (
-            f"import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); "
-            "import tropgeo.cli; print(*sorted(set(sys.modules) - before))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
-        )
-        loaded = set(proc.stdout.split())
-        assert "tropgeo.cli" in loaded
-        assert loaded.isdisjoint({"dataclasses", "inspect", "csv", "typing"}), sorted(loaded)
+        loaded = _modules_loaded_by("")
+        assert BASE_MODULES <= loaded
+        unneeded = {"dataclasses", "inspect", "csv", "typing", "random", "tropgeo.kleene", "tropgeo.polytope"}
+        assert loaded.isdisjoint(unneeded), sorted(loaded)
+
+    @pytest.mark.parametrize("command", sorted(ADDED_MODULES))
+    def test_subcommand_loads_only_the_modules_it_runs(self, tmp_path, command):
+        obj = {**SEGMENT_DOC, "cols": 4, "entries": ["0", "1/2", "-1", "2", "0", "0", "3", "-1", "1", "-2", "0", "1"]}
+        argv = [command, "--file", write(tmp_path, "g.json", obj)]
+        argv += {"member": ["--y", "0,1,2"], "sample-midpoints": ["--trials", "20"]}.get(command, [])
+        loaded = _modules_loaded_by(f"assert tropgeo.cli.run({argv!r}) == 0")
+        ours = {m for m in loaded if m.split(".")[0] == "tropgeo" or m == "random"}
+        assert ours == BASE_MODULES | ADDED_MODULES[command]
