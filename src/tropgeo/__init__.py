@@ -27,9 +27,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 
-# verify_dominator_relation is public as tropgeo.verify_dominator_relation, but
-# has never been exported by ``from tropgeo import *``
-__all__ = sorted(_HOME.keys() - {"verify_dominator_relation"})
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

@@ -14,23 +14,28 @@ hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
 One fold yields the dominator column by column: ``is_min_plus_convex``,
 ``verify_dominator_relation`` and the sampler's guided pairs stop it at the
 first column outside P, which settles "no"; ``dominator`` and ``classify``
-run it to the end, which builds and checks the star.
+run it to the end, which builds and checks the star.  It packs the signed
+lattice ints into lanes of whole bytes, so that a handful of big-int
+operations per generator take the lanewise min of all n^2 entries at once
+(``_lanewise_min``).
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
 ``max_k (A_ik + A_kj)``, and the terms k = i and k = j are ``A_ij`` itself,
 so the product is at least A and equals it iff no term exceeds ``A_ij``.
-The check tests these n^3 inequalities on packed ints: each column becomes
-one int with a lane of whole bytes per entry, offset by the least entry and
-wide enough for twice the span plus a guard bit, so that four big-int
-operations test the n inequalities of one pair (j, k) at once.
+The check tests these n^3 inequalities on packed columns, four big-int
+operations for the n inequalities of one pair (j, k); a star the fold
+builds is checked on the fold's own lanes, which leave room for the check's
+guard bit.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Generator
-from itertools import chain
+from itertools import chain, repeat
 from operator import sub
+from sys import byteorder
 
 from .core import (
     DimensionError,
@@ -50,15 +55,16 @@ from .residuation import Polytope
 
 class KleeneStar(Frozen):
     """A Kleene star under ``flavor``; construction re-checks the zero diagonal
-    and the triangle inequalities of the module docstring, or raises ``ValueError``."""
+    and the triangle inequalities of the module docstring, or raises ``ValueError``.
+    The dominator fold passes its own lanes as ``_packed``, so they are checked as they are."""
 
     __slots__ = ("flavor", "matrix")
     flavor: Flavor
     matrix: TropMatrix
 
-    def __init__(self, flavor: Flavor, matrix: TropMatrix) -> None:
+    def __init__(self, flavor: Flavor, matrix: TropMatrix, *, _packed: tuple | None = None) -> None:
         super().__init__(flavor, matrix)
-        problem = _star_defect(flavor, matrix)
+        problem = _star_defect(flavor, matrix, _packed)
         if problem is not None:
             raise ValueError(f"not a {flavor.value} Kleene star: {problem}")
 
@@ -77,33 +83,35 @@ class Classification(Frozen):
     witness: TropVector | None
 
 
-def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
-    if not a.is_square:
-        return f"matrix is {a.n_rows}x{a.n_cols}, not square"
-    cols = a.lattice.cols_times(f.sign)
-    for i, col in enumerate(cols):
-        if col[i]:
-            return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
-    # the triangle inequalities of the module docstring, a column j at a time
-    # on packed lanes; a min-plus star is a negated max-plus one
-    flat = [*chain.from_iterable(cols)]
-    lo = min(flat)  # <= 0: the diagonal is 0
-    guard = (2 * (max(flat) - lo)).bit_length()  # 2**guard > |a_ij - a_ik - a_kj|
-    size = guard // 8 + 1  # whole bytes a lane, with the guard bit on top
-    lane = 8 * size
-    n = len(cols)
-    width = lane * n
-    mask = (1 << width) - 1
-    ones = mask // ((1 << lane) - 1)
+def _star_defect(f: Flavor, a: TropMatrix, packed: tuple | None = None) -> str | None:
+    """Why ``a`` is not a Kleene star under f, or None.  ``packed`` is the fold's
+    ``(cols, lanes, guard, size)`` for its zero-diagonal ``a``; without it, ``a`` is
+    packed here.  ``cols`` are a's signed lattice ints, column-major (min-plus
+    negated); lane ``j*n + i`` of ``lanes`` holds ``a_ij`` plus one offset in ``size``
+    bytes, which hold ``2**(guard + 1)``, and ``2**guard > |a_ij - a_ik - a_kj|``."""
+    if packed is None:
+        if not a.is_square:
+            return f"matrix is {a.n_rows}x{a.n_cols}, not square"
+        cols = a.lattice.cols_times(f.sign)
+        for i, col in enumerate(cols):
+            if col[i]:
+                return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
+        flat = [*chain.from_iterable(cols)]
+        lo = min(flat)  # <= 0: the diagonal is 0
+        guard = (2 * (max(flat) - lo)).bit_length()
+        size = _lane_bytes(guard + 1)
+        packed = cols, _pack([*map(sub, flat, repeat(lo))], size), guard, size
+    cols, lanes, guard, size = packed
+    width = size * len(cols)
+    columns = [int.from_bytes(lanes[s : s + width], byteorder) for s in range(0, len(lanes), width)]
+    ones = ((1 << width * 8) - 1) // ((1 << size * 8) - 1)
     guards = ones << guard
-    # lane i of packed[k] is a_ik - lo, so lane i of top - packed[k] - a_kj * ones
-    # is 2**guard + a_ij - a_ik - a_kj, which keeps its guard bit iff it is >= 0
-    whole = int.from_bytes(b"".join([(x - lo).to_bytes(size, "little") for x in flat]), "little")
-    packed = [whole >> shift & mask for shift in range(0, n * width, width)]
-    for col, top in zip(cols, packed):
+    # lane i of top - p - a_kj * ones, with p holding column k, is
+    # 2**guard + a_ij - a_ik - a_kj, which keeps its guard bit iff it is >= 0
+    for col, top in zip(cols, columns):
         top += guards
         acc = guards
-        for p, a_kj in zip(packed, col):
+        for p, a_kj in zip(columns, col):
             acc &= top - p - a_kj * ones
         if acc != guards:
             return "matrix is not idempotent"
@@ -118,23 +126,99 @@ def is_kleene_star(f: Flavor, a: TropMatrix) -> bool:
     return _star_defect(f, a) is None
 
 
-def _fold(p: Polytope) -> Generator[list[int], None, KleeneStar]:
+_CODES = {array(c).itemsize: c for c in "QLIHB"}  # an array type code for each item size
+_PASS_BITS = 1 << 17  # the fold's passes stay within about this many bits
+
+
+def _lane_bytes(bits: int) -> int:
+    """Bytes of a lane of ``bits`` bits: 1, 2, 4 or 8, the array item sizes, or more."""
+    return 1 << ((bits - 1) >> 3).bit_length() if bits <= 64 else -(-bits // 8)
+
+
+# Lanes of an array item's size are moved by the array module, wider ones one at a time.
+def _pack(ints: list[int], size: int) -> bytes:
+    """Non-negative ``ints`` in lanes of ``size`` bytes, in the machine's byte order."""
+    if size in _CODES:
+        return array(_CODES[size], ints).tobytes()
+    return b"".join(map(int.to_bytes, ints, repeat(size), repeat(byteorder)))
+
+
+def _unpack(lanes: bytes, size: int) -> list[int]:
+    """The ints that ``_pack`` packed."""
+    if size in _CODES:
+        return array(_CODES[size], lanes).tolist()
+    return [int.from_bytes(lanes[s : s + size], byteorder) for s in range(0, len(lanes), size)]
+
+
+def _spread(lanes: bytes, size: int, n: int) -> bytes:
+    """Each lane of ``size`` bytes repeated n times."""
+    if size in _CODES:
+        items = array(_CODES[size], lanes)
+        spread = array(items.typecode, bytes(len(lanes) * n))
+        for j in range(n):
+            spread[j::n] = items
+        return spread.tobytes()
+    return b"".join([lanes[s : s + size] * n for s in range(0, len(lanes), size)])
+
+
+def _lanewise_min(gens: bytes, rows: bytes, n: int, size: int, guard: int, span: int) -> bytes:
+    """Lanes ``i*n + j`` holding ``2**guard + D_ji``, the min over generators k of
+    ``w_jk - w_ik``, for the columns i whose lanes ``rows`` holds (all, or column 0).
+    Lane ``k*n + i`` of ``gens`` holds ``w_ik`` plus one offset, as rows do k-major;
+    every ``w_jk - w_ik`` is at most ``span``, and ``2**guard > 2*span``."""
+    width = n * size  # bytes of a column
+    m = len(gens) // width
+    count = len(rows) // (m * size)  # columns wanted
+    bits = 8 * width * count  # of a block, one generator's lanes
+    # a pass takes h generators, a block each: h is a power of two, 4 while four blocks
+    # fit in _PASS_BITS, or as many as fit in a 16th of it when blocks are small, but no
+    # more than m needs.  At the end the h blocks fold pairwise into one.
+    fit = (_PASS_BITS // bits).bit_length() - 1  # log2 of the blocks that fit in _PASS_BITS
+    h = 1 << max(0, min((m - 1).bit_length(), max(min(2, fit), fit - 4)))
+    gens += span.to_bytes(size, byteorder) * (n * (-m % h))  # w_jk - w_ik = span lowers no min
+    ones = int.from_bytes((1).to_bytes(size, byteorder) * (h * count * n), byteorder)
+    guards = ones << guard
+    acc = ones * ((1 << guard) + span)
+    for k in range(0, len(gens) // width, h):
+        # lane (k, i, j) of col holds w_jk, of row w_ik, each plus the offset
+        col = int.from_bytes(_spread(gens[k * width : (k + h) * width], width, count), byteorder)
+        row = int.from_bytes(_spread(rows[k * count * size : (k + h) * count * size], size, n), byteorder)
+        y = acc - col + row  # lane: 2**guard + the running min - (w_jk - w_ik)
+        t = y & guards  # guard bits where the running min is the larger
+        acc -= y & (t - (t >> guard))
+    while h > 1:  # the upper half of the blocks folds onto the lower half
+        h //= 2
+        low = (1 << h * bits) - 1
+        y = (acc & low) - (acc >> h * bits) + guards  # above the lower half, lanes of 2**guard
+        t = y & guards
+        acc = (acc & low) - (y & (t - (t >> guard)))
+    return acc.to_bytes(bits // 8, byteorder)
+
+
+def _fold(p: Polytope, lazy: bool) -> Generator[tuple[int, ...], None, KleeneStar]:
     """Column i of p's dominator on p's lattice scale, for i in order; drained, it
-    returns the dominator.  On the signed rows v, step i forms ``v_j - v_i`` for each
-    j > i: its min is ``sign * D_ji``; its negated max, kept for column j, ``sign * D_ij``."""
+    returns the dominator.  A ``lazy`` fold, for a caller that may stop at column 0,
+    computes that column on its own first."""
     lat = p.generators.lattice
     sign = p.flavor.sign
-    rows = tuple(zip(*lat.cols_times(sign)))
-    n = len(rows)
-    cols = [[0] * n for _ in rows]  # cols[i][j] is D_ji
-    for i, vi in enumerate(rows):
-        col = cols[i]
-        for j in range(i + 1, n):
-            diff = [*map(sub, rows[j], vi)]
-            col[j] = sign * min(diff)
-            cols[j][i] = -sign * max(diff)
-        yield col
-    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(lat.scale, tuple(map(tuple, cols)))))
+    flat = [*chain.from_iterable(lat.cols_times(sign))]
+    n = p.ambient_dim
+    lo = min(flat)
+    span = max(flat) - lo
+    guard = (3 * span).bit_length()  # D lies in [-span, span], and the check sums three entries
+    size = _lane_bytes(guard + 1)
+    gens = _pack([*map(sub, flat, repeat(lo))], size)
+    bias = 1 << guard
+    if lazy:
+        head = b"".join([gens[s : s + size] for s in range(0, len(gens), n * size)])
+        yield tuple([sign * (x - bias) for x in _unpack(_lanewise_min(gens, head, n, size, guard, span), size)])
+    lanes = _lanewise_min(gens, gens, n, size, guard, span)
+    values = [*map(sub, _unpack(lanes, size), repeat(bias))]
+    cols = [tuple(values[s : s + n]) for s in range(0, n * n, n)]
+    true = cols if sign == 1 else [tuple([-x for x in c]) for c in cols]
+    yield from true[lazy:]  # a lazy fold has yielded column 0
+    star = matrix_from_lattice(Lattice(lat.scale, tuple(true)))
+    return KleeneStar(p.flavor, star, _packed=(cols, lanes, guard, size))
 
 
 def _drained(gen: Generator[object, None, KleeneStar]) -> KleeneStar:
@@ -154,17 +238,17 @@ def dominator(p: Polytope) -> KleeneStar:
     the infimum of the slice ``u_i >= 0`` is attained by scaling each
     generator to have i-th coordinate 0 and taking the componentwise min.  A
     min-plus p swaps min for max and lower for upper bounds (``u_i <= 0``).
-    The fold forms n(n-1)/2 row differences of length m.
+    The fold takes a lanewise min over the m generators on packed ints.
     """
-    return _drained(_fold(p))
+    return _drained(_fold(p, lazy=False))
 
 
-def _failing_columns(p: Polytope) -> Generator[int, bool | None, KleeneStar]:
+def _failing_columns(p: Polytope, lazy: bool = True) -> Generator[int, bool | None, KleeneStar]:
     """Lazily, the indices of p's dominator columns outside p, each one set lookup as
     the fold yields it (see ``classify``).  Drained, or sent True after an index, it
     runs the rest of the fold untested and returns the dominator."""
-    shifted_generators = {_normalised(g) for g in p.generators.lattice.cols}
-    fold = _fold(p)
+    shifted_generators = set(map(_normalised, p.generators.lattice.cols))
+    fold = _fold(p, lazy)
     for i in range(p.ambient_dim):
         if _normalised(next(fold)) not in shifted_generators and (yield i):
             break
@@ -189,7 +273,7 @@ def classify(p: Polytope) -> Classification:
     shifted generator is in p.  The whole dominator is returned, so the fold runs to
     its end, but no column after the first failing one is tested.
     """
-    scan = _failing_columns(p)
+    scan = _failing_columns(p, lazy=False)
     i = None
     try:
         i = next(scan)

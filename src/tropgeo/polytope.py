@@ -105,16 +105,20 @@ def reduce_generators(p: Polytope) -> Polytope:
 def polytope_equal(p: Polytope, q: Polytope) -> bool:
     """Extensional equality: each generator of one is a member of the other.
 
-    Presentations are irrelevant; only the generated sets are compared.  The
-    two polytopes may carry different flavors: the test is then mutual
-    containment of generators, which coincides with set equality whenever
-    each span is also convex in the other flavor (Kleene star column spaces
-    are the motivating case).
+    Presentations are irrelevant; only the generated sets are compared.  A set
+    that is a polytope in both flavors is convex in both, so polytopes of
+    different flavors are equal iff each is convex in the other flavor and
+    holds the other's generators: then each holds the other's span.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionError(
             f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}"
         )
+    if p.flavor is not q.flavor:
+        from .kleene import is_min_plus_convex  # only a comparison across flavors needs it
+
+        if not (is_min_plus_convex(p) and is_min_plus_convex(q)):
+            return False
     return all(member(q, g) for g in p) and all(member(p, g) for g in q)
 
 

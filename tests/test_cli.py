@@ -231,6 +231,18 @@ class TestPolytopeCommands:
         code, out, _ = cli(capsys, "equal", "--file", a, "--other", b)
         assert code == 0 and out.strip() == "true"
 
+    def test_equal_across_flavors(self, capsys, tmp_path):
+        """The same columns (0,0,0) and (0,2,1) span different sets in the two
+        flavors, though each column lies in the other span."""
+        doc = {"rows": 3, "cols": 2, "entries": ["0", "0", "0", "2", "0", "1"], "role": "generators-as-columns"}
+        a = write(tmp_path, "a.json", {"flavor": "max-plus", **doc})
+        b = write(tmp_path, "b.json", {"flavor": "min-plus", **doc})
+        for first, second in ((a, b), (b, a)):
+            code, out, _ = cli(capsys, "equal", "--file", first, "--other", second)
+            assert (code, out) == (0, "false\n")
+            code, out, _ = cli(capsys, "equal", "--file", first, "--other", second, "--assert")
+            assert (code, out) == (3, "false\n")
+
     def test_star_check_uses_file_flavor_and_override(self, capsys, tmp_path):
         neg = write(tmp_path, "neg.json", {
             "flavor": "max-plus", "rows": 2, "cols": 2,
@@ -687,6 +699,7 @@ ADDED_MODULES = {
     "classify": {"tropgeo.kleene"},
     "reduce": {"tropgeo.polytope"},
     "sample-midpoints": {"tropgeo.kleene", "tropgeo.polytope", "random"},
+    "equal": {"tropgeo.polytope"},  # kleene only for polytopes of different flavors
 }
 
 
@@ -718,7 +731,8 @@ class TestStartup:
     def test_subcommand_loads_only_the_modules_it_runs(self, tmp_path, command):
         obj = {**SEGMENT_DOC, "cols": 4, "entries": ["0", "1/2", "-1", "2", "0", "0", "3", "-1", "1", "-2", "0", "1"]}
         argv = [command, "--file", write(tmp_path, "g.json", obj)]
-        argv += {"member": ["--y", "0,1,2"], "sample-midpoints": ["--trials", "20"]}.get(command, [])
+        extra = {"member": ["--y", "0,1,2"], "sample-midpoints": ["--trials", "20"], "equal": ["--other", argv[2]]}
+        argv += extra.get(command, [])
         loaded = _modules_loaded_by(f"assert tropgeo.cli.run({argv!r}) == 0")
         ours = {m for m in loaded if m.split(".")[0] == "tropgeo" or m == "random"}
         assert ours == BASE_MODULES | ADDED_MODULES[command]

@@ -1,13 +1,17 @@
-"""Seeded tests of the dominator fold, which forms each row difference once.
+"""Seeded tests of the dominator fold, a lanewise min over packed lanes.
 
-``kleene.dominator`` visits each unordered pair of signed rows i < j once and
-takes both ``D_ji`` (the min of ``v_j - v_i``) and ``D_ij`` (its negated max)
-from one difference.  These tests compare its lattice ints with the fold over
-every ordered pair in ``oracles.py``, and its entries with the Fraction
-column folds there, in both flavors: at n = 1, 2 and 3, on equal and shifted
-rows and on scaled duplicate columns, on ints wider than 64 bits and on a
-48x60 input.  They need neither pytest nor hypothesis, so any Python the
-package supports can run them as a script:
+``kleene.dominator`` packs the signed generator ints into lanes of whole
+bytes and takes, generator by generator, the lanewise min of
+``v_j - v_i`` for every pair of rows at once; the star it builds is
+checked on the same lanes.  These tests compare its lattice ints with the
+fold over every ordered pair in ``oracles.py``, and its entries with the
+Fraction column folds there, in both flavors: at n = 1, 2 and 3 and m = 1,
+on equal and shifted rows and on scaled duplicate columns, on ints wider
+than 64 bits, on lattice spans at each lane-width boundary, and on a 48x60
+input.  A fold whose lanes are bumped, or replaced by any matrix in the
+fold's range, must still be refused exactly when it is no Kleene star.
+They need neither pytest nor hypothesis, so any Python the package supports
+can run them as a script:
 
     PYTHONPATH=src:tests python tests/test_kleene_fold.py
 """
@@ -15,9 +19,9 @@ package supports can run them as a script:
 import random
 from fractions import Fraction
 
-from tropgeo import Flavor, Polytope, TropMatrix, dominator
+from tropgeo import Flavor, Polytope, TropMatrix, dominator, kleene
 
-from oracles import dominator_columns, fold_over_ordered_pairs
+from oracles import dominator_columns, fold_over_ordered_pairs, is_star_by_product
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -94,6 +98,94 @@ def test_fold_beyond_64_bits():
 def test_seeded_48x60():
     rng = random.Random(4860)
     assert agree(random_matrix(rng, 48, 60)) > 0
+
+
+def test_fold_at_lane_edges():
+    """Lattice spans t = 2^k - 2 .. 2^k + 2 for k at the byte boundaries of the
+    fold's lanes: entries x/2 with x in [0, t], 0, 1 and t among them, so that
+    the lattice scale is 2 and the span of the lattice ints is t.  The fold
+    compares differences of up to t, and its star check sums three entries of
+    up to t, so these spans cross from one lane width to the next."""
+    for k in (7, 8, 15, 16, 63, 64):
+        for t in range(2**k - 2, 2**k + 3):
+            rng = random.Random(t)
+            for n, m in ((1, 3), (2, 1), (2, 3), (3, 2), (4, 9)):
+                xs = [0, 1, t] + [rng.choice((0, 1, t - 1, t, rng.randint(0, t))) for _ in range(n * m)]
+                rng.shuffle(xs)
+                xs[: min(3, n * m)] = [0, 1, t][: min(3, n * m)]
+                v = matrix([[Fraction(xs[i * m + j], 2) for j in range(m)] for i in range(n)])
+                assert agree(v) <= t
+                if n * m >= 3:
+                    assert v.lattice.scale == 2
+
+
+def folded_into(p: Polytope, change) -> tuple:
+    """``dominator(p).matrix``, or None when its star check refuses it, after the
+    packed kernel's lanes, as p's signed lattice ints in column-major order, are
+    replaced by ``change(ints, n, span)``; and the matrix those ints stand for."""
+    original = kleene._lanewise_min
+    changed = []
+
+    def kernel(gens, rows, n, size, guard, span):
+        lanes = original(gens, rows, n, size, guard, span)
+        changed[:] = change([x - (1 << guard) for x in kleene._unpack(lanes, size)], n, span)
+        return kleene._pack([x + (1 << guard) for x in changed], size)
+
+    kleene._lanewise_min = kernel
+    try:
+        got = dominator(p).matrix
+    except ValueError:
+        got = None
+    finally:
+        kleene._lanewise_min = original
+    n, scale = p.ambient_dim, p.generators.lattice.scale
+    meant = matrix([[Fraction(p.flavor.sign * changed[c * n + r], scale) for c in range(n)] for r in range(n)])
+    return got, meant
+
+
+def test_fold_fed_star_check():
+    """The star check that a fold runs on its own lanes still refuses exactly the
+    non-stars: the dominator bumped by one lattice step 1/L at an off-diagonal
+    entry, and zero-diagonal matrices with entries anywhere in the fold's range
+    ``[-span, span]`` (the fold's diagonal is 0 by construction)."""
+    rng = random.Random(2104)
+    answers = set()
+    for n, m in ((2, 3), (3, 4), (4, 6), (6, 5)):
+        for _ in range(8):
+            v = random_matrix(rng, n, m, (1, 2, 3, 10, 65537, 2**61 - 1))
+            i, j = rng.sample(range(n), 2)
+            by = rng.choice((1, -1))
+
+            def bump(ints, n, span):
+                ints[i * n + j] += by
+                return ints
+
+            def anywhere(ints, n, span):
+                ends = (-span, span, -span + 1, span - 1)
+                choices = [rng.choice(ends + (rng.randint(-span, span),)) for _ in range(n * n)]
+                return [0 if c % (n + 1) == 0 else x for c, x in enumerate(choices)]
+
+            for f in (MAX, MIN):
+                for change in (bump, anywhere):
+                    got, meant = folded_into(Polytope(f, v), change)
+                    star = is_star_by_product(f is MAX, meant)
+                    answers.add(star)
+                    assert (got is not None) == star, (f, v, change.__name__)
+                    assert got is None or got == meant
+    assert answers == {True, False}
+    # every 3x3 pattern of the range's ends off the diagonal, whose triangle sums
+    # a_ij - a_ik - a_kj reach -3 span and 3 span
+    for t in (5, 6, 11, 12, 23, 24, 2**20 + 1, 3 * 2**20, 2**62 + 1, 3 * 2**62):
+        v = matrix([[0, t, 1, 2], [t, 0, 2, 1], [1, 2, t, 0]])
+        for signs in range(64):
+
+            def pattern(ints, n, span, signs=signs):
+                ends = iter(span if signs >> b & 1 else -span for b in range(6))
+                return [0 if c % 4 == 0 else next(ends) for c in range(9)]
+
+            for f in (MAX, MIN):
+                got, meant = folded_into(Polytope(f, v), pattern)
+                assert (got is not None) == is_star_by_product(f is MAX, meant), (t, signs, f)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def agree(a: TropMatrix) -> bool:
 def test_star_check_at_lane_edges():
     """Spans whose double is 2^k - 2 .. 2^k + 2, for k at the lane-width
     boundaries: 2·span = 2^k ± 1 is a half-integer span, which the lattice
-    scale 2 doubles to 2^(k+1) ± 2.  Lanes of 1, 2, 3, 8 and 9 bytes."""
+    scale 2 doubles to 2^(k+1) ± 2.  At each k the lanes widen by a byte or more."""
     n = 4
     for k in (7, 8, 15, 16, 63, 64):
         answers = set()

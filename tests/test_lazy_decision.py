@@ -9,16 +9,16 @@ oracles in ``oracles.py``, in both flavors (min-plus by negation): on inputs
 that fail at column 0, on inputs that fail only at their last column (an
 input with one failing column, its coordinates permuted), at n = 1 and m = 1,
 on dominators and on polytropes padded with span members.  Counting through
-the module's ``sub`` and ``_star_defect``, they check that a "no" at column 0
-forms n - 1 row differences and builds no star, that ``classify`` tests no
-column after the first failing one, and that a drained fold builds exactly
-one.  They need neither pytest nor hypothesis, so any Python
-the package supports can run them as a script:
+the module's packed kernel ``_lanewise_min`` and ``_star_defect``, they check
+that a "no" at column 0 folds column 0 alone and builds no star, that
+``classify`` folds every column in one kernel call and tests no column after
+the first failing one, and that a drained fold builds exactly one star.
+They need neither pytest nor hypothesis, so any Python the package supports
+can run them as a script:
 
     PYTHONPATH=src:tests python tests/test_lazy_decision.py
 """
 
-import operator
 import random
 from fractions import Fraction
 from itertools import islice
@@ -116,9 +116,18 @@ def counted(name: str, replacement, call, p: Polytope) -> int:
     return count
 
 
-def differences_formed(call, p: Polytope) -> int:
-    """Row differences the fold forms during ``call(p)``: its ``sub`` calls over m."""
-    return counted("sub", operator.sub, call, p) // p.n_generators
+def columns_folded(call, p: Polytope) -> list:
+    """The dominator columns each call of the packed kernel folds during ``call(p)``,
+    in order: its ``rows`` hold one lane per generator and column."""
+    folded = []
+
+    def kernel(gens, rows, n, *rest):
+        folded.append(len(rows) * n // len(gens))
+        return lanewise_min(gens, rows, n, *rest)
+
+    lanewise_min = kleene._lanewise_min
+    counted("_lanewise_min", kernel, call, p)
+    return folded
 
 
 def columns_tested(call, p: Polytope) -> int:
@@ -151,10 +160,10 @@ def test_inputs_that_fail_at_column_0():
                 continue
             seen += 1
             for q in (p, negated(p)):
-                assert differences_formed(is_min_plus_convex, q) == n - 1
-                assert differences_formed(verify_dominator_relation, q) == n - 1
-                assert differences_formed(guided_pairs(1), q) == n - 1
-                assert differences_formed(classify, q) == n * (n - 1) // 2
+                assert columns_folded(is_min_plus_convex, q) == [1]
+                assert columns_folded(verify_dominator_relation, q) == [1]
+                assert columns_folded(guided_pairs(1), q) == [1]
+                assert columns_folded(classify, q) == [n]
                 # the generators' shifted forms, then column 0 alone
                 assert columns_tested(classify, q) == columns_tested(is_min_plus_convex, q) == m + 1
                 assert stars_built(is_min_plus_convex, q) == 0
@@ -167,7 +176,8 @@ def test_inputs_that_fail_only_at_the_last_column():
     assert decide(p) == [2]
     assert classify(p).witness == TropVector((Fraction(-5, 2), Fraction(-5, 2), Fraction(0)))
     for q in (p, negated(p)):
-        assert differences_formed(is_min_plus_convex, q) == 3
+        assert columns_folded(is_min_plus_convex, q) == [1, 3]
+        assert columns_folded(classify, q) == [3]
         assert stars_built(is_min_plus_convex, q) == 0
     rng = random.Random(1802)
     seen = 0
@@ -212,7 +222,8 @@ def test_a_drained_fold_builds_one_checked_star():
             assert stars_built(guided_pairs(5), q) == 1
             # its own dominator, and that of the presentation in the other flavor
             assert stars_built(verify_dominator_relation, q) == 2
-            assert differences_formed(is_min_plus_convex, q) == n * (n - 1) // 2
+            assert columns_folded(is_min_plus_convex, q) == [1, n]
+            assert columns_folded(dominator, q) == [n]
             assert columns_tested(classify, q) == n + q.n_generators
     p = random_polytope(rng, 8, 10)
     assert failing_by_oracle(p)

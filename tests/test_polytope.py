@@ -108,6 +108,17 @@ class TestPolytopeEqual:
         with pytest.raises(DimensionError):
             polytope_equal(poly(MAX, (0, 1)), poly(MAX, (0, 1, 2)))
 
+    def test_across_flavors(self):
+        """Each generator lies in the other span, yet (0,1,0) is in the max-plus
+        span and not in the min-plus one: neither span is convex in the other flavor."""
+        p, q = poly(MAX, (0, 0, 0), (0, 2, 1)), poly(MIN, (0, 0, 0), (0, 2, 1))
+        assert all(member(q, g) for g in p) and all(member(p, g) for g in q)
+        assert member(p, vec(0, 1, 0)) and not member(q, vec(0, 1, 0))
+        assert not polytope_equal(p, q) and not polytope_equal(q, p)
+        # a segment of the plane is a polytrope: both flavors span it
+        assert polytope_equal(poly(MAX, (0, 1), (1, 0)), poly(MIN, (0, 1), (1, 0)))
+        assert not polytope_equal(poly(MAX, (0, 1), (1, 0)), poly(MIN, (0, 1), (2, 0)))
+
     @given(max_plus_polytopes(), st.data())
     def test_invariant_under_permutation_and_scaling(self, p, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
