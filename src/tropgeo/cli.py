@@ -123,7 +123,7 @@ def _load_document(path: str) -> MatrixDocument:
 
 def _polytope(args, path: str | None = None) -> Polytope:
     """The polytope in ``--file`` (or at ``path``), of the flavor the subcommand requires."""
-    path = path or args.file
+    path = args.file if path is None else path
     p = _load_document(path).to_polytope()
     if args.require is not None and p.flavor is not args.require:
         raise FlavorError(f"{path}: expected a {args.require.value} polytope, got {p.flavor.value}")
@@ -192,7 +192,7 @@ def _cmd_project(args) -> int:
 
     x = _vector_or_file(args)
     points = [projectivise(x)] if x is not None else projectivise_generators(_polytope(args))
-    if args.emit_csv:
+    if args.emit_csv is not None:
         _write_points_csv(args.emit_csv, points)
         _note(args, f"wrote {len(points)} points to {args.emit_csv}")
     if x is not None:

@@ -20,6 +20,7 @@ from operator import add, sub
 
 from .core import (
     DimensionError,
+    Flavor,
     Frozen,
     Lattice,
     TropMatrix,
@@ -37,10 +38,8 @@ def projectivise(x: TropVector) -> TropVector:
     Returns the remaining n-1 coordinates ``x_i - x_0``; two vectors project
     to the same point iff one is a tropical scaling of the other.
     """
-    if len(x) < 2:
-        raise DimensionError("projectivisation needs dimension >= 2")
-    first = x[0]
-    return TropVector(tuple(e - first for e in x.entries[1:]))
+    (point,) = projectivise_generators(Polytope(Flavor.MAX_PLUS, TropMatrix(tuple((e,) for e in x))))
+    return point
 
 
 def projectivise_generators(p: Polytope) -> list[TropVector]:

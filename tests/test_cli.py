@@ -11,9 +11,11 @@ import pytest
 
 import tropgeo
 from tropgeo import Flavor, docio, parse_matrix_document, serialize_matrix_document
-from tropgeo.cli import MAX_TRIALS, build_parser, run
+from tropgeo.cli import build_parser, run
 from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
+
+from test_golden import check_case, run_as_module
 
 SEGMENT_DOC = {
     "flavor": "max-plus",
@@ -101,80 +103,65 @@ class TestDocumentParsing:
         assert parse_vector(format_vector(v)) == v
 
 
+def golden(*cases):
+    """A test that runs golden cases.
+
+    Each test built this way once checked single ``cli.run`` calls; the cases
+    in ``tests/golden/`` now pin their full bytes, and the test keeps its name
+    as a pointer to them.
+    """
+
+    def test(self):
+        for case in cases:
+            check_case(case)
+
+    return test
+
+
 class TestScalarAndBooleanCommands:
-    def test_bracket_integral_prints_bare(self, capsys):
-        code, out, _ = cli(capsys, "bracket", "--x", "1,0,0", "--y", "0,0,0")
-        assert code == 0 and out.strip() == "-1"
-
-    def test_bracket_fractional_prints_quoted(self, capsys):
-        code, out, _ = cli(capsys, "bracket", "--x", "0,0", "--y", "1/2,1")
-        assert code == 0 and json.loads(out) == "1/2"
-
-    def test_bracket_dimension_mismatch_is_exit_2(self, capsys):
-        code, _, err = cli(capsys, "bracket", "--x", "1,0", "--y", "0,0,0")
-        assert code == 2 and "length" in err
-
-    def test_bad_rational_flag_is_exit_1(self, capsys):
-        code, _, err = cli(capsys, "bracket", "--x", "1,zebra", "--y", "0,0")
-        assert code == 1 and "not a rational" in err
-
-    def test_dominates_vector_mode(self, capsys):
-        code, out, _ = cli(capsys, "dominates", "--x", "0,0", "--y", "0,1", "--i", "0")
-        assert code == 0 and out.strip() == "true"
-        code, out, _ = cli(capsys, "dominates", "--x", "0,0", "--y", "0,1", "--i", "1")
-        assert code == 0 and out.strip() == "false"
-
-    def test_dominates_polytope_mode(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", {
-            "flavor": "max-plus", "rows": 3, "cols": 1,
-            "entries": ["0", "1", "2"], "role": "generators-as-columns",
-        })
-        code, out, _ = cli(capsys, "dominates", "--x", "0,0,0", "--file", gens, "--i", "0")
-        assert code == 0 and out.strip() == "true"
-        code, out, _ = cli(capsys, "dominates", "--x", "0,0,0", "--file", gens, "--i", "2")
-        assert code == 0 and out.strip() == "false"
-
-    def test_dominates_requires_one_target(self, capsys, tmp_path):
-        code, _, err = cli(capsys, "dominates", "--x", "0,0", "--i", "0")
-        assert code == 1 and "exactly one" in err
-
-    def test_dominates_position_out_of_range_is_exit_2(self, capsys):
-        code, _, _ = cli(capsys, "dominates", "--x", "0,0", "--y", "0,1", "--i", "5")
-        assert code == 2
-
-    def test_assert_flag(self, capsys):
-        code, _, _ = cli(capsys, "dominates", "--x", "0,0", "--y", "0,1", "--i", "1", "--assert")
-        assert code == 3
+    test_bracket_integral_prints_bare = golden("bracket-integral")
+    test_bracket_fractional_prints_quoted = golden("bracket-fractional")
+    test_bracket_dimension_mismatch_is_exit_2 = golden("bracket-dimension-mismatch")
+    test_bad_rational_flag_is_exit_1 = golden("bracket-non-rational")
+    test_dominates_vector_mode = golden("dominates-vector-at-0", "dominates-vector-at-1")
+    test_dominates_polytope_mode = golden("dominates-polytope-at-0", "dominates-polytope-at-2")
+    test_dominates_requires_one_target = golden("dominates-no-target")
+    test_dominates_position_out_of_range_is_exit_2 = golden("dominates-position-out-of-range")
+    test_assert_flag = golden("dominates-vector-assert")
 
 
 class TestPolytopeCommands:
-    def test_member_document(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, _ = cli(capsys, "member", "--file", gens, "--y", "0,1/2,1")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc == {"member": False, "projection": "(0,0,1)"}
-        code, _, _ = cli(capsys, "member", "--file", gens, "--y", "0,1/2,1", "--assert")
-        assert code == 3
+    test_member_document = golden("member-segment", "member-segment-assert")
+    test_member_accepts_parenthesized_vector = golden("member-parenthesized")
+    test_reduce_round_trips = golden("reduce-three")
+    test_project_single_vector = golden("project-vector")
+    test_project_file_needs_dimension_2 = golden("project-dimension-1")
+    test_project_needs_exactly_one_input = golden("project-no-input")
+    test_equal = golden("equal-same-set")
+    test_equal_across_flavors = golden(
+        "equal-cross-flavor", "equal-cross-flavor-assert",
+        "equal-cross-flavor-reversed", "equal-cross-flavor-reversed-assert",
+    )
+    test_star_check_uses_file_flavor_and_override = golden("star-check-file-flavor", "star-check-flavor-override")
+    test_star_check_counterexample = golden("star-check-swap", "star-check-swap-assert")
+    test_dominator_rejects_min_plus_file = golden("dominator-wrong-flavor", "dominator-dual-wrong-flavor")
+    test_dominator_dual = golden("dominator-dual-2x2")
+    test_hull_min = golden("hull-min-segment")
+    test_convex_check = golden("convex-check-segment")
+    test_classify_document = golden("classify-segment", "classify-segment-assert")
+    test_classify_polytrope_has_null_witness = golden("classify-null-witness")
+    test_dual_maps = golden("dual-rho-swap", "dual-chi-neg")
+    test_dom_relation = golden("dom-relation-2x2")
+    test_dom_relation_precondition_is_exit_2 = golden("dom-relation-segment")
 
-    def test_member_accepts_parenthesized_vector(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, _ = cli(capsys, "member", "--file", gens, "--y", "(0,1,2)")
-        assert code == 0 and json.loads(out)["member"] is True
-
-    def test_reduce_round_trips(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", {
-            "flavor": "max-plus", "rows": 2, "cols": 3,
-            "entries": ["0", "1", "0", "1", "0", "0"], "role": "generators-as-columns",
-        })
-        code, out, _ = cli(capsys, "reduce", "--file", gens)
-        assert code == 0
-        doc = parse_matrix_document(out)
-        assert doc.cols == 2 and doc.role == "generators-as-columns"
-
-    def test_project_single_vector(self, capsys):
-        code, out, _ = cli(capsys, "project", "--x", "1,0,0")
-        assert code == 0 and json.loads(out) == "(-1,-1)"
+    @pytest.mark.parametrize(
+        "command, flavor, wanted",
+        [(c, "min-plus", "max-plus") for c in ("dominator", "hull-min", "convex-check", "classify", "dom-relation")]
+        + [("dominator-dual", "max-plus", "min-plus")],
+    )
+    def test_flavor_guard_is_one_line_exit_2(self, command, flavor, wanted):
+        # flavor and wanted name the test; the case holds the document and the message
+        check_case(f"{command}-wrong-flavor")
 
     def test_project_file_and_csv(self, capsys, tmp_path):
         gens = write(tmp_path, "g.json", SEGMENT_DOC)
@@ -200,65 +187,16 @@ class TestPolytopeCommands:
     @pytest.mark.parametrize("flavor", ["max-plus", "min-plus"])
     def test_project_file_matches_projectivise_per_generator(self, capsys, tmp_path, flavor):
         """The points are computed on the lattice; the bytes must be those of
-        ``projectivise`` applied to each generator."""
+        ``e - g[0]`` on each generator g's Fractions."""
         rng = random.Random(5)
         rows, cols = 6, 9
         entries = [f"{rng.randint(-20, 20)}/{rng.choice([1, 2, 3, 7, 10])}" for _ in range(rows * cols)]
         obj = {"flavor": flavor, "rows": rows, "cols": cols, "entries": entries, "role": "generators-as-columns"}
         code, out, _ = cli(capsys, "project", "--file", write(tmp_path, "g.json", obj))
-        points = [tropgeo.projectivise(g) for g in parse_matrix_document(json.dumps(obj)).to_polytope()]
+        gens = [[Fraction(entries[i * cols + k]) for i in range(rows)] for k in range(cols)]
+        points = [vec(*[e - g[0] for e in g[1:]]) for g in gens]
         assert code == 0
         assert out == json.dumps({"points": [format_vector(pt) for pt in points]}, indent=2) + "\n"
-
-    def test_project_file_needs_dimension_2(self, capsys, tmp_path):
-        obj = {"flavor": "max-plus", "rows": 1, "cols": 2, "entries": ["1", "2"], "role": "generators-as-columns"}
-        code, out, err = cli(capsys, "project", "--file", write(tmp_path, "g.json", obj))
-        assert (code, out) == (2, "") and "dimension >= 2" in err
-
-    def test_project_needs_exactly_one_input(self, capsys):
-        code, _, _ = cli(capsys, "project")
-        assert code == 1
-
-    def test_equal(self, capsys, tmp_path):
-        a = write(tmp_path, "a.json", {
-            "flavor": "max-plus", "rows": 2, "cols": 2,
-            "entries": ["0", "1", "1", "0"], "role": "generators-as-columns",
-        })
-        b = write(tmp_path, "b.json", {
-            "flavor": "max-plus", "rows": 2, "cols": 3,
-            "entries": ["0", "1", "0", "1", "0", "0"], "role": "generators-as-columns",
-        })
-        code, out, _ = cli(capsys, "equal", "--file", a, "--other", b)
-        assert code == 0 and out.strip() == "true"
-
-    def test_equal_across_flavors(self, capsys, tmp_path):
-        """The same columns (0,0,0) and (0,2,1) span different sets in the two
-        flavors, though each column lies in the other span."""
-        doc = {"rows": 3, "cols": 2, "entries": ["0", "0", "0", "2", "0", "1"], "role": "generators-as-columns"}
-        a = write(tmp_path, "a.json", {"flavor": "max-plus", **doc})
-        b = write(tmp_path, "b.json", {"flavor": "min-plus", **doc})
-        for first, second in ((a, b), (b, a)):
-            code, out, _ = cli(capsys, "equal", "--file", first, "--other", second)
-            assert (code, out) == (0, "false\n")
-            code, out, _ = cli(capsys, "equal", "--file", first, "--other", second, "--assert")
-            assert (code, out) == (3, "false\n")
-
-    def test_star_check_uses_file_flavor_and_override(self, capsys, tmp_path):
-        neg = write(tmp_path, "neg.json", {
-            "flavor": "max-plus", "rows": 2, "cols": 2,
-            "entries": ["0", "-1", "-1", "0"], "role": "matrix",
-        })
-        code, out, _ = cli(capsys, "star-check", "--file", neg)
-        assert code == 0 and out.strip() == "true"
-        code, out, _ = cli(capsys, "star-check", "--file", neg, "--flavor", "min-plus")
-        assert code == 0 and out.strip() == "false"
-
-    def test_star_check_counterexample(self, capsys, tmp_path):
-        swap = write(tmp_path, "m.json", SWAP_DOC)
-        code, out, _ = cli(capsys, "star-check", "--flavor", "max-plus", "--file", swap)
-        assert code == 0 and out.strip() == "false"
-        code, _, _ = cli(capsys, "star-check", "--flavor", "max-plus", "--file", swap, "--assert")
-        assert code == 3
 
     def test_dominator_output_feeds_star_check(self, capsys, tmp_path):
         gens = write(tmp_path, "g.json", SEGMENT_DOC)
@@ -271,102 +209,18 @@ class TestPolytopeCommands:
         code, out2, _ = cli(capsys, "star-check", "--file", str(dom_path))
         assert code == 0 and out2.strip() == "true"
 
-    def test_dominator_rejects_min_plus_file(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", {**SEGMENT_DOC, "flavor": "min-plus"})
-        code, _, err = cli(capsys, "dominator", "--file", gens)
-        assert code == 2 and "max-plus" in err
-        # the dual command shares the handler and checks the other flavor
-        code, _, err = cli(capsys, "dominator-dual", "--file", write(tmp_path, "h.json", SEGMENT_DOC))
-        assert code == 2 and "expected a min-plus polytope" in err
-
-    @pytest.mark.parametrize(
-        "command, flavor, wanted",
-        [(c, "min-plus", "max-plus") for c in ("dominator", "hull-min", "convex-check", "classify", "dom-relation")]
-        + [("dominator-dual", "max-plus", "min-plus")],
-    )
-    def test_flavor_guard_is_one_line_exit_2(self, capsys, tmp_path, command, flavor, wanted):
-        """The ``require=`` table is the only flavor check: the library takes either flavor."""
-        gens = write(tmp_path, "g.json", {**SEGMENT_DOC, "flavor": flavor})
-        code, out, err = cli(capsys, command, "--file", gens)
-        assert (code, out) == (2, "")
-        assert err == f"error: {gens}: expected a {wanted} polytope, got {flavor}\n"
-
-    def test_dominator_dual(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", {
-            "flavor": "min-plus", "rows": 2, "cols": 2,
-            "entries": ["0", "1", "1", "0"], "role": "generators-as-columns",
-        })
-        code, out, _ = cli(capsys, "dominator-dual", "--file", gens)
-        assert code == 0
-        doc = parse_matrix_document(out)
-        assert doc.to_matrix().entries == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-
-    def test_hull_min(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, _ = cli(capsys, "hull-min", "--file", gens)
-        assert code == 0
-        doc = parse_matrix_document(out)
-        assert doc.role == "generators-as-columns"
-        assert [str(e) for e in doc.entries] == ["0", "-1", "-2", "0", "0", "-1", "0", "0", "0"]
-
-    def test_convex_check(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, _ = cli(capsys, "convex-check", "--file", gens)
-        assert code == 0 and out.strip() == "false"
-
-    def test_classify_document(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, _ = cli(capsys, "classify", "--file", gens)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["is_polytrope"] is False
-        assert doc["is_min_plus_convex"] is False
-        assert doc["witness"] == "(-1,0,0)"
-        assert doc["dominator"]["entries"] == ["0", "-1", "-2", "0", "0", "-1", "0", "0", "0"]
-        code, asserted, _ = cli(capsys, "classify", "--file", gens, "--assert")
-        assert code == 3 and asserted == out
-
-    def test_classify_polytrope_has_null_witness(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", {
-            "flavor": "max-plus", "rows": 2, "cols": 2,
-            "entries": ["0", "-1", "-1", "0"], "role": "generators-as-columns",
-        })
-        code, out, _ = cli(capsys, "classify", "--file", gens)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["is_polytrope"] is True and doc["witness"] is None
-
-    def test_dual_maps(self, capsys, tmp_path):
-        swap = write(tmp_path, "m.json", SWAP_DOC)
-        code, out, _ = cli(capsys, "dual-rho", "--file", swap, "--r", "0,1")
-        assert code == 0 and json.loads(out) == "(0,1)"
-        neg = write(tmp_path, "neg.json", {**SWAP_DOC, "entries": ["0", "-1", "-1", "0"]})
-        code, out, _ = cli(capsys, "dual-chi", "--file", neg, "--c", "0,-1")
-        assert code == 0 and json.loads(out) == "(0,1)"
-
-    def test_dom_relation(self, capsys, tmp_path):
-        star = write(tmp_path, "k.json", {
-            "flavor": "max-plus", "rows": 2, "cols": 2,
-            "entries": ["0", "-1", "-1", "0"], "role": "generators-as-columns",
-        })
-        code, out, _ = cli(capsys, "dom-relation", "--file", star)
-        assert code == 0 and out.strip() == "true"
-
-    def test_dom_relation_precondition_is_exit_2(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, _, err = cli(capsys, "dom-relation", "--file", gens)
-        assert code == 2 and "min-plus convex" in err
-
 
 class TestSampling:
-    def test_byte_identical_runs(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code1, out1, _ = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "40", "--seed", "9")
-        code2, out2, _ = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "40", "--seed", "9")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        doc = json.loads(out1)
-        assert doc["seed"] == 9 and doc["violations"]
+    test_byte_identical_runs = golden("sample-midpoints-seed-9")
+    test_assert_no_violations = golden("sample-midpoints-seed-9-assert")
+    test_max_violations_stops_early = golden("sample-midpoints-stop-after-1")
+    test_trials_above_the_limit_is_exit_1 = golden(
+        "sample-midpoints-trials-above-limit", "sample-midpoints-trials-at-limit", "sample-midpoints-trials-0"
+    )
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_violations_below_one_is_exit_2(self, bound):
+        check_case(f"sample-midpoints-stop-after-{bound.replace('-', 'minus-')}")
 
     def test_env_seed_default_and_override(self, capsys, tmp_path, monkeypatch):
         gens = write(tmp_path, "g.json", SEGMENT_DOC)
@@ -382,49 +236,11 @@ class TestSampling:
         code, _, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "5")
         assert code == 1 and "TROPGEO_SEED" in err
 
-    def test_assert_no_violations(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, _, _ = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "40",
-                         "--seed", "9", "--assert")
-        assert code == 3
-
-    def test_max_violations_stops_early(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, _ = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "2000",
-                           "--seed", "9", "--max-violations", "1")
-        doc = json.loads(out)
-        assert code == 0 and len(doc["violations"]) == 1 and doc["trials"] < 2000
-
-    @pytest.mark.parametrize("bound", ["0", "-3"])
-    def test_max_violations_below_one_is_exit_2(self, capsys, tmp_path, bound):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        code, out, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "20",
-                             "--max-violations", bound)
-        assert code == 2 and out == "" and err == "error: max_violations must be >= 1\n"
-
-    def test_trials_above_the_limit_is_exit_1(self, capsys, tmp_path):
-        gens = write(tmp_path, "g.json", SEGMENT_DOC)
-        assert MAX_TRIALS == 100_000
-        code, out, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", str(MAX_TRIALS + 1))
-        assert code == 1 and out == "" and err == "error: --trials: at most 100000, got 100001\n"
-        # the limit itself is allowed; the first violation ends the run early
-        code, out, _ = cli(capsys, "sample-midpoints", "--file", gens, "--trials", str(MAX_TRIALS),
-                           "--seed", "9", "--max-violations", "1")
-        assert code == 0 and len(json.loads(out)["violations"]) == 1
-        code, out, err = cli(capsys, "sample-midpoints", "--file", gens, "--trials", "0")
-        assert code == 2 and out == "" and err == "error: trials must be >= 1\n"
-
 
 class TestErrorPaths:
-    def test_missing_file_is_exit_1(self, capsys):
-        code, _, err = cli(capsys, "classify", "--file", "/nonexistent/g.json")
-        assert code == 1
-
-    def test_malformed_json_is_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{")
-        code, _, err = cli(capsys, "classify", "--file", str(path))
-        assert code == 1 and "invalid JSON" in err
+    test_missing_file_is_exit_1 = golden("classify-missing-file")
+    test_malformed_json_is_exit_1 = golden("classify-malformed-json")
+    test_verbose_writes_summary_to_stderr = golden("bracket-verbose")
 
     def test_unknown_subcommand_is_exit_1(self, capsys):
         code, _, _ = cli(capsys, "frobnicate")
@@ -569,9 +385,21 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err == "error: 'a\\x00b': embedded null byte\n"
 
-    def test_verbose_writes_summary_to_stderr(self, capsys):
-        code, out, err = cli(capsys, "bracket", "--x", "1,0,0", "--y", "0,0,0", "--verbose")
-        assert code == 0 and out.strip() == "-1" and "bracket" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equal", "--file", "segment", "--other", ""],
+            ["equal", "--file", "segment", "--other", "", "--assert"],
+            ["project", "--file", "segment", "--emit-csv", ""],
+            ["project", "--x", "1,0,0", "--emit-csv", ""],
+        ],
+        ids=["other", "other-assert", "emit-csv", "x-emit-csv"],
+    )
+    def test_empty_path_is_exit_1(self, capsys, tmp_path, argv):
+        # a golden argv cannot hold an empty word
+        segment = write(tmp_path, "segment.json", SEGMENT_DOC)
+        code, out, err = cli(capsys, *[segment if a == "segment" else a for a in argv])
+        assert (code, out, err) == (1, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 # (subcommand, vector flag, the other arguments): every vector flag of every subcommand
@@ -615,20 +443,13 @@ class TestVectorFlags:
         assert all(r == results[0] for r in results), results
 
     def test_bare_negative_vector_from_the_command_line(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropgeo.cli", "bracket", "--x", "-1,0", "--y", "0,0"],
-            capture_output=True,
-            text=True,
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+        check_case("bracket-bare-negative", run_as_module)
 
     def test_flag_in_place_of_a_vector_is_exit_1(self, capsys):
         code, out, err = cli(capsys, "bracket", "--x", "--y", "0,0")
         assert code == 1 and out == "" and err == "error: argument --x: expected one argument\n"
 
-    def test_negative_position_is_exit_2(self, capsys):
-        code, out, err = cli(capsys, "dominates", "--x", "0,0", "--y", "0,0", "--i", "-1")
-        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    test_negative_position_is_exit_2 = golden("dominates-negative-position")
 
 
 def _readme_subcommands():
