@@ -18,7 +18,7 @@ _HOMES = {
         "is_min_plus_convex min_plus_hull verify_dominator_relation"
     ),
     "polytope": (
-        "MidpointReport polytope_equal projectivise random_member reduce_generators sample_euclidean_midpoints"
+        "MidpointReport polytope_equal projectivise reduce_generators sample_euclidean_midpoints"
     ),
     "docio": (
         "DocumentError MatrixDocument format_rational format_vector parse_matrix_document parse_rational "

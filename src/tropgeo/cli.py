@@ -55,6 +55,12 @@ EXIT_ASSERT = 3
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "TROPGEO_SEED"
 MAX_TRIALS = 100_000  # sample-midpoints: 100,000 trials on a 2x2 polytope take about 2.3 s
+# Work limits on n coordinates and m generators, checked before any work starts; at
+# each, the slowest input measured takes about 10 s (README "Limits")
+MAX_FOLD_DIM = 1_000  # n of a dominator: its n^3 star check alone takes about 9 s at 1,000
+MAX_FOLD_WORK = 50_000_000  # n*n*m of a dominator fold
+MAX_REDUCE_WORK = 64_000_000  # n*m*m of reduce
+MAX_EQUAL_WORK = 7_000_000  # n*m*m' of equal
 
 
 class CliUsageError(Exception):
@@ -121,13 +127,33 @@ def _load_document(path: str) -> MatrixDocument:
     return parse_matrix_document(text)
 
 
-def _polytope(args, path: str | None = None) -> Polytope:
-    """The polytope in ``--file`` (or at ``path``), of the flavor the subcommand requires."""
+def _polytope(args, path: str | None = None, fold: bool = False) -> Polytope:
+    """The polytope in ``--file`` (or at ``path``), of the flavor the subcommand requires;
+    with ``fold``, within the limits on folding its dominator."""
     path = args.file if path is None else path
     p = _load_document(path).to_polytope()
     if args.require is not None and p.flavor is not args.require:
         raise FlavorError(f"{path}: expected a {args.require.value} polytope, got {p.flavor.value}")
+    if fold:
+        _fold_limits(args, p, path)
     return p
+
+
+def _at_most(args, what: str, work: int, limit: int) -> None:
+    """Refuse an input whose ``work`` is above ``limit``, before the work starts."""
+    if work > limit:
+        raise CliUsageError(f"{what} is {work}: at most {limit} for {args.command}")
+
+
+def _fold_limits(args, p: Polytope, path: str) -> None:
+    """Refuse p if its dominator fold is above the work limits.  dom-relation also
+    folds the n x n presentation of the dominator in the other flavor."""
+    n, m = p.ambient_dim, p.n_generators
+    _at_most(args, f"{path}: dimension", n, MAX_FOLD_DIM)
+    if args.command == "dom-relation":
+        _at_most(args, f"{path}: n*n*(m+n)", n * n * (m + n), MAX_FOLD_WORK)
+    else:
+        _at_most(args, f"{path}: n*n*m", n * n * m, MAX_FOLD_WORK)
 
 
 def _vector_or_file(args) -> TropVector | None:
@@ -182,6 +208,7 @@ def _cmd_reduce(args) -> int:
     from .polytope import reduce_generators
 
     p = _polytope(args)
+    _at_most(args, f"{args.file}: n*m*m", p.ambient_dim * p.n_generators**2, MAX_REDUCE_WORK)
     reduced = reduce_generators(p)
     _note(args, f"kept {reduced.n_generators} of {p.n_generators} generators")
     return _matrix_result(args, reduced)
@@ -220,7 +247,13 @@ def _write_points_csv(path: str, points: list[TropVector]) -> None:
 def _cmd_equal(args) -> int:
     from .polytope import polytope_equal
 
-    result = polytope_equal(_polytope(args), _polytope(args, args.other))
+    p, q = _polytope(args), _polytope(args, args.other)
+    work = p.ambient_dim * p.n_generators * q.n_generators
+    _at_most(args, f"{args.file}, {args.other}: n*m*m'", work, MAX_EQUAL_WORK)
+    if p.flavor is not q.flavor:  # each is folded, to test it for convexity in the other flavor
+        _fold_limits(args, p, args.file)
+        _fold_limits(args, q, args.other)
+    result = polytope_equal(p, q)
     _note(args, f"equal: {result}")
     return _result(args, result, result)
 
@@ -239,14 +272,14 @@ def _cmd_matrix(args) -> int:
     """dominator, dominator-dual and hull-min: a matrix built from the polytope."""
     from . import kleene
 
-    return _matrix_result(args, getattr(kleene, args.build)(_polytope(args)))
+    return _matrix_result(args, getattr(kleene, args.build)(_polytope(args, fold=True)))
 
 
 def _cmd_decide(args) -> int:
     """convex-check and dom-relation: one boolean about a max-plus polytope."""
     from . import kleene
 
-    result = getattr(kleene, args.decide)(_polytope(args))
+    result = getattr(kleene, args.decide)(_polytope(args, fold=True))
     _note(args, f"{args.label}: {result}")
     return _result(args, result, result)
 
@@ -254,7 +287,7 @@ def _cmd_decide(args) -> int:
 def _cmd_classify(args) -> int:
     from .kleene import classify
 
-    result = classify(_polytope(args))
+    result = classify(_polytope(args, fold=True))
     star_doc = MatrixDocument.from_matrix(result.dominator.matrix, result.dominator.flavor, ROLE_MATRIX)
     _note(args, f"polytrope: {result.is_polytrope}")
     return _result(
@@ -282,7 +315,7 @@ def _cmd_sample_midpoints(args) -> int:
 
     if args.trials > MAX_TRIALS:
         raise CliUsageError(f"--trials: at most {MAX_TRIALS}, got {args.trials}")
-    p = _polytope(args)
+    p = _polytope(args, fold=True)
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR)

@@ -18,9 +18,7 @@ every int, large.
 
 The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
 here, and the result types of the other modules) are plain immutable classes
-on ``Frozen``, whose one constructor binds the arguments to the fields, not
-dataclasses: importing ``dataclasses`` cost about 15 ms of every CLI call.
-Each names its fields in ``__slots__``, so no instance carries a ``__dict__``.
+on ``Frozen``.
 """
 
 from __future__ import annotations
@@ -109,7 +107,8 @@ class Frozen:
     underscore are its ``_fields``, and this constructor binds positional,
     then keyword, arguments to them, raising ``TypeError`` as a function with
     that signature would.  Instances are equal only to instances of the same
-    class with equal fields, like a frozen dataclass, and have no
+    class with equal fields, like a frozen dataclass (importing
+    ``dataclasses`` cost about 15 ms of every CLI call), and have no
     ``__dict__``.  ``copy`` and ``pickle`` rebuild an instance through its
     constructor, so a copied ``KleeneStar`` is checked again.  Three classes
     keep their own ``__init__`` to validate: ``KleeneStar`` checks the star

@@ -11,28 +11,22 @@ exact rational decision with no geometry involved.  Every function here on
 a polytope takes either flavor: the dominator of a min-plus polytope is the
 negated max-plus one, a min-plus star whose column space is the max-plus
 hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
-One fold yields the dominator column by column: ``is_min_plus_convex``,
-``verify_dominator_relation`` and the sampler's guided pairs stop it at the
-first column outside P, which settles "no"; ``dominator`` and ``classify``
-run it to the end, which builds and checks the star.  It packs the signed
-lattice ints into lanes of whole bytes, so that a handful of big-int
-operations per generator take the lanewise min of all n^2 entries at once
-(``_lanewise_min``).
+The dominator fold packs the signed lattice ints into lanes of whole bytes, so
+that a handful of big-int operations per generator take the lanewise min of
+all n^2 entries at once (``_lanewise_min``).
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
 ``max_k (A_ik + A_kj)``, and the terms k = i and k = j are ``A_ij`` itself,
 so the product is at least A and equals it iff no term exceeds ``A_ij``.
 The check tests these n^3 inequalities on packed columns, four big-int
-operations for the n inequalities of one pair (j, k); a star the fold
-builds is checked on the fold's own lanes, which leave room for the check's
-guard bit.
+operations for the n inequalities of one pair (j, k).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Generator
+from collections.abc import Callable, Iterator
 from itertools import chain, repeat
 from operator import sub
 from sys import byteorder
@@ -96,11 +90,7 @@ def _star_defect(f: Flavor, a: TropMatrix, packed: tuple | None = None) -> str |
         for i, col in enumerate(cols):
             if col[i]:
                 return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
-        flat = [*chain.from_iterable(cols)]
-        lo = min(flat)  # <= 0: the diagonal is 0
-        guard = (2 * (max(flat) - lo)).bit_length()
-        size = _lane_bytes(guard + 1)
-        packed = cols, _pack([*map(sub, flat, repeat(lo))], size), guard, size
+        packed = cols, *_lanes(cols, 2)[:3]  # a zero diagonal: a triangle sum is within 2 span of 0
     cols, lanes, guard, size = packed
     width = size * len(cols)
     columns = [int.from_bytes(lanes[s : s + width], byteorder) for s in range(0, len(lanes), width)]
@@ -130,9 +120,16 @@ _CODES = {array(c).itemsize: c for c in "QLIHB"}  # an array type code for each 
 _PASS_BITS = 1 << 17  # the fold's passes stay within about this many bits
 
 
-def _lane_bytes(bits: int) -> int:
-    """Bytes of a lane of ``bits`` bits: 1, 2, 4 or 8, the array item sizes, or more."""
-    return 1 << ((bits - 1) >> 3).bit_length() if bits <= 64 else -(-bits // 8)
+def _lanes(cols: tuple[tuple[int, ...], ...], reach: int) -> tuple[bytes, int, int, int]:
+    """``(lanes, guard, size, span)``: ``cols``, column-major, each int less their least
+    in a lane of ``size`` bytes, which holds ``2**(guard + 1)``.  ``span`` is their
+    greatest less their least, and ``2**guard > reach * span``."""
+    flat = [*chain.from_iterable(cols)]
+    lo = min(flat)
+    span = max(flat) - lo
+    guard = (reach * span).bit_length()
+    size = 1 << (guard >> 3).bit_length() if guard < 64 else -(-(guard + 1) // 8)  # an array item size, or more
+    return _pack([*map(sub, flat, repeat(lo))], size), guard, size, span
 
 
 # Lanes of an array item's size are moved by the array module, wider ones one at a time.
@@ -195,39 +192,24 @@ def _lanewise_min(gens: bytes, rows: bytes, n: int, size: int, guard: int, span:
     return acc.to_bytes(bits // 8, byteorder)
 
 
-def _fold(p: Polytope, lazy: bool) -> Generator[tuple[int, ...], None, KleeneStar]:
-    """Column i of p's dominator on p's lattice scale, for i in order; drained, it
-    returns the dominator.  A ``lazy`` fold, for a caller that may stop at column 0,
-    computes that column on its own first."""
-    lat = p.generators.lattice
+def _fold(p: Polytope, head: bool = False) -> tuple[list[tuple[int, ...]], tuple]:
+    """p's dominator columns on p's lattice scale (column 0 alone when ``head``), and
+    the lanes they were folded in, as ``_star_defect`` reads them."""
     sign = p.flavor.sign
-    flat = [*chain.from_iterable(lat.cols_times(sign))]
     n = p.ambient_dim
-    lo = min(flat)
-    span = max(flat) - lo
-    guard = (3 * span).bit_length()  # D lies in [-span, span], and the check sums three entries
-    size = _lane_bytes(guard + 1)
-    gens = _pack([*map(sub, flat, repeat(lo))], size)
-    bias = 1 << guard
-    if lazy:
-        head = b"".join([gens[s : s + size] for s in range(0, len(gens), n * size)])
-        yield tuple([sign * (x - bias) for x in _unpack(_lanewise_min(gens, head, n, size, guard, span), size)])
-    lanes = _lanewise_min(gens, gens, n, size, guard, span)
-    values = [*map(sub, _unpack(lanes, size), repeat(bias))]
-    cols = [tuple(values[s : s + n]) for s in range(0, n * n, n)]
+    # D lies in [-span, span], and the star check sums three of its entries
+    gens, guard, size, span = _lanes(p.generators.lattice.cols_times(sign), 3)
+    rows = b"".join([gens[s : s + size] for s in range(0, len(gens), n * size)]) if head else gens
+    lanes = _lanewise_min(gens, rows, n, size, guard, span)
+    values = [*map(sub, _unpack(lanes, size), repeat(1 << guard))]
+    cols = [tuple(values[s : s + n]) for s in range(0, len(values), n)]
     true = cols if sign == 1 else [tuple([-x for x in c]) for c in cols]
-    yield from true[lazy:]  # a lazy fold has yielded column 0
-    star = matrix_from_lattice(Lattice(lat.scale, tuple(true)))
-    return KleeneStar(p.flavor, star, _packed=(cols, lanes, guard, size))
+    return true, (cols, lanes, guard, size)
 
 
-def _drained(gen: Generator[object, None, KleeneStar]) -> KleeneStar:
-    """Run ``gen`` to its end and return what it returns."""
-    try:
-        while True:
-            next(gen)
-    except StopIteration as end:
-        return end.value
+def _star(p: Polytope, cols: list[tuple[int, ...]], packed: tuple) -> KleeneStar:
+    """The checked dominator of p from ``_fold(p)``."""
+    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))), _packed=packed)
 
 
 def dominator(p: Polytope) -> KleeneStar:
@@ -238,21 +220,36 @@ def dominator(p: Polytope) -> KleeneStar:
     the infimum of the slice ``u_i >= 0`` is attained by scaling each
     generator to have i-th coordinate 0 and taking the componentwise min.  A
     min-plus p swaps min for max and lower for upper bounds (``u_i <= 0``).
-    The fold takes a lanewise min over the m generators on packed ints.
     """
-    return _drained(_fold(p, lazy=False))
+    return _star(p, *_fold(p))
 
 
-def _failing_columns(p: Polytope, lazy: bool = True) -> Generator[int, bool | None, KleeneStar]:
-    """Lazily, the indices of p's dominator columns outside p, each one set lookup as
-    the fold yields it (see ``classify``).  Drained, or sent True after an index, it
-    runs the rest of the fold untested and returns the dominator."""
+def _outside(p: Polytope) -> Callable[[tuple[int, ...]], bool]:
+    """Whether a dominator column of p, from ``_fold(p)``, lies outside p: one set
+    lookup of its shift to first coordinate 0 (see ``classify``)."""
     shifted_generators = set(map(_normalised, p.generators.lattice.cols))
-    fold = _fold(p, lazy)
-    for i in range(p.ambient_dim):
-        if _normalised(next(fold)) not in shifted_generators and (yield i):
-            break
-    return _drained(fold)
+    return lambda col: _normalised(col) not in shifted_generators
+
+
+def _failing_columns(p: Polytope) -> Iterator[int]:
+    """The indices of p's dominator columns outside p, in order.  Column 0 is
+    folded alone first, so a caller that stops there folds no other column."""
+    outside = _outside(p)
+    if outside(_fold(p, head=True)[0][0]):
+        yield 0
+    cols = _fold(p)[0]
+    yield from (i for i in range(1, len(cols)) if outside(cols[i]))
+
+
+def _convex_star(p: Polytope) -> KleeneStar | None:
+    """p's dominator if every column of it lies in p, else None.  Column 0 is
+    folded alone first, so most "no"s fold no other column; only a "yes" builds
+    the star."""
+    outside = _outside(p)
+    if outside(_fold(p, head=True)[0][0]):
+        return None
+    cols, packed = _fold(p)
+    return None if any(map(outside, cols[1:])) else _star(p, cols, packed)
 
 
 def min_plus_hull(p: Polytope) -> Polytope:
@@ -270,25 +267,20 @@ def classify(p: Polytope) -> Classification:
     every u in p with ``u_i >= 0`` satisfies ``u >= D_i``.  If ``D_i`` is in p,
     the term ``lambda_k + v_k`` that attains ``D_ii = 0`` has
     ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.  Conversely a
-    shifted generator is in p.  The whole dominator is returned, so the fold runs to
-    its end, but no column after the first failing one is tested.
+    shifted generator is in p.  No column after the first failing one is tested.
     """
-    scan = _failing_columns(p, lazy=False)
-    i = None
-    try:
-        i = next(scan)
-        scan.send(True)  # the first failing column is the witness: test no more
-    except StopIteration as drained:
-        star = drained.value
+    cols, packed = _fold(p)
+    star = _star(p, cols, packed)
+    outside = _outside(p)
+    i = next((i for i, col in enumerate(cols) if outside(col)), None)
     witness = None if i is None else star.matrix.col(i)
     return Classification(dominator=star, is_polytrope=i is None, witness=witness)
 
 
 def is_min_plus_convex(p: Polytope) -> bool:
     """True iff p is convex in the other semiring too (min-plus, for a max-plus
-    p).  The fold stops at the first dominator column outside p and builds no
-    star; a "yes" builds and checks the whole dominator, as ``classify`` does."""
-    return next(_failing_columns(p), None) is None
+    p).  A "yes" builds and checks the whole dominator, as ``classify`` does."""
+    return _convex_star(p) is not None
 
 
 def duality_rho(a: TropMatrix, r: TropVector) -> TropVector:
@@ -319,9 +311,8 @@ def verify_dominator_relation(p: Polytope) -> bool:
     first failing dominator column.
     """
     other = Flavor.MIN_PLUS if p.flavor is Flavor.MAX_PLUS else Flavor.MAX_PLUS
-    try:
-        next(_failing_columns(p))
-    except StopIteration as drained:  # no failing column: the scan built the whole star
-        negt = negate_transpose(drained.value.matrix)
-        return dominator(Polytope(other, negt)).matrix == negt
-    raise PreconditionError(f"polytope is not {other.value} convex; it has no dual dominator")
+    star = _convex_star(p)
+    if star is None:
+        raise PreconditionError(f"polytope is not {other.value} convex; it has no dual dominator")
+    negt = negate_transpose(star.matrix)
+    return dominator(Polytope(other, negt)).matrix == negt

@@ -2,11 +2,8 @@
 
 Redundancy elimination (extremal generators, see ``reduce_generators``),
 projectivisation (the cross-section of scaling orbits with first coordinate
-0), extensional equality, and a randomized falsifier for Euclidean convexity.
-The falsifier only ever *disproves* convexity: any point it reports really is
-an exact rational affine combination of two span members that fails
-membership.  The decision procedure for convexity lives in
-:mod:`tropgeo.kleene`; the sampler exists to cross-check it.  Min-plus
+0), extensional equality, and a randomized falsifier for Euclidean convexity
+that cross-checks the exact decision of :mod:`tropgeo.kleene`.  Min-plus
 results are negated max-plus ones, computed in one place (``Flavor.sign``).
 """
 
@@ -26,7 +23,6 @@ from .core import (
     TropMatrix,
     TropVector,
     _normalised,
-    from_lattice,
     matrix_from_lattice,
 )
 from .residuation import Polytope, member
@@ -173,25 +169,11 @@ class _Entries(dict):
         return e
 
 
-def _sampler_lattice(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
-    """p's generators on the scale ``S = L * lcm(1.._DEN_BOUND)``: ``(S, columns, steps)``.
-
-    A coefficient a/b with ``b <= _DEN_BOUND`` is the whole shift ``a * steps[b]``,
-    ``steps[b] = sign * S // b``; columns and shifts are times ``p.flavor.sign``.
-    """
-    lat = p.generators.lattice
-    sign = p.flavor.sign
-    unit = math.lcm(*range(1, _DEN_BOUND + 1))
-    scale = lat.scale * unit
-    steps = [0] + [sign * (scale // b) for b in range(1, _DEN_BOUND + 1)]
-    return scale, lat.cols_times(sign * unit), steps
-
-
 def _random_member_ints(
     rng: random.Random, cols: Sequence[Sequence[int]], steps: Sequence[int]
 ) -> list[int]:
-    """A random span member on the lattice of ``_sampler_lattice``: the max over a
-    random generator subset, each column shifted by a random coefficient."""
+    """A random span member on the sampler's lattice: the max over a random
+    generator subset, each column shifted by a random coefficient."""
     bits = rng.getrandbits
     picks = rng.sample(range(len(cols)), _below(bits, len(cols)) + 1)
     shifted = []
@@ -202,25 +184,12 @@ def _random_member_ints(
     return [*map(max, *shifted)] if len(shifted) > 1 else shifted[0]
 
 
-def random_member(rng: random.Random, p: Polytope) -> TropVector:
-    """A random span member: the midpoint sampler's draw, returned as Fractions.
-
-    Each generator of a random subset is scaled by a rational with
-    ``|numerator| <= _NUM_BOUND`` and denominator at most ``_DEN_BOUND``.
-    Draws come from ``rng.getrandbits`` and ``rng.sample``: what ``randint``
-    gives for ``Random`` and ``SystemRandom``, but not for a ``Random``
-    subclass that overrides ``random()`` and not ``getrandbits``.
-    """
-    scale, cols, steps = _sampler_lattice(p)
-    return TropVector(from_lattice((p.flavor.sign * x for x in _random_member_ints(rng, cols, steps)), scale))
-
-
 def _scaled_generator_pairs(
     p: Polytope, cols: Sequence[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Span-member pairs, lazily, aimed at where non-convexity must show up, if anywhere.
 
-    For each failing dominator column i, as the fold yields it, the generators
+    For each failing dominator column i, in order, the generators
     scaled to have coordinate i 0: their componentwise extremum is that column,
     so segments between them probe the region the span fails to cover.
     ``cols`` are p's generators as signed ints on any scale, as are the pairs.
@@ -257,8 +226,13 @@ def sample_euclidean_midpoints(
 
     rng = random.Random(seed)
     bits = rng.getrandbits
+    # p's generators on the scale S = L * lcm(1.._DEN_BOUND), times p.flavor.sign: a
+    # coefficient a/b with b <= _DEN_BOUND is the whole shift a * steps[b]
     sign = p.flavor.sign
-    scale, cols, steps = _sampler_lattice(p)
+    unit = math.lcm(*range(1, _DEN_BOUND + 1))
+    scale = p.generators.lattice.scale * unit
+    cols = p.generators.lattice.cols_times(sign * unit)
+    steps = [0] + [sign * (scale // b) for b in range(1, _DEN_BOUND + 1)]
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
     guided = list(islice(_scaled_generator_pairs(p, cols), trials))
     cols_over: dict[int, tuple] = {}  # b -> the generators over S*b, their rows, and Fractions over S*b

@@ -183,7 +183,7 @@ def failing_columns_of_star(p: Polytope, star) -> list[int]:
     shifted generators of p, each by one set lookup of its shift to first
     coordinate 0 on the lattice ints.  This is the scan as it ran once the
     whole star was built, the reference for ``kleene._failing_columns``,
-    which tests each column as the fold yields it."""
+    which builds no star."""
     sign = p.flavor.sign
     shifted = {tuple(x - g[0] for x in g) for g in p.generators.lattice.cols_times(sign)}
     cols = star.matrix.lattice.cols_times(sign)

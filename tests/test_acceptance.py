@@ -26,7 +26,6 @@ from tropgeo import (
     member,
     min_plus_hull,
     polytope_equal,
-    random_member,
     sample_euclidean_midpoints,
     scale,
     trop_add,
@@ -44,7 +43,7 @@ from helpers import (
     random_vector,
     transpose,
 )
-from oracles import glb_column_fold
+from oracles import glb_column_fold, reference_random_member
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -202,8 +201,8 @@ def test_criterion_09_duality_suite():
         k = dominator(p).matrix
         col_space = Polytope(MAX, k)
         row_space = Polytope(MAX, transpose(k))
-        x = random_member(rng, col_space)
-        r = random_member(rng, row_space)
+        x = reference_random_member(rng, col_space)
+        r = reference_random_member(rng, row_space)
         ok = duality_chi(k, x) == -x
         ok = ok and duality_rho(k, r) == -r
         ok = ok and duality_rho(k, duality_chi(k, x)) == x

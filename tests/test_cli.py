@@ -11,6 +11,7 @@ import pytest
 
 import tropgeo
 from tropgeo import Flavor, docio, parse_matrix_document, serialize_matrix_document
+import tropgeo.cli as tropgeo_cli
 from tropgeo.cli import build_parser, run
 from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
 from tropgeo import vec
@@ -24,6 +25,9 @@ SEGMENT_DOC = {
     "entries": ["0", "0", "0", "1", "0", "2"],
     "role": "generators-as-columns",
 }
+
+# the segment's negation, a min-plus polytope
+NEGATED_SEGMENT_DOC = {**SEGMENT_DOC, "flavor": "min-plus", "entries": ["0", "0", "0", "-1", "0", "-2"]}
 
 SWAP_DOC = {
     "flavor": "max-plus",
@@ -342,6 +346,36 @@ class TestErrorPaths:
             assert err == "error: entries: more than 6 entries\n"
         else:
             assert code == 0 and err == "" and json.loads(out)["is_polytrope"] is False
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "above-limit"])
+    @pytest.mark.parametrize(
+        "argv, limit, what, work",
+        [
+            pytest.param("classify --file {a}", "MAX_FOLD_DIM", "{a}: dimension", 3, id="classify-dimension"),
+            *(
+                pytest.param(f"{c} --file {{a}}", "MAX_FOLD_WORK", "{a}: n*n*m", 18, id=c)
+                for c in ("classify", "dominator", "hull-min", "convex-check", "sample-midpoints")
+            ),
+            pytest.param("dominator-dual --file {b}", "MAX_FOLD_WORK", "{b}: n*n*m", 18, id="dominator-dual"),
+            pytest.param("dom-relation --file {a}", "MAX_FOLD_WORK", "{a}: n*n*(m+n)", 45, id="dom-relation"),
+            pytest.param("reduce --file {a}", "MAX_REDUCE_WORK", "{a}: n*m*m", 12, id="reduce"),
+            pytest.param("equal --file {a} --other {a}", "MAX_EQUAL_WORK", "{a}, {a}: n*m*m'", 12, id="equal"),
+            pytest.param("equal --file {a} --other {b}", "MAX_FOLD_WORK", "{a}: n*n*m", 18, id="equal-across-flavors"),
+        ],
+    )
+    def test_work_above_a_limit_is_exit_1(self, capsys, tmp_path, monkeypatch, argv, limit, what, work, over):
+        """Each work limit, lowered to the 3x2 segment's own work, passes it and refuses it one step lower."""
+        assert (tropgeo_cli.MAX_FOLD_DIM, tropgeo_cli.MAX_FOLD_WORK) == (1_000, 50_000_000)
+        assert (tropgeo_cli.MAX_REDUCE_WORK, tropgeo_cli.MAX_EQUAL_WORK) == (64_000_000, 7_000_000)
+        monkeypatch.setattr(tropgeo_cli, limit, work - over)
+        paths = {"a": write(tmp_path, "seg.json", SEGMENT_DOC), "b": write(tmp_path, "neg.json", NEGATED_SEGMENT_DOC)}
+        code, out, err = cli(capsys, *argv.format(**paths).split())
+        if over:
+            assert code == 1 and out == ""
+            command = argv.split()[0]
+            assert err == f"error: {what.format(**paths)} is {work}: at most {work - 1} for {command}\n"
+        else:
+            assert code != 1, err  # dom-relation exits 2: the segment has no dual dominator
 
     def test_deeply_nested_json_is_one_line_exit_1(self, tmp_path):
         path = tmp_path / "nested.json"

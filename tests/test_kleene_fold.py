@@ -9,7 +9,8 @@ Fraction column folds there, in both flavors: at n = 1, 2 and 3 and m = 1,
 on equal and shifted rows and on scaled duplicate columns, on ints wider
 than 64 bits, on lattice spans at each lane-width boundary, and on a 48x60
 input.  A fold whose lanes are bumped, or replaced by any matrix in the
-fold's range, must still be refused exactly when it is no Kleene star.
+fold's range, must still be refused exactly when it is no Kleene star, and
+its guard bit must lie above the check's triangle sums, up to 3 span.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -127,6 +128,8 @@ def folded_into(p: Polytope, change) -> tuple:
     changed = []
 
     def kernel(gens, rows, n, size, guard, span):
+        # the star check sums three entries of the fold's range [-span, span] in a lane
+        assert 1 << guard > 3 * span
         lanes = original(gens, rows, n, size, guard, span)
         changed[:] = change([x - (1 << guard) for x in kleene._unpack(lanes, size)], n, span)
         return kleene._pack([x + (1 << guard) for x in changed], size)

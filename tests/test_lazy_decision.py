@@ -1,9 +1,9 @@
-"""Seeded tests of the lazy polytrope decision, which stops at the first failing dominator column.
+"""Seeded tests of the lazy polytrope decision, which stops at a failing dominator column 0.
 
-``kleene`` forms the dominator in one fold that yields it column by column.
 ``is_min_plus_convex``, ``verify_dominator_relation`` and the sampler's guided
-pairs stop the fold at the first column that is not in p; ``dominator`` and
-``classify`` run it to the end, which builds one checked ``KleeneStar``.
+pairs fold dominator column 0 alone first, and stop there when it is not in
+p; ``dominator`` and ``classify`` fold every column in one kernel call and
+build one checked ``KleeneStar``, which the decisions build only on a "yes".
 These tests compare the early answers with ``classify`` and with the Fraction
 oracles in ``oracles.py``, in both flavors (min-plus by negation): on inputs
 that fail at column 0, on inputs that fail only at their last column (an
@@ -12,7 +12,8 @@ on dominators and on polytropes padded with span members.  Counting through
 the module's packed kernel ``_lanewise_min`` and ``_star_defect``, they check
 that a "no" at column 0 folds column 0 alone and builds no star, that
 ``classify`` folds every column in one kernel call and tests no column after
-the first failing one, and that a drained fold builds exactly one star.
+the first failing one, and that only a "yes", ``dominator`` or ``classify``
+builds a star, exactly one.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -32,12 +33,11 @@ from tropgeo import (
     classify,
     dominator,
     is_min_plus_convex,
-    random_member,
     verify_dominator_relation,
 )
 from tropgeo import kleene, polytope
 
-from oracles import direct_member, dominator_columns, fold_over_ordered_pairs
+from oracles import direct_member, dominator_columns, fold_over_ordered_pairs, reference_random_member
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -205,13 +205,15 @@ def test_n1_m1_dominators_and_padded_polytropes():
             star = dominator(random_polytope(rng, n, m))
             assert decide(Polytope(MAX, star.matrix)) == []
             base = Polytope(MAX, star.matrix)
-            cols = [*base, *(random_member(rng, base) for _ in range(m))]
+            cols = [*base, *(reference_random_member(rng, base) for _ in range(m))]
             rng.shuffle(cols)
             padded = Polytope(MAX, TropMatrix(tuple(zip(*[c.entries for c in cols]))))
             assert decide(padded) == []
 
 
 def test_a_drained_fold_builds_one_checked_star():
+    """A fold of every column builds one checked star for ``dominator``,
+    ``classify`` and a "yes"; the sampler's guided pairs build none."""
     rng = random.Random(1804)
     for n, m in ((1, 1), (3, 4), (6, 8)):
         star = dominator(random_polytope(rng, n, m))
@@ -219,7 +221,7 @@ def test_a_drained_fold_builds_one_checked_star():
             assert stars_built(dominator, q) == 1
             assert stars_built(classify, q) == 1
             assert stars_built(is_min_plus_convex, q) == 1
-            assert stars_built(guided_pairs(5), q) == 1
+            assert stars_built(guided_pairs(5), q) == 0  # the sampler reads no star
             # its own dominator, and that of the presentation in the other flavor
             assert stars_built(verify_dominator_relation, q) == 2
             assert columns_folded(is_min_plus_convex, q) == [1, n]
