@@ -61,6 +61,7 @@ MAX_FOLD_DIM = 1_000  # n of a dominator: its n^3 star check alone takes about 9
 MAX_FOLD_WORK = 50_000_000  # n*n*m of a dominator fold
 MAX_REDUCE_WORK = 64_000_000  # n*m*m of reduce
 MAX_EQUAL_WORK = 7_000_000  # n*m*m' of equal
+MAX_SAMPLE_WORK = 5_000_000  # n*m*trials of sample-midpoints: a trial costs about n*m
 
 
 class CliUsageError(Exception):
@@ -316,6 +317,7 @@ def _cmd_sample_midpoints(args) -> int:
     if args.trials > MAX_TRIALS:
         raise CliUsageError(f"--trials: at most {MAX_TRIALS}, got {args.trials}")
     p = _polytope(args, fold=True)
+    _at_most(args, f"{args.file}: n*m*trials", p.ambient_dim * p.n_generators * args.trials, MAX_SAMPLE_WORK)
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR)

@@ -13,7 +13,8 @@ negated max-plus one, a min-plus star whose column space is the max-plus
 hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
 The dominator fold packs the signed lattice ints into lanes of whole bytes, so
 that a handful of big-int operations per generator take the lanewise min of
-all n^2 entries at once (``_lanewise_min``).
+all n^2 entries at once (``_lanewise_min``).  Column 0 alone is the min of the
+generators shifted to first coordinate 0 (``_shifted``), with no fold.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
@@ -26,7 +27,7 @@ operations for the n inequalities of one pair (j, k).
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from itertools import chain, repeat
 from operator import sub
 from sys import byteorder
@@ -158,28 +159,26 @@ def _spread(lanes: bytes, size: int, n: int) -> bytes:
     return b"".join([lanes[s : s + size] * n for s in range(0, len(lanes), size)])
 
 
-def _lanewise_min(gens: bytes, rows: bytes, n: int, size: int, guard: int, span: int) -> bytes:
+def _lanewise_min(gens: bytes, n: int, size: int, guard: int, span: int) -> bytes:
     """Lanes ``i*n + j`` holding ``2**guard + D_ji``, the min over generators k of
-    ``w_jk - w_ik``, for the columns i whose lanes ``rows`` holds (all, or column 0).
-    Lane ``k*n + i`` of ``gens`` holds ``w_ik`` plus one offset, as rows do k-major;
+    ``w_jk - w_ik``.  Lane ``k*n + i`` of ``gens`` holds ``w_ik`` plus one offset;
     every ``w_jk - w_ik`` is at most ``span``, and ``2**guard > 2*span``."""
     width = n * size  # bytes of a column
     m = len(gens) // width
-    count = len(rows) // (m * size)  # columns wanted
-    bits = 8 * width * count  # of a block, one generator's lanes
+    bits = 8 * width * n  # of a block, one generator's lanes
     # a pass takes h generators, a block each: h is a power of two, 4 while four blocks
     # fit in _PASS_BITS, or as many as fit in a 16th of it when blocks are small, but no
     # more than m needs.  At the end the h blocks fold pairwise into one.
     fit = (_PASS_BITS // bits).bit_length() - 1  # log2 of the blocks that fit in _PASS_BITS
     h = 1 << max(0, min((m - 1).bit_length(), max(min(2, fit), fit - 4)))
-    gens += span.to_bytes(size, byteorder) * (n * (-m % h))  # w_jk - w_ik = span lowers no min
-    ones = int.from_bytes((1).to_bytes(size, byteorder) * (h * count * n), byteorder)
+    padded = gens + span.to_bytes(size, byteorder) * (n * (-m % h))  # rows unpadded: span - 0 lowers no min
+    ones = int.from_bytes((1).to_bytes(size, byteorder) * (h * n * n), byteorder)
     guards = ones << guard
     acc = ones * ((1 << guard) + span)
-    for k in range(0, len(gens) // width, h):
+    for k in range(0, len(padded), h * width):
         # lane (k, i, j) of col holds w_jk, of row w_ik, each plus the offset
-        col = int.from_bytes(_spread(gens[k * width : (k + h) * width], width, count), byteorder)
-        row = int.from_bytes(_spread(rows[k * count * size : (k + h) * count * size], size, n), byteorder)
+        col = int.from_bytes(_spread(padded[k : k + h * width], width, n), byteorder)
+        row = int.from_bytes(_spread(gens[k : k + h * width], size, n), byteorder)
         y = acc - col + row  # lane: 2**guard + the running min - (w_jk - w_ik)
         t = y & guards  # guard bits where the running min is the larger
         acc -= y & (t - (t >> guard))
@@ -192,23 +191,20 @@ def _lanewise_min(gens: bytes, rows: bytes, n: int, size: int, guard: int, span:
     return acc.to_bytes(bits // 8, byteorder)
 
 
-def _fold(p: Polytope, head: bool = False) -> tuple[list[tuple[int, ...]], tuple]:
-    """p's dominator columns on p's lattice scale (column 0 alone when ``head``), and
-    the lanes they were folded in, as ``_star_defect`` reads them."""
-    sign = p.flavor.sign
+def _fold(p: Polytope) -> tuple:
+    """p's dominator, folded: ``(cols, lanes, guard, size)`` as ``_star_defect`` reads
+    them, where ``cols`` are its signed (max-plus) columns on p's lattice scale."""
     n = p.ambient_dim
     # D lies in [-span, span], and the star check sums three of its entries
-    gens, guard, size, span = _lanes(p.generators.lattice.cols_times(sign), 3)
-    rows = b"".join([gens[s : s + size] for s in range(0, len(gens), n * size)]) if head else gens
-    lanes = _lanewise_min(gens, rows, n, size, guard, span)
+    gens, guard, size, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign), 3)
+    lanes = _lanewise_min(gens, n, size, guard, span)
     values = [*map(sub, _unpack(lanes, size), repeat(1 << guard))]
-    cols = [tuple(values[s : s + n]) for s in range(0, len(values), n)]
-    true = cols if sign == 1 else [tuple([-x for x in c]) for c in cols]
-    return true, (cols, lanes, guard, size)
+    return [tuple(values[s : s + n]) for s in range(0, len(values), n)], lanes, guard, size
 
 
-def _star(p: Polytope, cols: list[tuple[int, ...]], packed: tuple) -> KleeneStar:
-    """The checked dominator of p from ``_fold(p)``."""
+def _star(p: Polytope, packed: tuple) -> KleeneStar:
+    """The checked dominator of p from ``_fold(p)``, un-signed."""
+    cols = packed[0] if p.flavor.sign == 1 else [tuple([-x for x in c]) for c in packed[0]]
     return KleeneStar(p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))), _packed=packed)
 
 
@@ -221,35 +217,33 @@ def dominator(p: Polytope) -> KleeneStar:
     generator to have i-th coordinate 0 and taking the componentwise min.  A
     min-plus p swaps min for max and lower for upper bounds (``u_i <= 0``).
     """
-    return _star(p, *_fold(p))
+    return _star(p, _fold(p))
 
 
-def _outside(p: Polytope) -> Callable[[tuple[int, ...]], bool]:
-    """Whether a dominator column of p, from ``_fold(p)``, lies outside p: one set
-    lookup of its shift to first coordinate 0 (see ``classify``)."""
-    shifted_generators = set(map(_normalised, p.generators.lattice.cols))
-    return lambda col: _normalised(col) not in shifted_generators
+def _shifted(p: Polytope) -> set[tuple[int, ...]]:
+    """p's signed generators shifted to first coordinate 0: a signed dominator column is
+    in p iff its shift is in here (see ``classify``), and their min is column 0."""
+    return set(map(_normalised, p.generators.lattice.cols_times(p.flavor.sign)))
 
 
 def _failing_columns(p: Polytope) -> Iterator[int]:
-    """The indices of p's dominator columns outside p, in order.  Column 0 is
-    folded alone first, so a caller that stops there folds no other column."""
-    outside = _outside(p)
-    if outside(_fold(p, head=True)[0][0]):
+    """The indices of p's dominator columns outside p, in order.  Column 0 is read
+    off the shifted generators, so a caller that stops there folds nothing."""
+    shifted = _shifted(p)
+    if tuple(map(min, zip(*shifted))) not in shifted:
         yield 0
     cols = _fold(p)[0]
-    yield from (i for i in range(1, len(cols)) if outside(cols[i]))
+    yield from (i for i in range(1, len(cols)) if _normalised(cols[i]) not in shifted)
 
 
 def _convex_star(p: Polytope) -> KleeneStar | None:
-    """p's dominator if every column of it lies in p, else None.  Column 0 is
-    folded alone first, so most "no"s fold no other column; only a "yes" builds
-    the star."""
-    outside = _outside(p)
-    if outside(_fold(p, head=True)[0][0]):
+    """p's dominator if every column of it lies in p, else None.  Column 0 is read off
+    the shifted generators first, so most "no"s fold nothing; a "yes" builds the star."""
+    shifted = _shifted(p)
+    if tuple(map(min, zip(*shifted))) not in shifted:
         return None
-    cols, packed = _fold(p)
-    return None if any(map(outside, cols[1:])) else _star(p, cols, packed)
+    packed = _fold(p)
+    return None if any(_normalised(c) not in shifted for c in packed[0][1:]) else _star(p, packed)
 
 
 def min_plus_hull(p: Polytope) -> Polytope:
@@ -269,10 +263,10 @@ def classify(p: Polytope) -> Classification:
     ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.  Conversely a
     shifted generator is in p.  No column after the first failing one is tested.
     """
-    cols, packed = _fold(p)
-    star = _star(p, cols, packed)
-    outside = _outside(p)
-    i = next((i for i, col in enumerate(cols) if outside(col)), None)
+    packed = _fold(p)
+    star = _star(p, packed)
+    shifted = _shifted(p)
+    i = next((i for i, col in enumerate(packed[0]) if _normalised(col) not in shifted), None)
     witness = None if i is None else star.matrix.col(i)
     return Classification(dominator=star, is_polytrope=i is None, witness=witness)
 

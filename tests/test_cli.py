@@ -361,12 +361,16 @@ class TestErrorPaths:
             pytest.param("reduce --file {a}", "MAX_REDUCE_WORK", "{a}: n*m*m", 12, id="reduce"),
             pytest.param("equal --file {a} --other {a}", "MAX_EQUAL_WORK", "{a}, {a}: n*m*m'", 12, id="equal"),
             pytest.param("equal --file {a} --other {b}", "MAX_FOLD_WORK", "{a}: n*n*m", 18, id="equal-across-flavors"),
+            pytest.param(
+                "sample-midpoints --file {a} --trials 7", "MAX_SAMPLE_WORK", "{a}: n*m*trials", 42, id="sample-work"
+            ),
         ],
     )
     def test_work_above_a_limit_is_exit_1(self, capsys, tmp_path, monkeypatch, argv, limit, what, work, over):
         """Each work limit, lowered to the 3x2 segment's own work, passes it and refuses it one step lower."""
         assert (tropgeo_cli.MAX_FOLD_DIM, tropgeo_cli.MAX_FOLD_WORK) == (1_000, 50_000_000)
         assert (tropgeo_cli.MAX_REDUCE_WORK, tropgeo_cli.MAX_EQUAL_WORK) == (64_000_000, 7_000_000)
+        assert tropgeo_cli.MAX_SAMPLE_WORK == 5_000_000
         monkeypatch.setattr(tropgeo_cli, limit, work - over)
         paths = {"a": write(tmp_path, "seg.json", SEGMENT_DOC), "b": write(tmp_path, "neg.json", NEGATED_SEGMENT_DOC)}
         code, out, err = cli(capsys, *argv.format(**paths).split())

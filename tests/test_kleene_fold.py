@@ -127,10 +127,10 @@ def folded_into(p: Polytope, change) -> tuple:
     original = kleene._lanewise_min
     changed = []
 
-    def kernel(gens, rows, n, size, guard, span):
+    def kernel(gens, n, size, guard, span):
         # the star check sums three entries of the fold's range [-span, span] in a lane
         assert 1 << guard > 3 * span
-        lanes = original(gens, rows, n, size, guard, span)
+        lanes = original(gens, n, size, guard, span)
         changed[:] = change([x - (1 << guard) for x in kleene._unpack(lanes, size)], n, span)
         return kleene._pack([x + (1 << guard) for x in changed], size)
 

@@ -1,19 +1,20 @@
 """Seeded tests of the lazy polytrope decision, which stops at a failing dominator column 0.
 
 ``is_min_plus_convex``, ``verify_dominator_relation`` and the sampler's guided
-pairs fold dominator column 0 alone first, and stop there when it is not in
-p; ``dominator`` and ``classify`` fold every column in one kernel call and
-build one checked ``KleeneStar``, which the decisions build only on a "yes".
+pairs read dominator column 0 off p's shifted generators first, with no fold,
+and stop there when it is not in p; past it, and in ``dominator`` and
+``classify``, one kernel call folds every column, and one checked
+``KleeneStar`` is built, which the decisions build only on a "yes".
 These tests compare the early answers with ``classify`` and with the Fraction
 oracles in ``oracles.py``, in both flavors (min-plus by negation): on inputs
 that fail at column 0, on inputs that fail only at their last column (an
 input with one failing column, its coordinates permuted), at n = 1 and m = 1,
 on dominators and on polytropes padded with span members.  Counting through
-the module's packed kernel ``_lanewise_min`` and ``_star_defect``, they check
-that a "no" at column 0 folds column 0 alone and builds no star, that
-``classify`` folds every column in one kernel call and tests no column after
-the first failing one, and that only a "yes", ``dominator`` or ``classify``
-builds a star, exactly one.
+the module's ``_lanes``, packed kernel ``_lanewise_min`` and ``_star_defect``,
+they check that a "no" at column 0 folds and packs nothing and builds no star,
+that a "yes" packs p's generators once, that ``classify`` folds every column
+in one kernel call and tests no column after the first failing one, and that
+only a "yes", ``dominator`` or ``classify`` builds a star, exactly one.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -118,12 +119,12 @@ def counted(name: str, replacement, call, p: Polytope) -> int:
 
 def columns_folded(call, p: Polytope) -> list:
     """The dominator columns each call of the packed kernel folds during ``call(p)``,
-    in order: its ``rows`` hold one lane per generator and column."""
+    in order: it folds every column, n of them."""
     folded = []
 
-    def kernel(gens, rows, n, *rest):
-        folded.append(len(rows) * n // len(gens))
-        return lanewise_min(gens, rows, n, *rest)
+    def kernel(gens, n, *rest):
+        folded.append(n)
+        return lanewise_min(gens, n, *rest)
 
     lanewise_min = kleene._lanewise_min
     counted("_lanewise_min", kernel, call, p)
@@ -134,6 +135,11 @@ def columns_tested(call, p: Polytope) -> int:
     """Columns normalised during ``call(p)``: p's generators, then each dominator
     column the scan tests."""
     return counted("_normalised", kleene._normalised, call, p)
+
+
+def lanes_packed(call, p: Polytope) -> int:
+    """Times p's generators, or a matrix to check, are packed into lanes during ``call(p)``."""
+    return counted("_lanes", kleene._lanes, call, p)
 
 
 def stars_built(call, p: Polytope) -> int:
@@ -160,12 +166,14 @@ def test_inputs_that_fail_at_column_0():
                 continue
             seen += 1
             for q in (p, negated(p)):
-                assert columns_folded(is_min_plus_convex, q) == [1]
-                assert columns_folded(verify_dominator_relation, q) == [1]
-                assert columns_folded(guided_pairs(1), q) == [1]
+                assert columns_folded(is_min_plus_convex, q) == []
+                assert columns_folded(verify_dominator_relation, q) == []
+                assert columns_folded(guided_pairs(1), q) == []
+                assert lanes_packed(is_min_plus_convex, q) == lanes_packed(guided_pairs(1), q) == 0
                 assert columns_folded(classify, q) == [n]
-                # the generators' shifted forms, then column 0 alone
-                assert columns_tested(classify, q) == columns_tested(is_min_plus_convex, q) == m + 1
+                # the generators' shifted forms, then column 0 (their min, already shifted)
+                assert columns_tested(classify, q) == m + 1
+                assert columns_tested(is_min_plus_convex, q) == m
                 assert stars_built(is_min_plus_convex, q) == 0
                 assert stars_built(verify_dominator_relation, q) == 0
     assert seen >= 20
@@ -176,7 +184,7 @@ def test_inputs_that_fail_only_at_the_last_column():
     assert decide(p) == [2]
     assert classify(p).witness == TropVector((Fraction(-5, 2), Fraction(-5, 2), Fraction(0)))
     for q in (p, negated(p)):
-        assert columns_folded(is_min_plus_convex, q) == [1, 3]
+        assert columns_folded(is_min_plus_convex, q) == [3]
         assert columns_folded(classify, q) == [3]
         assert stars_built(is_min_plus_convex, q) == 0
     rng = random.Random(1802)
@@ -224,7 +232,8 @@ def test_a_drained_fold_builds_one_checked_star():
             assert stars_built(guided_pairs(5), q) == 0  # the sampler reads no star
             # its own dominator, and that of the presentation in the other flavor
             assert stars_built(verify_dominator_relation, q) == 2
-            assert columns_folded(is_min_plus_convex, q) == [1, n]
+            assert columns_folded(is_min_plus_convex, q) == [n]
+            assert lanes_packed(is_min_plus_convex, q) == lanes_packed(classify, q) == 1
             assert columns_folded(dominator, q) == [n]
             assert columns_tested(classify, q) == n + q.n_generators
     p = random_polytope(rng, 8, 10)
