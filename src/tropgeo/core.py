@@ -8,13 +8,14 @@ projections) is decidable by plain equality.  Neither semiring carries an
 infinite element here: every entry is a finite rational, and no operation may
 assume an additive identity matrix exists.
 
-Values are exact ``Fraction``s at the API, but the matrix kernels run on
-Python ints.  The operations used (+, -, min, max) never leave the lattice
-``(1/L)·Z``, where L is the lcm of the inputs' denominators, so each matrix
-carries a ``Lattice`` form (L and the integer numerators over L) computed
-once per instance, and results become ``Fraction``s only when returned.  The
-known cost: inputs whose denominators are pairwise coprime make L, and with it
-every int, large.
+Values are exact ``Fraction``s at the API, but the kernels run on Python
+ints.  The operations used (+, -, min, max) never leave the lattice
+``(1/L)·Z``, where L is the lcm of the inputs' denominators, so a matrix or
+vector holds its ``entries``, its int form (L and the numerators over L), or
+both, and builds the missing one from the other on first read.  Kernel
+results hold only ints: ``core`` builds their ``Fraction``s when a caller
+reads them, and no other module does.  The known cost: inputs whose
+denominators are pairwise coprime make L, and with it every int, large.
 
 The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
 here, and the result types of the other modules) are plain immutable classes
@@ -69,13 +70,13 @@ class Flavor(Enum):
         return 1 if self is Flavor.MAX_PLUS else -1
 
 
-def common_denominator(values: Iterable[Fraction], base: int = 1, max_bits: int | None = None) -> int:
-    """The lcm of ``base`` and the denominators of ``values``.
+def common_denominator(values: Iterable[Fraction], max_bits: int | None = None) -> int:
+    """The lcm of the denominators of ``values``.
 
     With ``max_bits``, it stops at the first partial lcm longer than that, so
     a caller can refuse a scale too large to compute with without building it.
     """
-    scale = base
+    scale = 1
     for den in {e.denominator for e in values}:
         scale = math.lcm(scale, den)
         if max_bits is not None and scale.bit_length() > max_bits:
@@ -86,11 +87,6 @@ def common_denominator(values: Iterable[Fraction], base: int = 1, max_bits: int 
 def to_lattice(values: Iterable[Fraction], scale: int) -> list[int]:
     """The numerators of ``values`` over ``scale``, which every denominator divides."""
     return [e.numerator * (scale // e.denominator) for e in values]
-
-
-def from_lattice(ints: Iterable[int], scale: int) -> tuple[Fraction, ...]:
-    """The rationals ``x / scale``, in lowest terms."""
-    return tuple(Fraction(x, scale) for x in ints)
 
 
 def _normalised(col: Sequence[int]) -> tuple[int, ...]:
@@ -142,6 +138,8 @@ class Frozen:
             raise TypeError(f"{name}() missing {missing}")
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # reads no field, so a value holding only ints builds no entries
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == other._key(other)
@@ -181,10 +179,23 @@ class Lattice(Frozen):
         return tuple(tuple(factor * x for x in c) for c in self.cols)
 
 
+class _Over(dict):
+    """A scale and the Fractions over it, ``x -> Fraction(x, scale)``, each built on first read."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int) -> None:
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        e = self[x] = Fraction(x, self.scale)
+        return e
+
+
 class TropVector(Frozen):
     """A dense point of R^n with exact rational coordinates, n >= 1."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_lattice")
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: tuple[Fraction, ...]) -> None:
@@ -194,6 +205,37 @@ class TropVector(Frozen):
         for e in entries:
             if not isinstance(e, Fraction):
                 raise TypeError(f"vector entry {e!r} is not a Fraction")
+
+    def __getattr__(self, name: str) -> object:
+        # called only while slot ``name`` is unset; the other slot is read through
+        # its descriptor, so a value with neither form raises instead of recursing
+        if name == "_lattice":
+            entries = TropVector.entries.__get__(self)
+            scale = common_denominator(entries)
+            value = _Over(scale), tuple(to_lattice(entries, scale))
+            object.__setattr__(self, name, value)
+            return value
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        try:
+            over, ints = TropVector._lattice.__get__(self)
+        except AttributeError:  # neither form, or another thread has just built the entries
+            return TropVector.entries.__get__(self)
+        value = tuple(map(over.__getitem__, ints))
+        object.__setattr__(self, name, value)
+        # the ints go, so that a sampler report whose entries were read holds no more
+        # than one built from Fractions would; ``lattice`` builds them again if asked
+        try:
+            TropVector._lattice.__delete__(self)
+        except AttributeError:  # another thread has dropped them
+            pass
+        return value
+
+    @property
+    def lattice(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ints)``: entry i is ``ints[i] / scale``."""
+        over, ints = self._lattice
+        return over.scale, ints
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -233,38 +275,45 @@ class TropMatrix(Frozen):
                 if not isinstance(e, Fraction):
                     raise TypeError(f"matrix entry {e!r} is not a Fraction")
 
+    def __getattr__(self, name: str) -> object:
+        # as TropVector.__getattr__, but a matrix keeps both forms.  Equal ints share
+        # one Fraction: a 32x40 dominator has about 370 distinct values in 1,024 entries.
+        if name == "entries":
+            lat = TropMatrix._lattice.__get__(self)
+            shared = {x: Fraction(x, lat.scale) for x in set(chain.from_iterable(lat.cols))}
+            value = tuple(zip(*(map(shared.__getitem__, c) for c in lat.cols)))
+        elif name == "_lattice":
+            entries = TropMatrix.entries.__get__(self)
+            scale = common_denominator(e for r in entries for e in r)
+            value = Lattice(scale, tuple(tuple(to_lattice(c, scale)) for c in zip(*entries)))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return len(self.lattice.cols[0])
 
     @property
     def n_cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.lattice.cols)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
     def row(self, i: int) -> TropVector:
-        return TropVector(self.entries[i])
+        lat = self.lattice
+        return vector_from_ints(lat.scale, tuple([c[i] for c in lat.cols]))
 
     def col(self, j: int) -> TropVector:
-        return TropVector(tuple(r[j] for r in self.entries))
+        return vector_from_ints(self.lattice.scale, self.lattice.cols[j])
 
     def columns(self) -> Iterator[TropVector]:
-        for j in range(self.n_cols):
-            yield self.col(j)
+        return map(self.col, range(self.n_cols))
 
-    @property
-    def lattice(self) -> Lattice:
-        """The entries over the lcm of their denominators, computed once."""
-        try:
-            return self._lattice
-        except AttributeError:
-            scale = common_denominator(e for r in self.entries for e in r)
-            cols = tuple(tuple(to_lattice(c, scale)) for c in zip(*self.entries))
-            object.__setattr__(self, "_lattice", Lattice(scale, cols))
-            return self._lattice
+    lattice = property(attrgetter("_lattice"), doc="The entries over a common denominator.")
 
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(e) for e in r) for r in self.entries)
@@ -272,15 +321,18 @@ class TropMatrix(Frozen):
 
 
 def matrix_from_lattice(lat: Lattice) -> TropMatrix:
-    """The matrix ``lat`` represents, with ``lat`` kept as its lattice form.
-
-    Equal ints share one ``Fraction``: a 32x40 dominator has about 370
-    distinct values among its 1,024 entries.
-    """
-    shared = {x: Fraction(x, lat.scale) for x in set(chain.from_iterable(lat.cols))}
-    m = TropMatrix(tuple(zip(*(map(shared.__getitem__, c) for c in lat.cols))))
+    """The matrix ``lat`` represents, holding only ``lat``: its entries are built on first read."""
+    m = object.__new__(TropMatrix)
     object.__setattr__(m, "_lattice", lat)
     return m
+
+
+def vector_from_ints(scale: int | _Over, ints: tuple[int, ...]) -> TropVector:
+    """The vector ``ints / scale`` (negated ints when scale < 0), holding only its int form.
+    Vectors given one ``_Over`` as their scale share a Fraction for each equal entry."""
+    v = object.__new__(TropVector)
+    object.__setattr__(v, "_lattice", (scale if isinstance(scale, _Over) else _Over(scale), ints))
+    return v
 
 
 def vec(*entries: ScalarLike) -> TropVector:

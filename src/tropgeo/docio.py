@@ -15,6 +15,7 @@ parse(serialize(doc)) == doc.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -98,7 +99,11 @@ def parse_vector(text: str, where: str = "vector") -> TropVector:
 
 
 def format_vector(v: TropVector) -> str:
-    return "(%s)" % ",".join(format_rational(e) for e in v)
+    """``(e0,e1,...)``, each entry as ``format_rational`` writes it, from v's ints."""
+    scale, ints = v.lattice
+    gcds = [math.gcd(x, scale) * (-1 if scale < 0 else 1) for x in ints]  # so scale // g > 0
+    texts = (str(x // g) if g == scale else f"{x // g}/{scale // g}" for x, g in zip(ints, gcds))
+    return "(%s)" % ",".join(texts)
 
 
 class MatrixDocument(Frozen):

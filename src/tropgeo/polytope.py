@@ -3,8 +3,9 @@
 Redundancy elimination (extremal generators, see ``reduce_generators``),
 projectivisation (the cross-section of scaling orbits with first coordinate
 0), extensional equality, and a randomized falsifier for Euclidean convexity
-that cross-checks the exact decision of :mod:`tropgeo.kleene`.  Min-plus
-results are negated max-plus ones, computed in one place (``Flavor.sign``).
+that cross-checks the exact decision of :mod:`tropgeo.kleene`.  All of it
+runs on lattice ints, min-plus as negated max-plus (``Flavor.sign``), and
+projected points and sampler reports hold only ints until their entries are read.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .core import (
     DimensionError,
     Flavor,
     Frozen,
-    Lattice,
     TropMatrix,
     TropVector,
     _normalised,
-    matrix_from_lattice,
+    _Over,
+    vector_from_ints,
 )
 from .residuation import Polytope, member
 
@@ -41,14 +42,14 @@ def projectivise(x: TropVector) -> TropVector:
 def projectivise_generators(p: Polytope) -> list[TropVector]:
     """``projectivise`` of every generator of p, in order.
 
-    The shifts ``x_i - x_0`` are taken on p's lattice ints, and equal results
-    share one ``Fraction``, as ``matrix_from_lattice`` builds them.
+    The shifts ``x_i - x_0`` are taken on p's lattice ints, and each point
+    holds only those ints until its entries are read.
     """
     if p.ambient_dim < 2:
         raise DimensionError("projectivisation needs dimension >= 2")
     lat = p.generators.lattice
-    shifted = Lattice(lat.scale, tuple(tuple([x - c[0] for x in c[1:]]) for c in lat.cols))
-    return [*matrix_from_lattice(shifted).columns()]
+    scale = _Over(lat.scale)  # equal shifts share one Fraction, once read
+    return [vector_from_ints(scale, tuple([x - c[0] for x in c[1:]])) for c in lat.cols]
 
 
 def reduce_generators(p: Polytope) -> Polytope:
@@ -158,17 +159,6 @@ def _random_unit_interval(bits: Callable[[int], int]) -> tuple[int, int]:
     return _below(bits, den - 1) + 1, den
 
 
-class _Entries(dict):
-    """``x -> Fraction(sign * x, over)``, each made once, on first use."""
-
-    def __init__(self, sign: int, over: int) -> None:
-        self.sign, self.over = sign, over
-
-    def __missing__(self, x: int) -> Fraction:
-        e = self[x] = Fraction(self.sign * x, self.over)
-        return e
-
-
 def _random_member_ints(
     rng: random.Random, cols: Sequence[Sequence[int]], steps: Sequence[int]
 ) -> list[int]:
@@ -235,17 +225,19 @@ def sample_euclidean_midpoints(
     steps = [0] + [sign * (scale // b) for b in range(1, _DEN_BOUND + 1)]
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
     guided = list(islice(_scaled_generator_pairs(p, cols), trials))
-    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b, their rows, and Fractions over S*b
-    # A report repeats the guided pairs and few distinct coordinates, so equal
-    # reported vectors share one TropVector and equal entries one Fraction: a
-    # report of many violations then holds about a third of the objects.
-    reported: dict[tuple[int, ...], TropVector] = {}  # (*ints, over) -> vector
-    over_s = _Entries(sign, scale)
+    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b and their rows
+    # A report repeats the guided pairs, so equal reported vectors share one
+    # TropVector, which holds its ints over S or S*b until its entries are read,
+    # and the vectors over one scale share a Fraction for each equal entry.
+    reported: dict[int, tuple[_Over, dict]] = {}  # over -> its scale, and ints -> vector
 
-    def as_vector(ints: Sequence[int], entries: _Entries) -> TropVector:
-        key = (*ints, entries.over)
-        if (vector := reported.get(key)) is None:
-            vector = reported[key] = TropVector(tuple(map(entries.__getitem__, ints)))
+    def as_vector(ints: Sequence[int], over: int) -> TropVector:
+        ints = tuple(ints)
+        if over not in reported:
+            reported[over] = _Over(sign * over), {}
+        shared, seen = reported[over]
+        if (vector := seen.get(ints)) is None:
+            vector = seen[ints] = vector_from_ints(shared, ints)
         return vector
 
     violations: list[TropVector] = []
@@ -270,13 +262,13 @@ def sample_euclidean_midpoints(
         z = [a * x + (b - a) * y for x, y in zip(u, v)]
         if b not in cols_over:
             gens = tuple(tuple(b * x for x in g) for g in cols)
-            cols_over[b] = gens, tuple(zip(*gens)), _Entries(sign, scale * b)
-        gens, rows, over_sb = cols_over[b]
+            cols_over[b] = gens, tuple(zip(*gens))
+        gens, rows = cols_over[b]
         # z is a member iff its principal projection, max_k (g_k + <g_k|z>), is z
         lams = [min(map(sub, z, g)) for g in gens]
         if not all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
-            violations.append(as_vector(z, over_sb))
-            certificates.append((as_vector(u, over_s), as_vector(v, over_s), Fraction(a, b)))
+            violations.append(as_vector(z, scale * b))
+            certificates.append((as_vector(u, scale), as_vector(v, scale), Fraction(a, b)))
             if max_violations is not None and len(violations) >= max_violations:
                 break
     return MidpointReport(

@@ -11,7 +11,8 @@ exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import math
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import add, sub
 
@@ -22,9 +23,7 @@ from .core import (
     TropMatrix,
     TropVector,
     _check_same_length,
-    common_denominator,
-    from_lattice,
-    to_lattice,
+    vector_from_ints,
 )
 
 
@@ -86,29 +85,6 @@ def dominates_polytope_at(x: TropVector, p: Polytope, i: int) -> bool:
     return all(dominates_at(x, g, i) for g in p)
 
 
-def _max_plus_projection(gens: Sequence[Sequence[int]], y: Sequence[int]) -> list[int]:
-    """The max-plus principal projection on one integer lattice.
-
-    ``gens`` are the generators and ``y`` the query, all as numerators over
-    one common denominator: each generator is scaled by its bracket
-    ``min_i (y_i - g_i)`` and the results are combined by componentwise max.
-    """
-    lams = [min(map(sub, y, g)) for g in gens]
-    return [max(map(add, r, lams)) for r in zip(*gens)]
-
-
-def _lattice_projection(p: Polytope, y: TropVector) -> tuple[list[int], list[int], int]:
-    """Project y onto p in ints, both times ``p.flavor.sign``: ``(projection, y, scale)``."""
-    if len(y) != p.ambient_dim:
-        raise DimensionError(f"vector length {len(y)} != ambient dimension {p.ambient_dim}")
-    lat = p.generators.lattice
-    scale = common_denominator(y, lat.scale)
-    sign = p.flavor.sign
-    gens = lat.cols_times(sign * (scale // lat.scale))
-    yl = [sign * e for e in to_lattice(y, scale)]
-    return _max_plus_projection(gens, yl), yl, scale
-
-
 def principal_projection(p: Polytope, y: TropVector) -> TropVector:
     """Best approximation of y inside the span of p.
 
@@ -117,11 +93,19 @@ def principal_projection(p: Polytope, y: TropVector) -> TropVector:
     the smallest span element >= y, the min-plus sum of generators scaled by
     ``max_i (y_i - g_i)``, computed as the negated max-plus projection of -y.
     """
-    z, _, scale = _lattice_projection(p, y)
-    return TropVector(from_lattice((p.flavor.sign * e for e in z), scale))
+    yscale, ys = y.lattice
+    if len(ys) != p.ambient_dim:
+        raise DimensionError(f"vector length {len(ys)} != ambient dimension {p.ambient_dim}")
+    lat = p.generators.lattice
+    scale = math.lcm(lat.scale, yscale)
+    sign = p.flavor.sign  # the ints times sign: the result's scale carries it back
+    gens = lat.cols_times(sign * (scale // lat.scale))
+    ys = [sign * scale // yscale * e for e in ys]
+    lams = [min(map(sub, ys, g)) for g in gens]  # each generator's bracket against y
+    z = [max(map(add, r, lams)) for r in zip(*gens)]
+    return y if z == ys else vector_from_ints(sign * scale, tuple(z))  # a member is its own projection
 
 
 def member(p: Polytope, y: TropVector) -> bool:
     """True iff y lies in the span of p (exact rational equality)."""
-    z, yl, _ = _lattice_projection(p, y)
-    return z == yl
+    return principal_projection(p, y) == y

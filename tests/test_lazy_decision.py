@@ -15,6 +15,11 @@ they check that a "no" at column 0 folds and packs nothing and builds no star,
 that a "yes" packs p's generators once, that ``classify`` folds every column
 in one kernel call and tests no column after the first failing one, and that
 only a "yes", ``dominator`` or ``classify`` builds a star, exactly one.
+Through the ``entries`` slot descriptor, they check that ``classify``,
+``dominator``, ``min_plus_hull``, ``principal_projection``,
+``projectivise_generators`` and the sampler return values that hold no
+``Fraction`` until a caller reads them, and that a read report shares one
+``Fraction`` per value over each scale.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -34,11 +39,21 @@ from tropgeo import (
     classify,
     dominator,
     is_min_plus_convex,
+    min_plus_hull,
+    principal_projection,
+    sample_euclidean_midpoints,
     verify_dominator_relation,
 )
 from tropgeo import kleene, polytope
 
-from oracles import direct_member, dominator_columns, fold_over_ordered_pairs, reference_random_member
+from oracles import (
+    direct_max_plus_projection,
+    direct_member,
+    direct_min_plus_projection,
+    dominator_columns,
+    fold_over_ordered_pairs,
+    reference_random_member,
+)
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -239,6 +254,57 @@ def test_a_drained_fold_builds_one_checked_star():
     p = random_polytope(rng, 8, 10)
     assert failing_by_oracle(p)
     assert stars_built(dominator, p) == stars_built(classify, p) == 1
+
+
+def unread(value) -> bool:
+    """True iff ``value``, a TropMatrix or TropVector, holds no entries yet: its slot,
+    read through the descriptor, raises where ``value.entries`` would build them."""
+    try:
+        type(value).entries.__get__(value)
+    except AttributeError:
+        return True
+    return False
+
+
+def test_results_build_no_fraction_until_read():
+    """The kernels' results hold only lattice ints, so a caller that reads no
+    entries pays for no ``Fraction``; once read, the entries are the oracle's."""
+    rng = random.Random(1805)
+    witnesses = violations = projections = 0
+    for n, m in ((3, 4), (5, 6), (8, 10)):
+        for _ in range(3):
+            p = random_polytope(rng, n, m)
+            y = TropVector(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n)))
+            for q in (p, negated(p)):
+                result = classify(q)
+                star = dominator(q).matrix
+                projection = principal_projection(q, y)  # y itself when y is in q
+                report = sample_euclidean_midpoints(q, 40, n)
+                certified = [vector for u, v, _ in report.certificates for vector in (u, v)]
+                values = [
+                    result.dominator.matrix,
+                    star,
+                    min_plus_hull(q).generators,
+                    *polytope.projectivise_generators(q),
+                    *report.violations,
+                    *certified,
+                ]
+                if result.witness is not None:
+                    values.append(result.witness)
+                    witnesses += 1
+                if projection is not y:
+                    values.append(projection)
+                    projections += 1
+                violations += len(report.violations)
+                assert all(map(unread, values)), q
+                # once read, the violations over one scale share one Fraction per value
+                shared: dict = {}
+                for scale, z in [(z.lattice[0], z) for z in report.violations]:
+                    assert all(shared.setdefault((scale, e), e) is e for e in z.entries)
+                assert [list(r) for r in zip(*star.entries)] == [list(c) for c in dominator_columns(q)]
+                direct = direct_max_plus_projection if q.flavor is MAX else direct_min_plus_projection
+                assert projection.entries == direct(q, y)
+    assert witnesses >= 6 and violations >= 20 and projections >= 12
 
 
 if __name__ == "__main__":

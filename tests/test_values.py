@@ -19,7 +19,7 @@ from tropgeo import (
     mat,
     vec,
 )
-from tropgeo.core import Lattice, matrix_from_lattice
+from tropgeo.core import Lattice, _Over, matrix_from_lattice, vector_from_ints
 
 F = Fraction
 STAR = mat([[0, -1], [1, 0]])  # a Kleene star in both flavors
@@ -163,3 +163,65 @@ def test_copies_of_a_matrix_keep_its_lattice():
     lat = m.lattice
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m and twin.lattice == lat
+
+
+# Int-born values and their Fraction-born twins.  Each maker returns a fresh
+# instance that holds only its int form, so every check starts from there.
+INT_BORN = {
+    "matrix": (lambda: matrix_from_lattice(Lattice(2, ((1, 2), (3, 4)))), mat([["1/2", "3/2"], [1, 2]])),
+    "matrix, scale not reduced": (
+        lambda: matrix_from_lattice(Lattice(4, ((2, 4), (6, 8)))),
+        mat([["1/2", "3/2"], [1, 2]]),
+    ),
+    "vector": (lambda: vector_from_ints(2, (1, 3, -4)), vec("1/2", "3/2", -2)),
+    "vector, scale not reduced": (lambda: vector_from_ints(6, (3, 9, -12)), vec("1/2", "3/2", -2)),
+    "vector, negative scale": (lambda: vector_from_ints(-2, (-1, -3, 4)), vec("1/2", "3/2", -2)),
+}
+
+
+@pytest.mark.parametrize("make, twin", INT_BORN.values(), ids=INT_BORN)
+def test_int_born_values_match_their_fraction_born_twins(make, twin):
+    entries = type(twin).entries
+    assert make() == twin and twin == make()
+    assert hash(make()) == hash(twin)
+    assert repr(make()) == repr(twin)
+    assert make().entries == twin.entries
+    for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        obj = make()
+        clone = copier(obj)
+        assert type(clone) is type(twin) and clone == twin and hash(clone) == hash(twin)
+        entries.__get__(clone)  # a copy goes through the constructor, with entries
+    obj = make()
+    assert obj == obj and not obj != obj  # equal to itself with no field read
+    with pytest.raises(AttributeError):
+        entries.__get__(obj)  # nothing above built this instance's entries
+
+
+def test_a_fraction_born_vector_builds_its_int_form_once():
+    v = vec("1/2", "-3/4", 2)
+    assert v.lattice == (4, (2, -3, 8)) and v.lattice[1] is v.lattice[1]
+
+
+def test_reading_the_entries_of_a_vector_born_from_ints_drops_the_ints():
+    v = vector_from_ints(-6, (-3, -9, 12))
+    assert v.lattice == (-6, (-3, -9, 12))
+    assert v.entries == vec("1/2", "3/2", -2).entries
+    with pytest.raises(AttributeError):
+        TropVector._lattice.__get__(v)  # they went when the entries were built
+    assert v.lattice == (2, (1, 3, -4))  # built again, on the entries' least scale
+
+
+def test_vectors_over_one_scale_share_a_fraction_for_each_equal_entry():
+    over = _Over(6)
+    a, b = vector_from_ints(over, (3, 4)), vector_from_ints(over, (4, 9))
+    assert a.entries[1] is b.entries[0] == F(2, 3)
+
+
+@pytest.mark.parametrize("cls", [TropMatrix, TropVector])
+def test_a_value_with_neither_form_raises_attribute_error(cls):
+    empty = object.__new__(cls)  # neither entries nor the int form is set
+    for name in ("entries", "_lattice", "lattice", "bogus"):
+        with pytest.raises(AttributeError):
+            getattr(empty, name)
+    with pytest.raises(AttributeError):
+        repr(empty)
