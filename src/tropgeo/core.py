@@ -291,23 +291,37 @@ class TropMatrix(Frozen):
         object.__setattr__(self, name, value)
         return value
 
+    def _held_entries(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The entries if this matrix holds them, else None: nothing is built."""
+        try:
+            return TropMatrix.entries.__get__(self)
+        except AttributeError:
+            return None
+
     @property
     def n_rows(self) -> int:
-        return len(self.lattice.cols[0])
+        rows = self._held_entries()
+        return len(rows) if rows is not None else len(self.lattice.cols[0])
 
     @property
     def n_cols(self) -> int:
-        return len(self.lattice.cols)
+        rows = self._held_entries()
+        return len(rows[0]) if rows is not None else len(self.lattice.cols)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
+    # A row or column shares the matrix's Fractions if it holds them, else holds only ints.
     def row(self, i: int) -> TropVector:
+        if (rows := self._held_entries()) is not None:
+            return TropVector(rows[i])
         lat = self.lattice
         return vector_from_ints(lat.scale, tuple([c[i] for c in lat.cols]))
 
     def col(self, j: int) -> TropVector:
+        if (rows := self._held_entries()) is not None:
+            return TropVector(tuple([r[j] for r in rows]))
         return vector_from_ints(self.lattice.scale, self.lattice.cols[j])
 
     def columns(self) -> Iterator[TropVector]:

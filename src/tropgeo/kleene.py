@@ -129,8 +129,13 @@ def _lanes(cols: tuple[tuple[int, ...], ...], reach: int) -> tuple[bytes, int, i
     lo = min(flat)
     span = max(flat) - lo
     guard = (reach * span).bit_length()
-    size = 1 << (guard >> 3).bit_length() if guard < 64 else -(-(guard + 1) // 8)  # an array item size, or more
+    size = _lane_bytes(guard)
     return _pack([*map(sub, flat, repeat(lo))], size), guard, size, span
+
+
+def _lane_bytes(guard: int) -> int:
+    """Bytes of a lane that holds ``2**(guard + 1)``: an array item size, or more."""
+    return 1 << (guard >> 3).bit_length() if guard < 64 else -(-(guard + 1) // 8)
 
 
 # Lanes of an array item's size are moved by the array module, wider ones one at a time.

@@ -556,7 +556,7 @@ BASE_MODULES = {"tropgeo", "tropgeo.core", "tropgeo.residuation", "tropgeo.docio
 ADDED_MODULES = {
     "member": set(),
     "classify": {"tropgeo.kleene"},
-    "reduce": {"tropgeo.polytope"},
+    "reduce": {"tropgeo.polytope"},  # kleene only for a reduction that computes brackets
     "sample-midpoints": {"tropgeo.kleene", "tropgeo.polytope", "random"},
     "equal": {"tropgeo.polytope"},  # kleene only for polytopes of different flavors
 }

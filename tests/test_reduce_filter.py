@@ -17,7 +17,6 @@ can run them as a script:
     PYTHONPATH=src:tests python tests/test_reduce_filter.py
 """
 
-import operator
 import random
 from fractions import Fraction
 
@@ -143,20 +142,21 @@ def test_padded_polytropes_and_a_random_32x40():
 
 
 def brackets_computed(p: Polytope) -> int:
-    """How many additions the bracket test of ``reduce_generators`` makes on p,
-    counted through the module's ``add``, which only that test uses."""
+    """How many classes ``reduce_generators`` computes brackets for on p,
+    counted through the module's ``_in_span_of_others``, the bracket test."""
     count = 0
+    bracket_test = polytope._in_span_of_others
 
-    def counting_add(a, b):
+    def counting_test(*args):
         nonlocal count
         count += 1
-        return a + b
+        return bracket_test(*args)
 
-    polytope.add = counting_add
+    polytope._in_span_of_others = counting_test
     try:
         reduce_generators(p)
     finally:
-        polytope.add = operator.add
+        polytope._in_span_of_others = bracket_test
     return count
 
 
