@@ -200,7 +200,7 @@ def _cmd_dominates(args) -> int:
 
 def _cmd_member(args) -> int:
     projection = principal_projection(_polytope(args), args.y)
-    inside = projection == args.y
+    inside = projection is args.y
     _note(args, f"member: {inside}; projection = {format_vector(projection)}")
     return _result(args, {"member": inside, "projection": format_vector(projection)}, inside)
 

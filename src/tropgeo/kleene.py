@@ -11,9 +11,11 @@ exact rational decision with no geometry involved.  Every function here on
 a polytope takes either flavor: the dominator of a min-plus polytope is the
 negated max-plus one, a min-plus star whose column space is the max-plus
 hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
-The dominator fold packs the signed lattice ints into lanes of whole bytes, so
-that a handful of big-int operations per generator take the lanewise min of
-all n^2 entries at once (``_lanewise_min``).  Column 0 alone is the min of the
+The dominator fold packs each signed generator into one int, a lane of whole
+bytes per coordinate.  Dominator column i, one such int too, is the lanewise
+min of the generators shifted to i-th coordinate 0, ``v_k - v_ik * 1``: a
+handful of big-int operations per generator lower all n entries of the
+column at once (``_lanewise_min``).  Column 0 alone is the min of the
 generators shifted to first coordinate 0 (``_shifted``), with no fold.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
@@ -80,10 +82,10 @@ class Classification(Frozen):
 
 def _star_defect(f: Flavor, a: TropMatrix, packed: tuple | None = None) -> str | None:
     """Why ``a`` is not a Kleene star under f, or None.  ``packed`` is the fold's
-    ``(cols, lanes, guard, size)`` for its zero-diagonal ``a``; without it, ``a`` is
+    ``(cols, lanes, ones, guard)`` for its zero-diagonal ``a``; without it, ``a`` is
     packed here.  ``cols`` are a's signed lattice ints, column-major (min-plus
-    negated); lane ``j*n + i`` of ``lanes`` holds ``a_ij`` plus one offset in ``size``
-    bytes, which hold ``2**(guard + 1)``, and ``2**guard > |a_ij - a_ik - a_kj|``."""
+    negated); lane i of ``lanes[j]`` holds ``a_ij`` plus one offset, ``ones`` has a 1
+    in each lane, a lane holds ``2**(guard + 1)``, and ``2**guard > |a_ij - a_ik - a_kj|``."""
     if packed is None:
         if not a.is_square:
             return f"matrix is {a.n_rows}x{a.n_cols}, not square"
@@ -92,17 +94,14 @@ def _star_defect(f: Flavor, a: TropMatrix, packed: tuple | None = None) -> str |
             if col[i]:
                 return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
         packed = cols, *_lanes(cols, 2)[:3]  # a zero diagonal: a triangle sum is within 2 span of 0
-    cols, lanes, guard, size = packed
-    width = size * len(cols)
-    columns = [int.from_bytes(lanes[s : s + width], byteorder) for s in range(0, len(lanes), width)]
-    ones = ((1 << width * 8) - 1) // ((1 << size * 8) - 1)
+    cols, lanes, ones, guard = packed
     guards = ones << guard
     # lane i of top - p - a_kj * ones, with p holding column k, is
     # 2**guard + a_ij - a_ik - a_kj, which keeps its guard bit iff it is >= 0
-    for col, top in zip(cols, columns):
+    for col, top in zip(cols, lanes):
         top += guards
         acc = guards
-        for p, a_kj in zip(columns, col):
+        for p, a_kj in zip(lanes, col):
             acc &= top - p - a_kj * ones
         if acc != guards:
             return "matrix is not idempotent"
@@ -118,19 +117,25 @@ def is_kleene_star(f: Flavor, a: TropMatrix) -> bool:
 
 
 _CODES = {array(c).itemsize: c for c in "QLIHB"}  # an array type code for each item size
-_PASS_BITS = 1 << 17  # the fold's passes stay within about this many bits
 
 
-def _lanes(cols: tuple[tuple[int, ...], ...], reach: int) -> tuple[bytes, int, int, int]:
-    """``(lanes, guard, size, span)``: ``cols``, column-major, each int less their least
-    in a lane of ``size`` bytes, which holds ``2**(guard + 1)``.  ``span`` is their
-    greatest less their least, and ``2**guard > reach * span``."""
+def _lanes(cols: tuple[tuple[int, ...], ...], reach: int) -> tuple[list[int], int, int, list[int], int]:
+    """``(lanes, ones, guard, ints, span)``: ``ints`` are the entries of ``cols``,
+    column-major, each less their least, and ``lanes[k]`` is column k of them, one int
+    with a lane of ``_lane_bytes(guard)`` bytes per entry, which holds ``2**(guard + 1)``;
+    ``ones`` has a 1 in each lane.  ``span`` is the greatest of ``ints``, and
+    ``2**guard > reach * span``."""
+    n = len(cols[0])
     flat = [*chain.from_iterable(cols)]
     lo = min(flat)
     span = max(flat) - lo
     guard = (reach * span).bit_length()
     size = _lane_bytes(guard)
-    return _pack([*map(sub, flat, repeat(lo))], size), guard, size, span
+    ints = [*map(sub, flat, repeat(lo))]
+    packed = _pack(ints, size)
+    width = n * size  # bytes of a column
+    lanes = [int.from_bytes(packed[s : s + width], byteorder) for s in range(0, len(packed), width)]
+    return lanes, int.from_bytes((1).to_bytes(size, byteorder) * n, byteorder), guard, ints, span
 
 
 def _lane_bytes(guard: int) -> int:
@@ -153,58 +158,35 @@ def _unpack(lanes: bytes, size: int) -> list[int]:
     return [int.from_bytes(lanes[s : s + size], byteorder) for s in range(0, len(lanes), size)]
 
 
-def _spread(lanes: bytes, size: int, n: int) -> bytes:
-    """Each lane of ``size`` bytes repeated n times."""
-    if size in _CODES:
-        items = array(_CODES[size], lanes)
-        spread = array(items.typecode, bytes(len(lanes) * n))
-        for j in range(n):
-            spread[j::n] = items
-        return spread.tobytes()
-    return b"".join([lanes[s : s + size] * n for s in range(0, len(lanes), size)])
-
-
-def _lanewise_min(gens: bytes, n: int, size: int, guard: int, span: int) -> bytes:
-    """Lanes ``i*n + j`` holding ``2**guard + D_ji``, the min over generators k of
-    ``w_jk - w_ik``.  Lane ``k*n + i`` of ``gens`` holds ``w_ik`` plus one offset;
-    every ``w_jk - w_ik`` is at most ``span``, and ``2**guard > 2*span``."""
-    width = n * size  # bytes of a column
-    m = len(gens) // width
-    bits = 8 * width * n  # of a block, one generator's lanes
-    # a pass takes h generators, a block each: h is a power of two, 4 while four blocks
-    # fit in _PASS_BITS, or as many as fit in a 16th of it when blocks are small, but no
-    # more than m needs.  At the end the h blocks fold pairwise into one.
-    fit = (_PASS_BITS // bits).bit_length() - 1  # log2 of the blocks that fit in _PASS_BITS
-    h = 1 << max(0, min((m - 1).bit_length(), max(min(2, fit), fit - 4)))
-    padded = gens + span.to_bytes(size, byteorder) * (n * (-m % h))  # rows unpadded: span - 0 lowers no min
-    ones = int.from_bytes((1).to_bytes(size, byteorder) * (h * n * n), byteorder)
+def _lanewise_min(gens: list[int], ones: int, guard: int, ints: list[int], span: int) -> list[int]:
+    """The dominator's columns, one int each: lane j of column i holds ``2**guard + D_ji``,
+    the min over generators k of ``w_jk - w_ik``, which ``gens[k] - w_ik * ones`` holds
+    for every j at once.  Lane i of ``gens[k]`` holds ``w_ik`` plus one offset, as does
+    ``ints[k*n + i]``; every ``w_jk - w_ik`` is at most ``span``, ``2**guard > 2*span``,
+    and ``ones`` has a 1 in each lane."""
+    n = len(ints) // len(gens)
     guards = ones << guard
-    acc = ones * ((1 << guard) + span)
-    for k in range(0, len(padded), h * width):
-        # lane (k, i, j) of col holds w_jk, of row w_ik, each plus the offset
-        col = int.from_bytes(_spread(padded[k : k + h * width], width, n), byteorder)
-        row = int.from_bytes(_spread(gens[k : k + h * width], size, n), byteorder)
-        y = acc - col + row  # lane: 2**guard + the running min - (w_jk - w_ik)
-        t = y & guards  # guard bits where the running min is the larger
-        acc -= y & (t - (t >> guard))
-    while h > 1:  # the upper half of the blocks folds onto the lower half
-        h //= 2
-        low = (1 << h * bits) - 1
-        y = (acc & low) - (acc >> h * bits) + guards  # above the lower half, lanes of 2**guard
-        t = y & guards
-        acc = (acc & low) - (y & (t - (t >> guard)))
-    return acc.to_bytes(bits // 8, byteorder)
+    columns = []
+    for i in range(n):
+        acc = guards + span * ones
+        for line, w_ik in zip(gens, ints[i::n]):
+            y = acc - line + w_ik * ones  # lane j: 2**guard + the running min - (w_jk - w_ik)
+            t = y & guards  # guard bits where the running min is the larger
+            acc -= y & (t - (t >> guard))
+        columns.append(acc)
+    return columns
 
 
 def _fold(p: Polytope) -> tuple:
-    """p's dominator, folded: ``(cols, lanes, guard, size)`` as ``_star_defect`` reads
+    """p's dominator, folded: ``(cols, lanes, ones, guard)`` as ``_star_defect`` reads
     them, where ``cols`` are its signed (max-plus) columns on p's lattice scale."""
-    n = p.ambient_dim
     # D lies in [-span, span], and the star check sums three of its entries
-    gens, guard, size, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign), 3)
-    lanes = _lanewise_min(gens, n, size, guard, span)
-    values = [*map(sub, _unpack(lanes, size), repeat(1 << guard))]
-    return [tuple(values[s : s + n]) for s in range(0, len(values), n)], lanes, guard, size
+    gens, ones, guard, ints, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign), 3)
+    lanes = _lanewise_min(gens, ones, guard, ints, span)
+    n, size = p.ambient_dim, _lane_bytes(guard)
+    packed = b"".join([c.to_bytes(n * size, byteorder) for c in lanes])
+    values = [*map(sub, _unpack(packed, size), repeat(1 << guard))]
+    return [tuple(values[s : s + n]) for s in range(0, len(values), n)], lanes, ones, guard
 
 
 def _star(p: Polytope, packed: tuple) -> KleeneStar:

@@ -92,6 +92,8 @@ def principal_projection(p: Polytope, y: TropVector) -> TropVector:
     max-plus sum of each generator scaled by its bracket against y.  Min-plus:
     the smallest span element >= y, the min-plus sum of generators scaled by
     ``max_i (y_i - g_i)``, computed as the negated max-plus projection of -y.
+    The result is y itself exactly when y lies in the span, so ``member`` tests
+    identity and a non-member builds no ``Fraction``.
     """
     yscale, ys = y.lattice
     if len(ys) != p.ambient_dim:
@@ -108,4 +110,4 @@ def principal_projection(p: Polytope, y: TropVector) -> TropVector:
 
 def member(p: Polytope, y: TropVector) -> bool:
     """True iff y lies in the span of p (exact rational equality)."""
-    return principal_projection(p, y) == y
+    return principal_projection(p, y) is y

@@ -178,7 +178,7 @@ class TestPolytopeCommands:
         assert lines[1:] == ["0,0", "1,2"]
 
     @pytest.mark.parametrize(
-        "x, header, row", [("1,2,3", "x,y", "1,2"), ("(0,1/2,-1,3)", "x1,x2,x3", "1/2,-1,3")]
+        "x, header, row", [("1,3", "x", "2"), ("1,2,3", "x,y", "1,2"), ("(0,1/2,-1,3)", "x1,x2,x3", "1/2,-1,3")]
     )
     def test_project_single_vector_and_csv(self, capsys, tmp_path, x, header, row):
         """``--emit-csv`` writes the one projected point, under the header ``--file`` would give it;

@@ -1,16 +1,18 @@
 """Seeded tests of the dominator fold, a lanewise min over packed lanes.
 
-``kleene.dominator`` packs the signed generator ints into lanes of whole
-bytes and takes, generator by generator, the lanewise min of
-``v_j - v_i`` for every pair of rows at once; the star it builds is
-checked on the same lanes.  These tests compare its lattice ints with the
-fold over every ordered pair in ``oracles.py``, and its entries with the
-Fraction column folds there, in both flavors: at n = 1, 2 and 3 and m = 1,
-on equal and shifted rows and on scaled duplicate columns, on ints wider
-than 64 bits, on lattice spans at each lane-width boundary, and on a 48x60
-input.  A fold whose lanes are bumped, or replaced by any matrix in the
-fold's range, must still be refused exactly when it is no Kleene star, and
-its guard bit must lie above the check's triangle sums, up to 3 span.
+``kleene.dominator`` packs each signed generator into one int, a lane of
+whole bytes per coordinate, and lowers dominator column i, one such int,
+generator by generator, by the generator shifted to i-th coordinate 0,
+``v_k - v_ik * 1``: the lanewise min of ``v_jk - v_ik`` for every row j at
+once.  The star it builds is checked on the same column ints.  These tests
+compare its lattice ints with the fold over every ordered pair in
+``oracles.py``, and its entries with the Fraction column folds there, in
+both flavors: at n = 1, 2 and 3 and m = 1, on equal and shifted rows and on
+scaled duplicate columns, on ints wider than 64 bits, on lattice spans at
+each lane-width boundary, and on a 48x60 input.  A fold whose lanes are
+bumped, or replaced by any matrix in the fold's range, must still be
+refused exactly when it is no Kleene star, and its guard bit must lie above
+the check's triangle sums, up to 3 span.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -19,6 +21,7 @@ can run them as a script:
 
 import random
 from fractions import Fraction
+from sys import byteorder
 
 from tropgeo import Flavor, Polytope, TropMatrix, dominator, kleene
 
@@ -127,12 +130,15 @@ def folded_into(p: Polytope, change) -> tuple:
     original = kleene._lanewise_min
     changed = []
 
-    def kernel(gens, n, size, guard, span):
+    def kernel(gens, ones, guard, ints, span):
         # the star check sums three entries of the fold's range [-span, span] in a lane
         assert 1 << guard > 3 * span
-        lanes = original(gens, n, size, guard, span)
-        changed[:] = change([x - (1 << guard) for x in kleene._unpack(lanes, size)], n, span)
-        return kleene._pack([x + (1 << guard) for x in changed], size)
+        lanes = original(gens, ones, guard, ints, span)
+        n, size = len(lanes), kleene._lane_bytes(guard)
+        packed = b"".join(c.to_bytes(n * size, byteorder) for c in lanes)
+        changed[:] = change([x - (1 << guard) for x in kleene._unpack(packed, size)], n, span)
+        packed = kleene._pack([x + (1 << guard) for x in changed], size)
+        return [int.from_bytes(packed[s : s + n * size], byteorder) for s in range(0, len(packed), n * size)]
 
     kleene._lanewise_min = kernel
     try:

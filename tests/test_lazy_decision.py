@@ -18,8 +18,9 @@ only a "yes", ``dominator`` or ``classify`` builds a star, exactly one.
 Through the ``entries`` slot descriptor, they check that ``classify``,
 ``dominator``, ``min_plus_hull``, ``principal_projection``,
 ``projectivise_generators`` and the sampler return values that hold no
-``Fraction`` until a caller reads them, and that a read report shares one
-``Fraction`` per value over each scale.
+``Fraction`` until a caller reads them, that a read report shares one
+``Fraction`` per value over each scale, and that ``member`` builds none for
+a vector outside the polytope.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -39,12 +40,13 @@ from tropgeo import (
     classify,
     dominator,
     is_min_plus_convex,
+    member,
     min_plus_hull,
     principal_projection,
     sample_euclidean_midpoints,
     verify_dominator_relation,
 )
-from tropgeo import kleene, polytope
+from tropgeo import core, kleene, polytope
 
 from oracles import (
     direct_max_plus_projection,
@@ -137,9 +139,10 @@ def columns_folded(call, p: Polytope) -> list:
     in order: it folds every column, n of them."""
     folded = []
 
-    def kernel(gens, n, *rest):
-        folded.append(n)
-        return lanewise_min(gens, n, *rest)
+    def kernel(*args):
+        columns = lanewise_min(*args)
+        folded.append(len(columns))
+        return columns
 
     lanewise_min = kleene._lanewise_min
     counted("_lanewise_min", kernel, call, p)
@@ -305,6 +308,35 @@ def test_results_build_no_fraction_until_read():
                 direct = direct_max_plus_projection if q.flavor is MAX else direct_min_plus_projection
                 assert projection.entries == direct(q, y)
     assert witnesses >= 6 and violations >= 20 and projections >= 12
+
+
+def test_a_non_member_builds_no_fraction():
+    """The projection of a member is y itself, so ``member`` tests identity and
+    a y outside q reads no entry of its projection: counted through
+    ``core._Over.__missing__``, no ``Fraction`` is built over any scale."""
+    rng = random.Random(1806)
+    missing = core._Over.__missing__
+    built = outside = 0
+
+    def counting(over, x):
+        nonlocal built
+        built += 1
+        return missing(over, x)
+
+    for n, m in ((3, 4), (5, 6), (8, 10), (32, 40)):
+        for _ in range(3):
+            p = random_polytope(rng, n, m)
+            y = TropVector(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n)))
+            for q in (p, negated(p)):
+                if direct_member(q, y):
+                    continue
+                core._Over.__missing__ = counting
+                try:
+                    assert not member(q, y)
+                finally:
+                    core._Over.__missing__ = missing
+                outside += 1
+    assert built == 0 and outside >= 16
 
 
 if __name__ == "__main__":

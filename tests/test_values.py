@@ -9,6 +9,7 @@ import pytest
 from tropgeo import (
     Classification,
     DimensionError,
+    DocumentError,
     Flavor,
     KleeneStar,
     MatrixDocument,
@@ -17,6 +18,7 @@ from tropgeo import (
     TropMatrix,
     TropVector,
     mat,
+    mat_from_columns,
     vec,
 )
 from tropgeo.core import Lattice, _Over, matrix_from_lattice, vector_from_ints
@@ -138,6 +140,19 @@ def test_validation_still_raises():
         TropMatrix(((F(0), F(1)), (F(2),)))
     with pytest.raises(ValueError, match="not idempotent"):
         KleeneStar(Flavor.MAX_PLUS, mat([[0, 1], [1, 0]]))
+    with pytest.raises(DimensionError, match=r"^matrix must be at least 1x1$"):
+        TropMatrix(())
+    with pytest.raises(TypeError, match=r"^matrix entry 1 is not a Fraction$"):
+        TropMatrix(((F(0), 1),))
+    with pytest.raises(DimensionError, match=r"^need at least one column$"):
+        mat_from_columns([])
+    with pytest.raises(DimensionError, match=r"^columns have unequal lengths$"):
+        mat_from_columns([vec(0, 1), vec(0)])
+    with pytest.raises(ValueError, match=r"^not a max-plus Kleene star: matrix is 2x3, not square$"):
+        KleeneStar(Flavor.MAX_PLUS, mat([[0, 1, 2], [1, 0, 2]]))
+    roles = r"\('matrix', 'generators-as-columns'\)"
+    with pytest.raises(DocumentError, match=rf"^role: expected one of {roles}, got 'rows'$"):
+        MatrixDocument.from_matrix(STAR, Flavor.MAX_PLUS, role="rows")
 
 
 def test_matrix_from_lattice_keeps_the_lattice():
