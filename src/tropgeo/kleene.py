@@ -11,12 +11,15 @@ exact rational decision with no geometry involved.  Every function here on
 a polytope takes either flavor: the dominator of a min-plus polytope is the
 negated max-plus one, a min-plus star whose column space is the max-plus
 hull, so the int kernels run max-plus on ``lattice.cols_times(flavor.sign)``.
-The dominator fold packs each signed generator into one int, a lane of whole
-bytes per coordinate.  Dominator column i, one such int too, is the lanewise
-min of the generators shifted to i-th coordinate 0, ``v_k - v_ik * 1``: a
-handful of big-int operations per generator lower all n entries of the
-column at once (``_lanewise_min``).  Column 0 alone is the min of the
-generators shifted to first coordinate 0 (``_shifted``), with no fold.
+One kernel, the min-plus product ``_lanewise_min``, reads each line of one
+factor as one int, a lane of whole bytes per entry (``_packed``), so a
+handful of big-int operations per line take every lane at once.  It
+computes both products of the generators V with ``-V^T``: the dominator fold
+``V (min*) (-V^T)``, column i the lanewise min of the shifted generators
+``v_k - v_ik * 1``, and the brackets ``min(g - h)`` of
+``polytope.reduce_generators``, a column of ``(-V^T) (min*) V``.  Column 0
+alone is the min of the generators shifted to first coordinate 0
+(``_shifted``), with no fold.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
@@ -121,21 +124,26 @@ _CODES = {array(c).itemsize: c for c in "QLIHB"}  # an array type code for each 
 
 def _lanes(cols: tuple[tuple[int, ...], ...], reach: int) -> tuple[list[int], int, int, list[int], int]:
     """``(lanes, ones, guard, ints, span)``: ``ints`` are the entries of ``cols``,
-    column-major, each less their least, and ``lanes[k]`` is column k of them, one int
-    with a lane of ``_lane_bytes(guard)`` bytes per entry, which holds ``2**(guard + 1)``;
-    ``ones`` has a 1 in each lane.  ``span`` is the greatest of ``ints``, and
+    column-major, each less their least, ``lanes, ones`` are ``_packed(ints, n, guard)``
+    for columns of n entries, ``span`` is the greatest of ``ints``, and
     ``2**guard > reach * span``."""
-    n = len(cols[0])
     flat = [*chain.from_iterable(cols)]
     lo = min(flat)
     span = max(flat) - lo
     guard = (reach * span).bit_length()
-    size = _lane_bytes(guard)
     ints = [*map(sub, flat, repeat(lo))]
+    return *_packed(ints, len(cols[0]), guard), guard, ints, span
+
+
+def _packed(ints: list[int], n: int, guard: int) -> tuple[list[int], int]:
+    """``(lanes, ones)``: ``lanes[k]`` is ``ints[k*n : k*n + n]``, non-negative, as one int
+    with a lane of ``_lane_bytes(guard)`` bytes per entry, which holds ``2**(guard + 1)``;
+    ``ones`` has a 1 in each lane."""
+    size = _lane_bytes(guard)
     packed = _pack(ints, size)
-    width = n * size  # bytes of a column
+    width = n * size  # bytes of a line
     lanes = [int.from_bytes(packed[s : s + width], byteorder) for s in range(0, len(packed), width)]
-    return lanes, int.from_bytes((1).to_bytes(size, byteorder) * n, byteorder), guard, ints, span
+    return lanes, int.from_bytes((1).to_bytes(size, byteorder) * n, byteorder)
 
 
 def _lane_bytes(guard: int) -> int:
@@ -158,23 +166,22 @@ def _unpack(lanes: bytes, size: int) -> list[int]:
     return [int.from_bytes(lanes[s : s + size], byteorder) for s in range(0, len(lanes), size)]
 
 
-def _lanewise_min(gens: list[int], ones: int, guard: int, ints: list[int], span: int) -> list[int]:
-    """The dominator's columns, one int each: lane j of column i holds ``2**guard + D_ji``,
-    the min over generators k of ``w_jk - w_ik``, which ``gens[k] - w_ik * ones`` holds
-    for every j at once.  Lane i of ``gens[k]`` holds ``w_ik`` plus one offset, as does
-    ``ints[k*n + i]``; every ``w_jk - w_ik`` is at most ``span``, ``2**guard > 2*span``,
-    and ``ones`` has a 1 in each lane."""
-    n = len(ints) // len(gens)
+def _lanewise_min(lines: list[int], shifts: list[list[int]], ones: int, guard: int, top: int) -> list[int]:
+    """The packed min-plus product: one int per row s of ``shifts``, whose lane a holds
+    ``2**guard + min(top, min_k (line_ka - s_k))``, where ``line_ka`` is lane a of
+    ``lines[k]`` (``_packed``) and ``ones`` has a 1 in each lane.  ``2**guard`` must
+    exceed ``top`` and the distance between any two of ``top`` and the ``line_ka - s_k``."""
     guards = ones << guard
-    columns = []
-    for i in range(n):
-        acc = guards + span * ones
-        for line, w_ik in zip(gens, ints[i::n]):
-            y = acc - line + w_ik * ones  # lane j: 2**guard + the running min - (w_jk - w_ik)
+    start = guards + top * ones
+    out = []
+    for s in shifts:
+        acc = start
+        for line, s_k in zip(lines, s):
+            y = acc - line + s_k * ones  # lane a: 2**guard + the running min - (line_ka - s_k)
             t = y & guards  # guard bits where the running min is the larger
             acc -= y & (t - (t >> guard))
-        columns.append(acc)
-    return columns
+        out.append(acc)
+    return out
 
 
 def _fold(p: Polytope) -> tuple:
@@ -182,8 +189,9 @@ def _fold(p: Polytope) -> tuple:
     them, where ``cols`` are its signed (max-plus) columns on p's lattice scale."""
     # D lies in [-span, span], and the star check sums three of its entries
     gens, ones, guard, ints, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign), 3)
-    lanes = _lanewise_min(gens, ones, guard, ints, span)
     n, size = p.ambient_dim, _lane_bytes(guard)
+    # column i, lane j: 2**guard + min_k (w_jk - w_ik), with w_ik = ints[k*n + i]
+    lanes = _lanewise_min(gens, [ints[i::n] for i in range(n)], ones, guard, span)
     packed = b"".join([c.to_bytes(n * size, byteorder) for c in lanes])
     values = [*map(sub, _unpack(packed, size), repeat(1 << guard))]
     return [tuple(values[s : s + n]) for s in range(0, len(values), n)], lanes, ones, guard

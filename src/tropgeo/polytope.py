@@ -11,11 +11,10 @@ projected points and sampler reports hold only ints until their entries are read
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from operator import add, sub
-from sys import byteorder
 
 from .core import (
     DimensionError,
@@ -68,10 +67,11 @@ def reduce_generators(p: Polytope) -> Polytope:
     g_i·1``.  The likeliest such i, where g is nearest its row's maximum, is
     tested first and with no brackets, by filtering the other classes one
     coordinate at a time, farthest below the row maximum first; only if it
-    is covered are g's brackets computed to test the rest, all m at once on
-    rows packed one int each (``_in_span_of_others``).  That is O(n·m²)
-    time and O(n·m) memory for n coordinates and m generators.  A p with
-    nothing to drop is returned as it is.
+    is covered are g's brackets ``<h|g> = min(g - h)``, g's column of ``(-V^T)
+    (min*) V``, computed by the packed product of the dominator fold
+    (``kleene._lanewise_min``), and h covers g at c iff ``h_c + <h|g> = g_c``.
+    That is O(n·m²) time and O(n·m) memory for n coordinates and m
+    generators.  A p with nothing to drop is returned as it is.
     """
     cols = p.generators.lattice.cols_times(p.flavor.sign)
     first: dict[tuple[int, ...], int] = {}
@@ -82,7 +82,7 @@ def reduce_generators(p: Polytope) -> Polytope:
     rows = list(zip(*gens))
     tops = [max(r) for r in rows]
     keep = []
-    lanes = None  # the rows packed for the bracket test, by the first class that needs it
+    lanes = None  # the rows packed for the brackets, by the first class that needs them
     for j, (k, g) in enumerate(zip(reps, gens)):
         gaps = list(map(sub, tops, g))
         order = sorted(range(len(g)), key=gaps.__getitem__, reverse=True)
@@ -93,49 +93,23 @@ def reduce_generators(p: Polytope) -> Polytope:
             if not (hs := [h for h in hs if rc[h] - ri[h] <= d]):
                 break
         if hs:
-            lanes = lanes or _row_lanes(rows, tops)
-            if _in_span_of_others(lanes, gaps, j, reversed(order)):
+            if lanes is None:
+                from .kleene import _lanewise_min, _packed  # loaded by the first bracket
+
+                # lane h of lanes[c] holds tops[c] - h_c, and every g_c - h_c lies within span
+                span = max(map(sub, tops, map(min, rows)))
+                guard = (2 * span).bit_length()
+                lanes, ones = _packed([t - x for t, r in zip(tops, rows) for x in r], len(gens), guard)
+                guards = ones << guard
+            (brackets,) = _lanewise_min(lanes, [gaps], ones, guard, span)  # lane h: 2**guard + <h|g>
+            # lane h: 2**guard + h_c + <h|g> - g_c, with the guard bit iff h covers g at c; g's own lane has it
+            if all(((brackets - lanes[c] + gaps[c] * ones) & guards).bit_count() > 1 for c in reversed(order)):
                 continue
         keep.append(k)
     if len(keep) == len(cols):
         return p  # nothing dropped: p is immutable, so it is its own reduction
     # the input's own Fractions: no TropVector per column, no Fraction rebuilt
     return Polytope(p.flavor, TropMatrix(tuple([tuple([r[k] for k in keep]) for r in p.generators.entries])))
-
-
-def _row_lanes(rows: list[tuple[int, ...]], tops: list[int]) -> tuple[list[int], int, int, int, int]:
-    """``(lanes, ones, bits, guard, span)``: lane h of ``lanes[c]``, ``bits`` wide, holds
-    ``tops[c] - rows[c][h]``, at most ``span``; ``ones`` has a 1 in each lane, and
-    ``2**guard > 2 * span`` with a lane holding ``2**(guard + 1)``.  Lane h lies h
-    lanes from the low end, or from the high end where the byte order is "big"."""
-    from .kleene import _lane_bytes, _pack  # the dominator's packing, loaded by the first bracket
-
-    span = max(map(sub, tops, map(min, rows)))
-    guard = (2 * span).bit_length()
-    size = _lane_bytes(guard)
-    width = size * len(rows[0])  # bytes of a row
-    packed = _pack([t - x for t, r in zip(tops, rows) for x in r], size)
-    lanes = [int.from_bytes(packed[s : s + width], byteorder) for s in range(0, len(packed), width)]
-    return lanes, int.from_bytes((1).to_bytes(size, byteorder) * len(rows[0]), byteorder), 8 * size, guard, span
-
-
-def _in_span_of_others(packing: tuple, gaps: list[int], j: int, coords: Iterable[int]) -> bool:
-    """True iff g, the j-th class, is covered at every coordinate c in ``coords``:
-    ``h_c + <h|g> = g_c`` for some other class h, where ``<h|g> = min(g - h)`` is
-    h's bracket, never more than ``g_c - h_c``.  ``gaps`` are g's lanes, ``tops[c] -
-    g_c``.  Lane h of one int holds h's bracket: n lanewise mins give all m."""
-    lanes, ones, bits, guard, span = packing
-    guards = ones << guard
-    least = 2 * span * ones  # lane h: span + the least g_c - h_c so far, so span + <h|g> at the end
-    for row, gap in zip(lanes, gaps):
-        y = least + guards - row - (span - gap) * ones  # lane: 2**guard + least - (span + g_c - h_c)
-        t = y & guards  # guard bits where the least so far is the larger
-        least -= y & (t - (t >> guard))
-    least += guards - span * ones
-    lane = j if byteorder == "little" else (ones.bit_length() - 1) // bits - j  # g's lane, from the low end
-    others = guards ^ (1 << bits * lane + guard)
-    # lane h: 2**guard + h_c + <h|g> - g_c, with the guard bit iff h covers g at c
-    return all((least - lanes[c] + gaps[c] * ones) & others for c in coords)
 
 
 def polytope_equal(p: Polytope, q: Polytope) -> bool:

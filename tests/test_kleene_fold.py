@@ -9,9 +9,11 @@ compare its lattice ints with the fold over every ordered pair in
 ``oracles.py``, and its entries with the Fraction column folds there, in
 both flavors: at n = 1, 2 and 3 and m = 1, on equal and shifted rows and on
 scaled duplicate columns, on ints wider than 64 bits, on lattice spans at
-each lane-width boundary, and on a 48x60 input.  A fold whose lanes are
-bumped, or replaced by any matrix in the fold's range, must still be
-refused exactly when it is no Kleene star, and its guard bit must lie above
+each byte boundary of the entries and each lane-width boundary, and on a
+48x60 input.  The kernel itself, a packed min-plus product, is compared
+with a plain-int product on rectangular shapes at the same spans and at
+the widest span of each lane width.  A fold whose lanes are bumped, or
+replaced by any matrix in the fold's range, must still be refused exactly when it is no Kleene star, and its guard bit must lie above
 the check's triangle sums, up to 3 span.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
@@ -104,23 +106,53 @@ def test_seeded_48x60():
     assert agree(random_matrix(rng, 48, 60)) > 0
 
 
+# Lattice spans t = 2^k - 2 .. 2^k + 2, where the entries cross a byte boundary,
+# and spans whose 3t crosses 2^g at each lane width: the fold compares
+# differences of up to t, and its star check sums three entries of up to t,
+# so its guard bit is the bit length of 3t.
+EDGE_SPANS = [t for k in (7, 8, 15, 16, 63, 64) for t in range(2**k - 2, 2**k + 3)] + [
+    t for g in (7, 15, 31, 63, 71) for t in range(2**g // 3 - 2, 2**g // 3 + 3)
+]
+
+
 def test_fold_at_lane_edges():
-    """Lattice spans t = 2^k - 2 .. 2^k + 2 for k at the byte boundaries of the
-    fold's lanes: entries x/2 with x in [0, t], 0, 1 and t among them, so that
-    the lattice scale is 2 and the span of the lattice ints is t.  The fold
-    compares differences of up to t, and its star check sums three entries of
-    up to t, so these spans cross from one lane width to the next."""
-    for k in (7, 8, 15, 16, 63, 64):
-        for t in range(2**k - 2, 2**k + 3):
-            rng = random.Random(t)
-            for n, m in ((1, 3), (2, 1), (2, 3), (3, 2), (4, 9)):
-                xs = [0, 1, t] + [rng.choice((0, 1, t - 1, t, rng.randint(0, t))) for _ in range(n * m)]
-                rng.shuffle(xs)
-                xs[: min(3, n * m)] = [0, 1, t][: min(3, n * m)]
-                v = matrix([[Fraction(xs[i * m + j], 2) for j in range(m)] for i in range(n)])
-                assert agree(v) <= t
-                if n * m >= 3:
-                    assert v.lattice.scale == 2
+    """The spans t of ``EDGE_SPANS``: entries x/2 with x in [0, t], 0, 1 and t
+    among them, so that the lattice scale is 2 and the span of the lattice ints
+    is t."""
+    for t in EDGE_SPANS:
+        rng = random.Random(t)
+        for n, m in ((1, 3), (2, 1), (2, 3), (3, 2), (4, 9)):
+            xs = [0, 1, t] + [rng.choice((0, 1, t - 1, t, rng.randint(0, t))) for _ in range(n * m)]
+            rng.shuffle(xs)
+            xs[: min(3, n * m)] = [0, 1, t][: min(3, n * m)]
+            v = matrix([[Fraction(xs[i * m + j], 2) for j in range(m)] for i in range(n)])
+            assert agree(v) <= t
+            if n * m >= 3:
+                assert v.lattice.scale == 2
+
+
+def test_kernel_is_a_rectangular_min_plus_product():
+    """``kleene._lanewise_min`` against the plain-int ``min(top, min_k (A_ak + B_kb))``
+    for a x K times K x b, 1x1 included: the columns of A, entries in [0, t], are the
+    packed lines, the columns of B, entries in [-t, 0], negated are the shifts, and
+    top is in [0, t], so 2t bounds every distance the kernel compares.  The spans
+    t are ``EDGE_SPANS`` under the fold's guard, and the widest spans of the
+    guards either side of each lane width."""
+    fold_spans = [(t, (3 * t).bit_length()) for t in EDGE_SPANS]
+    widest = [((2**g - 1) // 2, g) for g in (7, 8, 15, 16, 31, 32, 63, 64, 71, 72)]
+    for t, guard in fold_spans + widest:
+        rng = random.Random(t)
+        size = kleene._lane_bytes(guard)
+        for a, k, b in ((1, 1, 1), (1, 3, 2), (2, 1, 3), (3, 2, 1), (4, 9, 2), (5, 3, 7)):
+            A = [[rng.choice((0, 1, t - 1, t, rng.randint(0, t))) for _ in range(k)] for _ in range(a)]
+            B = [[-rng.choice((0, 1, t - 1, t, rng.randint(0, t))) for _ in range(b)] for _ in range(k)]
+            top = rng.choice((t, rng.randint(0, t)))
+            lines, ones = kleene._packed([A[r][c] for c in range(k) for r in range(a)], a, guard)
+            shifts = [[-B[c][s] for c in range(k)] for s in range(b)]
+            got = kleene._lanewise_min(lines, shifts, ones, guard, top)
+            lanes = kleene._unpack(b"".join(x.to_bytes(a * size, byteorder) for x in got), size)
+            meant = [min([top] + [A[r][c] + B[c][s] for c in range(k)]) for s in range(b) for r in range(a)]
+            assert [x - (1 << guard) for x in lanes] == meant, (t, guard, a, k, b)
 
 
 def folded_into(p: Polytope, change) -> tuple:
@@ -130,10 +162,10 @@ def folded_into(p: Polytope, change) -> tuple:
     original = kleene._lanewise_min
     changed = []
 
-    def kernel(gens, ones, guard, ints, span):
+    def kernel(lines, shifts, ones, guard, span):
         # the star check sums three entries of the fold's range [-span, span] in a lane
         assert 1 << guard > 3 * span
-        lanes = original(gens, ones, guard, ints, span)
+        lanes = original(lines, shifts, ones, guard, span)
         n, size = len(lanes), kleene._lane_bytes(guard)
         packed = b"".join(c.to_bytes(n * size, byteorder) for c in lanes)
         changed[:] = change([x - (1 << guard) for x in kleene._unpack(packed, size)], n, span)

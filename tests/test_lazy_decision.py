@@ -10,11 +10,12 @@ oracles in ``oracles.py``, in both flavors (min-plus by negation): on inputs
 that fail at column 0, on inputs that fail only at their last column (an
 input with one failing column, its coordinates permuted), at n = 1 and m = 1,
 on dominators and on polytropes padded with span members.  Counting through
-the module's ``_lanes``, packed kernel ``_lanewise_min`` and ``_star_defect``,
-they check that a "no" at column 0 folds and packs nothing and builds no star,
-that a "yes" packs p's generators once, that ``classify`` folds every column
-in one kernel call and tests no column after the first failing one, and that
-only a "yes", ``dominator`` or ``classify`` builds a star, exactly one.
+the module's ``_lanes``, its packed min-plus product ``_lanewise_min`` and
+``_star_defect``, they check that a "no" at column 0 folds and packs nothing
+and builds no star, that a "yes" packs p's generators once, that
+``classify`` folds every column in one kernel call and tests no column after
+the first failing one, and that only a "yes", ``dominator`` or ``classify``
+builds a star, exactly one.
 Through the ``entries`` slot descriptor, they check that ``classify``,
 ``dominator``, ``min_plus_hull``, ``principal_projection``,
 ``projectivise_generators`` and the sampler return values that hold no
@@ -135,8 +136,8 @@ def counted(name: str, replacement, call, p: Polytope) -> int:
 
 
 def columns_folded(call, p: Polytope) -> list:
-    """The dominator columns each call of the packed kernel folds during ``call(p)``,
-    in order: it folds every column, n of them."""
+    """The dominator columns each call of the packed product folds during ``call(p)``,
+    in order: one int per row of its shifts, every column, n of them."""
     folded = []
 
     def kernel(*args):

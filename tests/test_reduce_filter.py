@@ -8,9 +8,12 @@ columns it keeps with the bracket test of ``oracles.reduce_by_brackets``, in
 both flavors (min-plus by negation): on generators kept although every
 coordinate nearest the row maximum is covered, so the brackets decide; on
 ties in the gaps to the row maxima; at n = 1, m = 1, on one class and on
-scaled copies before and after their originals; and on 8x200 and 4x64
-polytropes padded with span members and a random 32x40.  One test checks
-that a class whose best-first coordinate is uncovered computes no brackets.
+scaled copies before and after their originals; on 8x200 and 4x64
+polytropes padded with span members and a random 32x40; and on spans at
+each lane-width boundary of the packed brackets.  Brackets are counted as
+calls of ``kleene._lanewise_min``, the packed min-plus product that also
+folds the dominator, one per class: a class whose best-first coordinate is
+uncovered computes none.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -21,7 +24,7 @@ import random
 from fractions import Fraction
 
 from tropgeo import Flavor, Polytope, TropMatrix, mat_from_columns, reduce_generators, vec
-from tropgeo import polytope
+from tropgeo import kleene
 
 from oracles import glb_column_fold, reduce_by_brackets
 
@@ -141,23 +144,27 @@ def test_padded_polytropes_and_a_random_32x40():
     assert len(agree(polytope_of(MAX, random_columns(rng, 32, 40)))) > 0
 
 
-def brackets_computed(p: Polytope) -> int:
-    """How many classes ``reduce_generators`` computes brackets for on p,
-    counted through the module's ``_in_span_of_others``, the bracket test."""
-    count = 0
-    bracket_test = polytope._in_span_of_others
+def kleene_calls(p: Polytope, name: str) -> list:
+    """The arguments of each call of ``kleene.<name>`` during ``reduce_generators(p)``."""
+    calls = []
+    original = getattr(kleene, name)
 
-    def counting_test(*args):
-        nonlocal count
-        count += 1
-        return bracket_test(*args)
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
-    polytope._in_span_of_others = counting_test
+    setattr(kleene, name, recording)
     try:
         reduce_generators(p)
     finally:
-        polytope._in_span_of_others = bracket_test
-    return count
+        setattr(kleene, name, original)
+    return calls
+
+
+def brackets_computed(p: Polytope) -> int:
+    """How many classes ``reduce_generators`` computes brackets for on p: calls of
+    the packed min-plus product ``kleene._lanewise_min``, one per class."""
+    return len(kleene_calls(p, "_lanewise_min"))
 
 
 def test_uncovered_best_first_coordinate_computes_no_brackets():
@@ -170,6 +177,37 @@ def test_uncovered_best_first_coordinate_computes_no_brackets():
             assert reduce_generators(q) == q
             assert brackets_computed(q) == 0
     assert brackets_computed(polytope_of(MAX, COVERED_BUT_KEPT)) > 0
+
+
+def test_brackets_at_lane_edges():
+    """Reduction packs its rows in lanes that hold ``2**(guard + 1)``, where the
+    guard bit lies above twice the span of its lattice ints, so spans with
+    2·span just below and above 2^k cross from one lane width to the next (1,
+    2, 4, 8 bytes, then 9 and 10).  COVERED_BUT_KEPT dilated by an odd c, x ->
+    c·x, keeps the same generators extremal, decides one of them by its
+    brackets and has span 7c; seeded inputs with entries x/2, x in [0, t], 0,
+    1 and t among them, have span t."""
+    doubled = [tuple(2 * Fraction(x) for x in col) for col in COVERED_BUT_KEPT]  # its lattice ints: span 7
+    rng = random.Random(7231)
+    for k in (7, 15, 31, 63, 71):
+        guards = set()
+        for c in range(2**k // 14 - 2, 2**k // 14 + 3):
+            if c % 2:
+                p = polytope_of(MAX, [tuple(c * x / 2 for x in col) for col in doubled])
+                assert agree(p) == [0, 1, 3, 4]
+                for q in (p, negated(p)):
+                    assert brackets_computed(q) > 0
+                    guards |= {args[2] for args in kleene_calls(q, "_packed")}
+        assert guards == {k, k + 1}, (k, guards)
+        decided_by_brackets = 0
+        for t in range(2 ** (k - 1) - 2, 2 ** (k - 1) + 3):
+            for n, m in ((2, 3), (3, 4), (4, 9)):
+                xs = [rng.choice((0, 1, t - 1, t, rng.randint(0, t))) for _ in range(n * m)]
+                xs[:3] = [0, 1, t]
+                p = polytope_of(MAX, [tuple(Fraction(xs[i * m + j], 2) for i in range(n)) for j in range(m)])
+                agree(p)
+                decided_by_brackets += brackets_computed(p)
+        assert decided_by_brackets > 0, k
 
 
 if __name__ == "__main__":
