@@ -345,39 +345,55 @@ def _cmd_sample_midpoints(args) -> int:
     )
 
 
-def build_parser() -> _Parser:
+def _add_subcommand(
+    sub, name, handler, help_, *vectors, file=True, either=None, boolean=False, require=None, flags=None, **defaults
+) -> None:
+    """Declare one subcommand with the flags it shares with others.
+
+    Each takes ``--verbose``, and ``--assert`` when ``boolean``.  ``vectors``
+    are ``(flag, help)`` pairs of vector flags, which argparse parses into
+    TropVectors.  ``file`` is True for a required ``--file``, or the help of
+    an optional one that stands in for the vector flag named ``either``.  A
+    polytope read from ``--file`` must have flavor ``require`` unless it is
+    None.  ``flags`` maps each further flag of its own to its ``add_argument``
+    keywords.  ``defaults`` tell apart twins that share a handler; a function
+    among them is named, and its handler finds it in ``kleene`` when the
+    command runs.
+    """
+    p = sub.add_parser(name, help=help_)
+    p.set_defaults(handler=handler, require=require, either=either, **defaults)
+    p.add_argument("--verbose", action="store_true", help="human summary on stderr")
+    if boolean:
+        p.add_argument(
+            "--assert", dest="assert_", action="store_true",
+            help="exit 3 when the computed boolean is false",
+        )
+    if file is True:
+        p.add_argument("--file", required=True)
+    for flag, vector_help in vectors:
+        option = f"--{flag}"
+        p.vector_flags += (option,)
+        vector = functools.partial(_vector_flag, option)
+        p.add_argument(option, required=flag != either, type=vector, help=vector_help)
+    if isinstance(file, str):
+        p.add_argument("--file", help=file)
+    for flag, keywords in (flags or {}).items():
+        p.add_argument(flag, **keywords)
+
+
+def build_parser(only: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``only`` alone if that names one.
+
+    A call runs one subcommand, so ``run`` builds only the one its first
+    argument names; any other first argument (none, ``-h``, an unknown name,
+    a flag) builds them all, so help and every error message read as they would.
+    """
     parser = _Parser(prog="tropgeo", description="Exact tropical convexity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, tuple] = {}
 
-    def add(name, handler, help_, *vectors, file=True, either=None, boolean=False, require=None, **defaults):
-        """Declare one subcommand with the flags it shares with others.
-
-        Each takes ``--verbose``, and ``--assert`` when ``boolean``.  ``vectors``
-        are ``(flag, help)`` pairs of vector flags, which argparse parses into
-        TropVectors.  ``file`` is True for a required ``--file``, or the help of
-        an optional one that stands in for the vector flag named ``either``.  A
-        polytope read from ``--file`` must have flavor ``require`` unless it is
-        None.  ``defaults`` tell apart twins that share a handler; a function among
-        them is named, and its handler finds it in ``kleene`` when the command runs.
-        """
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler, require=require, either=either, **defaults)
-        p.add_argument("--verbose", action="store_true", help="human summary on stderr")
-        if boolean:
-            p.add_argument(
-                "--assert", dest="assert_", action="store_true",
-                help="exit 3 when the computed boolean is false",
-            )
-        if file is True:
-            p.add_argument("--file", required=True)
-        for flag, vector_help in vectors:
-            option = f"--{flag}"
-            p.vector_flags += (option,)
-            vector = functools.partial(_vector_flag, option)
-            p.add_argument(option, required=flag != either, type=vector, help=vector_help)
-        if isinstance(file, str):
-            p.add_argument("--file", help=file)
-        return p
+    def add(name, *args, **kwargs):
+        commands[name] = args, kwargs
 
     max_plus = dict(require=Flavor.MAX_PLUS)
     rationals = "comma-separated rationals"
@@ -385,22 +401,23 @@ def build_parser() -> _Parser:
         "bracket", _cmd_bracket, "residuation bracket of two vectors",
         ("x", rationals), ("y", rationals), file=False,
     )
-    p = add(
+    add(
         "dominates", _cmd_dominates, "domination at a position", ("x", None), ("y", "single vector to test"),
         either="y", file="polytope file: test all generators", boolean=True,
+        flags={"--i": dict(required=True, type=int, help="0-based position")},
     )
-    p.add_argument("--i", required=True, type=int, help="0-based position")
     add("member", _cmd_member, "span membership via principal projection", ("y", None), boolean=True)
     add("reduce", _cmd_reduce, "drop redundant generators")
-    p = add(
+    add(
         "project", _cmd_project, "projectivise a vector or all generators", ("x", "single vector"),
         either="x", file="polytope file: projectivise every generator",
+        flags={"--emit-csv": dict(help="also write the points as CSV to this path")},
     )
-    p.add_argument("--emit-csv", help="also write the points as CSV to this path")
-    p = add("equal", _cmd_equal, "extensional polytope equality", boolean=True)
-    p.add_argument("--other", required=True)
-    p = add("star-check", _cmd_star_check, "is the matrix a Kleene star?", boolean=True)
-    p.add_argument("--flavor", choices=[f.value for f in Flavor], help="override the file's flavor")
+    add("equal", _cmd_equal, "extensional polytope equality", boolean=True, flags={"--other": dict(required=True)})
+    add(
+        "star-check", _cmd_star_check, "is the matrix a Kleene star?", boolean=True,
+        flags={"--flavor": dict(choices=[f.value for f in Flavor], help="override the file's flavor")},
+    )
     add("dominator", _cmd_matrix, "dominator matrix of a max-plus polytope", build="dominator", **max_plus)
     add(
         "dominator-dual", _cmd_matrix, "dual dominator of a min-plus polytope",
@@ -424,15 +441,23 @@ def build_parser() -> _Parser:
         "dom-relation", _cmd_decide, "dual dominator vs negated transpose", boolean=True,
         decide="verify_dominator_relation", label="dual dominator equals negated transpose", **max_plus,
     )
-    p = add("sample-midpoints", _cmd_sample_midpoints, "randomized Euclidean-convexity falsifier", boolean=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or {DEFAULT_SEED}")
-    p.add_argument("--max-violations", type=int, help="stop after this many violations")
+    add(
+        "sample-midpoints", _cmd_sample_midpoints, "randomized Euclidean-convexity falsifier", boolean=True,
+        flags={
+            "--trials": dict(type=int, default=200),
+            "--seed": dict(type=int, help=f"default: ${SEED_ENV_VAR} or {DEFAULT_SEED}"),
+            "--max-violations": dict(type=int, help="stop after this many violations"),
+        },
+    )
+    for name, (args, kwargs) in commands.items():
+        if only not in commands or name == only:
+            _add_subcommand(sub, name, *args, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

@@ -162,30 +162,64 @@ def _below(bits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _random_rational(bits: Callable[[int], int]) -> tuple[int, int]:
-    """``(a, b)``: the rational a/b with ``|a| <= _NUM_BOUND`` and ``1 <= b <= _DEN_BOUND``."""
-    return _below(bits, 2 * _NUM_BOUND + 1) - _NUM_BOUND, _below(bits, _DEN_BOUND) + 1
+def _sample(bits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """``Random.sample(range(n), k)`` from ``bits = rng.getrandbits``, draw for draw.
 
-
-def _random_unit_interval(bits: Callable[[int], int]) -> tuple[int, int]:
-    """``(a, b)``: the rational a/b in (0, 1) with ``2 <= b <= 16``."""
-    den = _below(bits, 15) + 2
-    return _below(bits, den - 1) + 1, den
+    As CPython's does, it picks from a pool of the values not yet picked
+    while a list of n is smaller than a set of k (``setsize``), and otherwise
+    redraws values already picked; every draw is ``_below``'s.
+    """
+    setsize = 21  # CPython's: a small set's size less an empty list's
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    picks = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(n, n - k, -1):  # i values left in the pool
+            w = i.bit_length()
+            j = bits(w)
+            while j >= i:
+                j = bits(w)
+            picks.append(pool[j])
+            pool[j] = pool[i - 1]
+        return picks
+    w = n.bit_length()
+    picked = set()
+    for _ in range(k):
+        j = bits(w)
+        while j >= n or j in picked:
+            j = bits(w)
+        picked.add(j)
+        picks.append(j)
+    return picks
 
 
 def _random_member_ints(
-    rng: random.Random, cols: Sequence[Sequence[int]], steps: Sequence[int]
+    bits: Callable[[int], int], cols: Sequence[Sequence[int]], shifts: Sequence[Sequence[int]]
 ) -> list[int]:
     """A random span member on the sampler's lattice: the max over a random
-    generator subset, each column shifted by a random coefficient."""
-    bits = rng.getrandbits
-    picks = rng.sample(range(len(cols)), _below(bits, len(cols)) + 1)
+    generator subset, each column shifted by a random coefficient.
+
+    The subset is ``_sample``'s, of a size drawn by ``_below``.  Each
+    coefficient is two more ``_below`` draws, r and s, and ``shifts[r][s]`` is
+    its whole shift; the draws are written out here, not called.
+    """
+    m, nums, dens = len(cols), len(shifts), len(shifts[0])
+    mw, nw, dw = m.bit_length(), nums.bit_length(), dens.bit_length()
+    size = bits(mw)
+    while size >= m:
+        size = bits(mw)
     shifted = []
-    for k in picks:
-        a, b = _random_rational(bits)
-        lam = a * steps[b]
+    for k in _sample(bits, m, size + 1):
+        r = bits(nw)
+        while r >= nums:
+            r = bits(nw)
+        s = bits(dw)
+        while s >= dens:
+            s = bits(dw)
+        lam = shifts[r][s]
         shifted.append([x + lam for x in cols[k]])
-    return [*map(max, *shifted)] if len(shifted) > 1 else shifted[0]
+    return [*map(max, *shifted)] if size else shifted[0]
 
 
 def _scaled_generator_pairs(
@@ -231,12 +265,12 @@ def sample_euclidean_midpoints(
     rng = random.Random(seed)
     bits = rng.getrandbits
     # p's generators on the scale S = L * lcm(1.._DEN_BOUND), times p.flavor.sign: a
-    # coefficient a/b with b <= _DEN_BOUND is the whole shift a * steps[b]
+    # coefficient a/b with b <= _DEN_BOUND is the whole shift shifts[a + _NUM_BOUND][b - 1]
     sign = p.flavor.sign
     unit = math.lcm(*range(1, _DEN_BOUND + 1))
     scale = p.generators.lattice.scale * unit
     cols = p.generators.lattice.cols_times(sign * unit)
-    steps = [0] + [sign * (scale // b) for b in range(1, _DEN_BOUND + 1)]
+    shifts = [[a * sign * (scale // b) for b in range(1, _DEN_BOUND + 1)] for a in range(-_NUM_BOUND, _NUM_BOUND + 1)]
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
     guided = list(islice(_scaled_generator_pairs(p, cols), trials))
     cols_over: dict[int, tuple] = {}  # b -> the generators over S*b and their rows
@@ -244,6 +278,7 @@ def sample_euclidean_midpoints(
     # TropVector, which holds its ints over S or S*b until its entries are read,
     # and the vectors over one scale share a Fraction for each equal entry.
     reported: dict[int, tuple[_Over, dict]] = {}  # over -> its scale, and ints -> vector
+    ts: dict = {}  # (a, b) -> t = a/b, and t -> t: equal t share one Fraction
 
     def as_vector(ints: Sequence[int], over: int) -> TropVector:
         ints = tuple(ints)
@@ -261,17 +296,17 @@ def sample_euclidean_midpoints(
         if guided and trial < len(guided):
             u, v = guided[trial]
             a, b = 1, 2
-        elif guided and trial % 2 == 0:
-            u, v = guided[_below(bits, len(guided))]
-            a, b = _random_unit_interval(bits)
-            if rng.random() < 0.5:
-                c, d = _random_rational(bits)
-                lam = c * steps[d]
-                u = [x + lam for x in u]
         else:
-            u = _random_member_ints(rng, cols, steps)
-            v = _random_member_ints(rng, cols, steps)
-            a, b = _random_unit_interval(bits)
+            if from_guided := guided and trial % 2 == 0:
+                u, v = guided[_below(bits, len(guided))]
+            else:
+                u = _random_member_ints(bits, cols, shifts)
+                v = _random_member_ints(bits, cols, shifts)
+            b = _below(bits, 15) + 2  # t = a/b in (0, 1) with 2 <= b <= 16
+            a = _below(bits, b - 1) + 1
+            if from_guided and rng.random() < 0.5:
+                lam = shifts[_below(bits, len(shifts))][_below(bits, _DEN_BOUND)]
+                u = [x + lam for x in u]
         performed += 1
         z = [a * x + (b - a) * y for x, y in zip(u, v)]
         if b not in cols_over:
@@ -282,7 +317,9 @@ def sample_euclidean_midpoints(
         lams = [min(map(sub, z, g)) for g in gens]
         if not all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
             violations.append(as_vector(z, scale * b))
-            certificates.append((as_vector(u, scale), as_vector(v, scale), Fraction(a, b)))
+            if (a, b) not in ts:
+                ts[a, b] = ts.setdefault(t := Fraction(a, b), t)
+            certificates.append((as_vector(u, scale), as_vector(v, scale), ts[a, b]))
             if max_violations is not None and len(violations) >= max_violations:
                 break
     return MidpointReport(

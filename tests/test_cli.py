@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -580,6 +581,22 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 
 class TestStartup:
+    @pytest.mark.parametrize(
+        "argv", [["classify", "--file", "x.json"], [], ["-h"], ["nope"], ["--verbose", "classify"]]
+    )
+    def test_run_builds_only_the_subparser_it_runs(self, monkeypatch, capsys, argv):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        run(argv)
+        # a first argument that names a subcommand builds it alone; any other builds all 16
+        assert built == (["classify"] if argv[:1] == ["classify"] else list(CLI_SURFACE))
+
     def test_import_loads_no_module_the_calls_do_not_need(self):
         loaded = _modules_loaded_by("")
         assert BASE_MODULES <= loaded

@@ -1,13 +1,17 @@
 """Seeded tests that the midpoint sampler draws what ``random`` would draw.
 
 ``polytope._below(rng.getrandbits, n)`` is CPython's ``randrange(n)``: it
-redraws ``n.bit_length()`` random bits until the value is below n.  These
-tests compare it with ``randrange`` and ``randint`` value by value and state
-by state, and compare ``sample_euclidean_midpoints`` with the Fraction sampler
-in ``oracles.py`` in both flavors: at one and two generators, past the 21
-generators where ``random.sample`` switches to its set path, and on a 2x2
-polytope at 2,000 trials.  They need neither pytest nor hypothesis, so any
-Python the package supports can run them as a script:
+redraws ``n.bit_length()`` random bits until the value is below n, and
+``polytope._sample(rng.getrandbits, n, k)`` is CPython's ``sample(range(n),
+k)``, on its pool path and on its set path.  These tests compare them, and the
+span members ``polytope._random_member_ints`` draws with them, with
+``randrange``, ``randint`` and ``sample`` value by value and state by state.
+They compare ``sample_euclidean_midpoints``, which draws each t in
+its trial loop, with the Fraction sampler in ``oracles.py`` in both flavors: at
+one and two generators, past the 21 generators where ``random.sample``
+switches to its set path, and on a 2x2 polytope at 2,000 trials.  They need
+neither pytest nor hypothesis, so any Python the package supports can run
+them as a script:
 
     PYTHONPATH=src:tests python tests/test_sampler_draws.py
 """
@@ -16,7 +20,7 @@ import random
 from fractions import Fraction
 
 from tropgeo import Flavor, Polytope, TropMatrix, dominator, sample_euclidean_midpoints
-from tropgeo.polytope import _below, _random_rational, _random_unit_interval
+from tropgeo.polytope import _below, _random_member_ints, _sample
 
 from oracles import reference_sample_midpoints
 
@@ -46,14 +50,35 @@ def test_below_is_randrange():
         assert a.getstate() == b.getstate() == c.getstate(), seed
 
 
-def test_coefficient_draws_are_randint():
-    for seed in range(200):
+def test_sample_is_random_sample():
+    # every k at each n up to 45; the switch to the set path at k <= 5 (n = 21,
+    # 22) and at k = 6 (n = 85, 86), where setsize is 21 + 4**3; and n = 300
+    shapes = [(n, k) for n in range(1, 46) for k in range(1, n + 1)]
+    shapes += [(n, k) for n in (85, 86) for k in (1, 5, 6, 7)]
+    shapes += [(300, k) for k in (1, 5, 6, 21, 22, 100, 299, 300)]
+    for seed in range(4):
         a, b = random.Random(seed), random.Random(seed)
-        for _ in range(20):
-            assert _random_rational(a.getrandbits) == (b.randint(-8, 8), b.randint(1, 6)), seed
-            den = b.randint(2, 16)
-            assert _random_unit_interval(a.getrandbits) == (b.randint(1, den - 1), den), seed
-        assert a.getstate() == b.getstate(), seed
+        for n, k in shapes:
+            assert _sample(a.getrandbits, n, k) == b.sample(range(n), k), (seed, n, k)
+            assert a.getstate() == b.getstate(), (seed, n, k)
+
+
+def test_span_member_draws_are_randint_and_sample():
+    # the sampler's table for steps 60 // b: coefficient a/b shifts by a * (60 // b)
+    shifts = [[a * (60 // b) for b in range(1, 7)] for a in range(-8, 9)]
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        for m in (1, 2, 5, 10, 21, 22, 30):
+            cols = [[b.randint(-99, 99) for _ in range(1 + seed % 4)] for _ in range(m)]
+            a.setstate(b.getstate())
+            member = _random_member_ints(a.getrandbits, cols, shifts)
+            picks = b.sample(range(m), b.randint(1, m))
+            shifted = []
+            for k in picks:
+                lam = b.randint(-8, 8) * (60 // b.randint(1, 6))
+                shifted.append([x + lam for x in cols[k]])
+            assert member == [max(c) for c in zip(*shifted)], (seed, m)
+            assert a.getstate() == b.getstate(), (seed, m)
 
 
 def agree(v: TropMatrix, trials: int, seeds, budgets=(None, 1, 3)) -> int:
@@ -89,6 +114,21 @@ def test_polytrope_reports_nothing():
     star = dominator(Polytope(MAX, random_matrix(rng, 4, 6))).matrix
     agree(star, 150, range(2))
     assert not any(sample_euclidean_midpoints(Polytope(MAX, star), 150, s).violations for s in range(2))
+
+
+def test_equal_t_share_one_fraction():
+    # t = a/b is drawn as a pair, and 1/2, 2/4, ..., 8/16 are one value: each
+    # value is one Fraction in a report, as each reported vector is one object
+    rng = random.Random(8)
+    for n, m in ((3, 2), (4, 3)):
+        v = random_matrix(rng, n, m)
+        for f in (MAX, MIN):
+            p = Polytope(f, v)
+            report = sample_euclidean_midpoints(p, 300, n)
+            assert report == reference_sample_midpoints(p, 300, n), (f, v)
+            ts = [t for _, _, t in report.certificates]
+            assert len(ts) > 2 * len(set(ts)), (f, v)
+            assert len({id(t) for t in ts}) == len(set(ts)), (f, v)
 
 
 def test_2x2_at_2000_trials():
