@@ -17,9 +17,9 @@ handful of big-int operations per line take every lane at once.  It
 computes both products of the generators V with ``-V^T``: the dominator fold
 ``V (min*) (-V^T)``, column i the lanewise min of the shifted generators
 ``v_k - v_ik * 1``, and the brackets ``min(g - h)`` of
-``polytope.reduce_generators``, a column of ``(-V^T) (min*) V``.  Column 0
-alone is the min of the generators shifted to first coordinate 0
-(``_shifted``), with no fold.
+``polytope.reduce_generators``, a column of ``(-V^T) (min*) V``.  A column is
+in P iff its shift to first coordinate 0, one int on the fold's lanes, is a
+generator's (``_inside``); column 0 alone is tested on tuples, with no fold.
 
 A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
@@ -185,22 +185,32 @@ def _lanewise_min(lines: list[int], shifts: list[list[int]], ones: int, guard: i
 
 
 def _fold(p: Polytope) -> tuple:
-    """p's dominator, folded: ``(cols, lanes, ones, guard)`` as ``_star_defect`` reads
-    them, where ``cols`` are its signed (max-plus) columns on p's lattice scale."""
+    """p's dominator, folded: ``(cols, lanes, ones, guard, shifted)``, the first four as
+    ``_star_defect`` reads them, where ``cols`` are its signed (max-plus) columns on p's
+    lattice scale; ``shifted`` holds generator k as ``2**guard + w_jk - w_0k`` in lane j."""
     # D lies in [-span, span], and the star check sums three of its entries
     gens, ones, guard, ints, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign), 3)
-    n, size = p.ambient_dim, _lane_bytes(guard)
+    n, size, one = p.ambient_dim, _lane_bytes(guard), 1 << guard
     # column i, lane j: 2**guard + min_k (w_jk - w_ik), with w_ik = ints[k*n + i]
     lanes = _lanewise_min(gens, [ints[i::n] for i in range(n)], ones, guard, span)
     packed = b"".join([c.to_bytes(n * size, byteorder) for c in lanes])
-    values = [*map(sub, _unpack(packed, size), repeat(1 << guard))]
-    return [tuple(values[s : s + n]) for s in range(0, len(values), n)], lanes, ones, guard
+    cols = [*zip(*[map(sub, _unpack(packed, size), repeat(one))] * n)]  # n values a column
+    return cols, lanes, ones, guard, {g - (w - one) * ones for g, w in zip(gens, ints[::n])}
+
+
+def _inside(packed: tuple, start: int) -> Iterator[bool]:
+    """Whether each column i >= ``start`` of ``_fold(p)`` is in p, lazily: iff ``lanes[i] -
+    D_0i * ones``, lane j ``2**guard + D_ji - D_0i``, is in ``shifted`` (see ``classify``).
+    No lane leaves ``2**guard +- 2 span``, inside a lane as ``2**guard > 3 span``, so equal
+    ints are equal shifted columns, and no lane is read by position, so byte order is moot."""
+    cols, lanes, ones, _, shifted = packed
+    return (lanes[i] - cols[i][0] * ones in shifted for i in range(start, len(cols)))
 
 
 def _star(p: Polytope, packed: tuple) -> KleeneStar:
     """The checked dominator of p from ``_fold(p)``, un-signed."""
     cols = packed[0] if p.flavor.sign == 1 else [tuple([-x for x in c]) for c in packed[0]]
-    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))), _packed=packed)
+    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))), _packed=packed[:4])
 
 
 def dominator(p: Polytope) -> KleeneStar:
@@ -215,30 +225,28 @@ def dominator(p: Polytope) -> KleeneStar:
     return _star(p, _fold(p))
 
 
-def _shifted(p: Polytope) -> set[tuple[int, ...]]:
-    """p's signed generators shifted to first coordinate 0: a signed dominator column is
-    in p iff its shift is in here (see ``classify``), and their min is column 0."""
-    return set(map(_normalised, p.generators.lattice.cols_times(p.flavor.sign)))
+def _column_0_outside(p: Polytope) -> bool:
+    """True iff p's dominator column 0 is outside p, with no fold: it is the min of p's
+    signed generators shifted to first coordinate 0, and in p iff it is one of them."""
+    shifted = set(map(_normalised, p.generators.lattice.cols_times(p.flavor.sign)))
+    return tuple(map(min, zip(*shifted))) not in shifted
 
 
 def _failing_columns(p: Polytope) -> Iterator[int]:
-    """The indices of p's dominator columns outside p, in order.  Column 0 is read
-    off the shifted generators, so a caller that stops there folds nothing."""
-    shifted = _shifted(p)
-    if tuple(map(min, zip(*shifted))) not in shifted:
+    """The indices of p's dominator columns outside p, in order.  Column 0 is tested
+    with no fold, so a caller that stops there folds nothing."""
+    if _column_0_outside(p):
         yield 0
-    cols = _fold(p)[0]
-    yield from (i for i in range(1, len(cols)) if _normalised(cols[i]) not in shifted)
+    yield from (i for i, inside in enumerate(_inside(_fold(p), 1), 1) if not inside)
 
 
 def _convex_star(p: Polytope) -> KleeneStar | None:
-    """p's dominator if every column of it lies in p, else None.  Column 0 is read off
-    the shifted generators first, so most "no"s fold nothing; a "yes" builds the star."""
-    shifted = _shifted(p)
-    if tuple(map(min, zip(*shifted))) not in shifted:
+    """p's dominator if every column of it lies in p, else None.  Column 0 is tested
+    first, with no fold, so most "no"s fold nothing; a "yes" builds the star."""
+    if _column_0_outside(p):
         return None
     packed = _fold(p)
-    return None if any(_normalised(c) not in shifted for c in packed[0][1:]) else _star(p, packed)
+    return _star(p, packed) if all(_inside(packed, 1)) else None
 
 
 def min_plus_hull(p: Polytope) -> Polytope:
@@ -256,12 +264,12 @@ def classify(p: Polytope) -> Classification:
     every u in p with ``u_i >= 0`` satisfies ``u >= D_i``.  If ``D_i`` is in p,
     the term ``lambda_k + v_k`` that attains ``D_ii = 0`` has
     ``lambda_k = -v_ik``, so ``D_i <= v_k - v_ik <= D_i``.  Conversely a
-    shifted generator is in p.  No column after the first failing one is tested.
+    shifted generator is in p.  ``_inside`` tests each column as one int on the
+    fold's lanes; no column after the first failing one is tested.
     """
     packed = _fold(p)
     star = _star(p, packed)
-    shifted = _shifted(p)
-    i = next((i for i, col in enumerate(packed[0]) if _normalised(col) not in shifted), None)
+    i = next((i for i, inside in enumerate(_inside(packed, 0)) if not inside), None)
     witness = None if i is None else star.matrix.col(i)
     return Classification(dominator=star, is_polytrope=i is None, witness=witness)
 

@@ -12,9 +12,11 @@ scaled duplicate columns, on ints wider than 64 bits, on lattice spans at
 each byte boundary of the entries and each lane-width boundary, and on a
 48x60 input.  The kernel itself, a packed min-plus product, is compared
 with a plain-int product on rectangular shapes at the same spans and at
-the widest span of each lane width.  A fold whose lanes are bumped, or
-replaced by any matrix in the fold's range, must still be refused exactly when it is no Kleene star, and its guard bit must lie above
-the check's triangle sums, up to 3 span.
+the widest span of each lane width.  Each column's membership test on the
+fold's lanes is compared with a Fraction reference at the same spans.  A
+fold whose lanes are bumped, or replaced by any matrix in the fold's range,
+must still be refused exactly when it is no Kleene star, and its guard bit
+must lie above the check's triangle sums, up to 3 span.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -27,7 +29,7 @@ from sys import byteorder
 
 from tropgeo import Flavor, Polytope, TropMatrix, dominator, kleene
 
-from oracles import dominator_columns, fold_over_ordered_pairs, is_star_by_product
+from oracles import dominator_columns, fold_over_ordered_pairs, is_shifted_generator, is_star_by_product
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -129,6 +131,33 @@ def test_fold_at_lane_edges():
             assert agree(v) <= t
             if n * m >= 3:
                 assert v.lattice.scale == 2
+
+
+def test_membership_keys_at_lane_edges():
+    """``kleene._inside``, which tests a dominator column for membership in P as one int
+    on the fold's lanes, against ``oracles.is_shifted_generator`` on the Fraction
+    columns, in both flavors: at span 0 and at the spans t of ``EDGE_SPANS``, whose
+    lanes are 1, 2, 4, 8 and more than 8 bytes wide, at n = 1 and m = 1, on entries
+    x/2 with x in [0, t], on their dominator, every column of which is in it, and on
+    that dominator with one entry moved by one lattice step, a miss in one lane."""
+    seen: dict = {}
+    for t in [0] + EDGE_SPANS:
+        rng = random.Random(t)
+        for n, m in ((1, 1), (1, 3), (2, 1), (3, 2), (4, 9)):
+            xs = [rng.choice((0, 1, t - 1, t, rng.randint(0, t))) if t else 0 for _ in range(n * m)]
+            v = matrix([[Fraction(xs[i * m + j], 2) for j in range(m)] for i in range(n)])
+            for f in (MAX, MIN):
+                d = dominator(Polytope(f, v)).matrix
+                moved = [list(r) for r in d.entries]
+                moved[rng.randrange(n)][rng.randrange(n)] += Fraction(rng.choice((1, -1)), 2)
+                for q in (v, d, matrix(moved)):
+                    p = Polytope(f, q)
+                    packed = kleene._fold(p)
+                    meant = [is_shifted_generator(p, i, c) for i, c in enumerate(dominator_columns(p))]
+                    assert list(kleene._inside(packed, 0)) == meant, (t, f, q)
+                    assert list(kleene._inside(packed, 1)) == meant[1:], (t, f, q)
+                    seen.setdefault(min(kleene._lane_bytes(packed[3]), 9), set()).update(meant)
+    assert seen == dict.fromkeys((1, 2, 4, 8, 9), {True, False})
 
 
 def test_kernel_is_a_rectangular_min_plus_product():

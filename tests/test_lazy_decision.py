@@ -13,9 +13,12 @@ on dominators and on polytropes padded with span members.  Counting through
 the module's ``_lanes``, its packed min-plus product ``_lanewise_min`` and
 ``_star_defect``, they check that a "no" at column 0 folds and packs nothing
 and builds no star, that a "yes" packs p's generators once, that
-``classify`` folds every column in one kernel call and tests no column after
-the first failing one, and that only a "yes", ``dominator`` or ``classify``
-builds a star, exactly one.
+``classify`` folds every column in one kernel call, and that only a "yes",
+``dominator`` or ``classify`` builds a star, exactly one.  Counting the
+columns drawn from ``_inside``, which tests one column on the fold's lanes
+per draw, they check that ``classify`` tests column 0 alone when it fails,
+every column of a polytrope and no column after the first failing one, and
+that a "no" at column 0 tests column 0 on p's generators alone.
 Through the ``entries`` slot descriptor, they check that ``classify``,
 ``dominator``, ``min_plus_hull``, ``principal_projection``,
 ``projectivise_generators`` and the sampler return values that hold no
@@ -102,6 +105,7 @@ def decide(p: Polytope) -> list:
         assert (None if result.witness is None else result.witness.entries) == witness, q
         assert is_min_plus_convex(q) == result.is_polytrope, q
         assert list(kleene._failing_columns(q)) == failing, q
+        assert columns_tested(classify, q) == (failing[0] + 1 if failing else q.ambient_dim), q
         if failing:
             try:
                 verify_dominator_relation(q)
@@ -151,8 +155,24 @@ def columns_folded(call, p: Polytope) -> list:
 
 
 def columns_tested(call, p: Polytope) -> int:
-    """Columns normalised during ``call(p)``: p's generators, then each dominator
-    column the scan tests."""
+    """Dominator columns tested on the fold's lanes during ``call(p)``: the answers
+    drawn from ``kleene._inside``, which tests one column per draw."""
+    tested = 0
+
+    def inside(*args):
+        nonlocal tested
+        for answer in original(*args):
+            tested += 1
+            yield answer
+
+    original = kleene._inside
+    counted("_inside", inside, call, p)
+    return tested
+
+
+def tuples_shifted(call, p: Polytope) -> int:
+    """Vectors shifted to first coordinate 0 as tuples during ``call(p)``: p's
+    generators, for the column-0 test that folds nothing."""
     return counted("_normalised", kleene._normalised, call, p)
 
 
@@ -190,9 +210,10 @@ def test_inputs_that_fail_at_column_0():
                 assert columns_folded(guided_pairs(1), q) == []
                 assert lanes_packed(is_min_plus_convex, q) == lanes_packed(guided_pairs(1), q) == 0
                 assert columns_folded(classify, q) == [n]
-                # the generators' shifted forms, then column 0 (their min, already shifted)
-                assert columns_tested(classify, q) == m + 1
-                assert columns_tested(is_min_plus_convex, q) == m
+                assert columns_tested(classify, q) == 1
+                # column 0 is the min of the generators' shifted forms, and no lane is tested
+                assert tuples_shifted(is_min_plus_convex, q) == m
+                assert columns_tested(is_min_plus_convex, q) == columns_tested(guided_pairs(1), q) == 0
                 assert stars_built(is_min_plus_convex, q) == 0
                 assert stars_built(verify_dominator_relation, q) == 0
     assert seen >= 20
@@ -205,6 +226,8 @@ def test_inputs_that_fail_only_at_the_last_column():
     for q in (p, negated(p)):
         assert columns_folded(is_min_plus_convex, q) == [3]
         assert columns_folded(classify, q) == [3]
+        assert columns_tested(classify, q) == 3
+        assert columns_tested(is_min_plus_convex, q) == 2
         assert stars_built(is_min_plus_convex, q) == 0
     rng = random.Random(1802)
     seen = 0
@@ -254,7 +277,9 @@ def test_a_drained_fold_builds_one_checked_star():
             assert columns_folded(is_min_plus_convex, q) == [n]
             assert lanes_packed(is_min_plus_convex, q) == lanes_packed(classify, q) == 1
             assert columns_folded(dominator, q) == [n]
-            assert columns_tested(classify, q) == n + q.n_generators
+            assert columns_tested(classify, q) == n
+            assert columns_tested(is_min_plus_convex, q) == n - 1  # column 0 is tested on tuples
+            assert tuples_shifted(classify, q) == 0
     p = random_polytope(rng, 8, 10)
     assert failing_by_oracle(p)
     assert stars_built(dominator, p) == stars_built(classify, p) == 1
