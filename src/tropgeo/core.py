@@ -107,9 +107,9 @@ class Frozen:
     ``dataclasses`` cost about 15 ms of every CLI call), and have no
     ``__dict__``.  ``copy`` and ``pickle`` rebuild an instance through its
     constructor, so a copied ``KleeneStar`` is checked again.  Three classes
-    keep their own ``__init__`` to validate: ``KleeneStar`` checks the star
-    after this one runs; ``TropVector`` and ``TropMatrix``, built hundreds of
-    times per call, set their field directly (~1 µs less).
+    keep their own ``__init__`` to validate: ``KleeneStar`` checks a caller's star
+    after this one runs (the dominator fold runs this one alone); ``TropVector``
+    and ``TropMatrix``, built hundreds of times per call, set their field directly (~1 µs less).
     """
 
     __slots__ = ()

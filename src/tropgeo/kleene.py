@@ -25,8 +25,9 @@ A zero-diagonal A is a max-plus Kleene star iff ``A_ij >= A_ik + A_kj`` for
 all i, j, k (Butkovič, *Max-linear Systems*): entry (i, j) of ``A (x) A`` is
 ``max_k (A_ik + A_kj)``, and the terms k = i and k = j are ``A_ij`` itself,
 so the product is at least A and equals it iff no term exceeds ``A_ij``.
-The check tests these n^3 inequalities on packed columns, four big-int
-operations for the n inequalities of one pair (j, k).
+``is_kleene_star`` and a caller's ``KleeneStar`` test these n^3 inequalities on
+packed columns, four big-int operations for the n of one pair (j, k).  A
+dominator is a star by the theorem above, so the fold builds it unchecked.
 """
 
 from __future__ import annotations
@@ -54,17 +55,16 @@ from .residuation import Polytope
 
 
 class KleeneStar(Frozen):
-    """A Kleene star under ``flavor``; construction re-checks the zero diagonal
-    and the triangle inequalities of the module docstring, or raises ``ValueError``.
-    The dominator fold passes its own lanes as ``_packed``, so they are checked as they are."""
+    """A Kleene star under ``flavor``; construction checks the zero diagonal and
+    the triangle inequalities of the module docstring, or raises ``ValueError``."""
 
     __slots__ = ("flavor", "matrix")
     flavor: Flavor
     matrix: TropMatrix
 
-    def __init__(self, flavor: Flavor, matrix: TropMatrix, *, _packed: tuple | None = None) -> None:
+    def __init__(self, flavor: Flavor, matrix: TropMatrix) -> None:
         super().__init__(flavor, matrix)
-        problem = _star_defect(flavor, matrix, _packed)
+        problem = _star_defect(flavor, matrix)
         if problem is not None:
             raise ValueError(f"not a {flavor.value} Kleene star: {problem}")
 
@@ -83,21 +83,18 @@ class Classification(Frozen):
     witness: TropVector | None
 
 
-def _star_defect(f: Flavor, a: TropMatrix, packed: tuple | None = None) -> str | None:
-    """Why ``a`` is not a Kleene star under f, or None.  ``packed`` is the fold's
-    ``(cols, lanes, ones, guard)`` for its zero-diagonal ``a``; without it, ``a`` is
-    packed here.  ``cols`` are a's signed lattice ints, column-major (min-plus
-    negated); lane i of ``lanes[j]`` holds ``a_ij`` plus one offset, ``ones`` has a 1
-    in each lane, a lane holds ``2**(guard + 1)``, and ``2**guard > |a_ij - a_ik - a_kj|``."""
-    if packed is None:
-        if not a.is_square:
-            return f"matrix is {a.n_rows}x{a.n_cols}, not square"
-        cols = a.lattice.cols_times(f.sign)
-        for i, col in enumerate(cols):
-            if col[i]:
-                return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
-        packed = cols, *_lanes(cols, 2)[:3]  # a zero diagonal: a triangle sum is within 2 span of 0
-    cols, lanes, ones, guard = packed
+def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
+    """Why ``a`` is not a Kleene star under f, or None.  ``cols`` are a's signed
+    lattice ints, column-major (min-plus negated); lane i of ``lanes[j]`` holds
+    ``a_ij`` plus one offset, ``ones`` has a 1 in each lane, a lane holds
+    ``2**(guard + 1)``, and ``2**guard > |a_ij - a_ik - a_kj|``."""
+    if not a.is_square:
+        return f"matrix is {a.n_rows}x{a.n_cols}, not square"
+    cols = a.lattice.cols_times(f.sign)
+    for i, col in enumerate(cols):
+        if col[i]:
+            return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
+    lanes, ones, guard = _lanes(cols)[:3]  # a zero diagonal: a triangle sum is within 2 span of 0
     guards = ones << guard
     # lane i of top - p - a_kj * ones, with p holding column k, is
     # 2**guard + a_ij - a_ik - a_kj, which keeps its guard bit iff it is >= 0
@@ -122,15 +119,15 @@ def is_kleene_star(f: Flavor, a: TropMatrix) -> bool:
 _CODES = {array(c).itemsize: c for c in "QLIHB"}  # an array type code for each item size
 
 
-def _lanes(cols: tuple[tuple[int, ...], ...], reach: int) -> tuple[list[int], int, int, list[int], int]:
+def _lanes(cols: tuple[tuple[int, ...], ...]) -> tuple[list[int], int, int, list[int], int]:
     """``(lanes, ones, guard, ints, span)``: ``ints`` are the entries of ``cols``,
     column-major, each less their least, ``lanes, ones`` are ``_packed(ints, n, guard)``
     for columns of n entries, ``span`` is the greatest of ``ints``, and
-    ``2**guard > reach * span``."""
+    ``2**guard > 2 * span``."""
     flat = [*chain.from_iterable(cols)]
     lo = min(flat)
     span = max(flat) - lo
-    guard = (reach * span).bit_length()
+    guard = (2 * span).bit_length()
     ints = [*map(sub, flat, repeat(lo))]
     return *_packed(ints, len(cols[0]), guard), guard, ints, span
 
@@ -185,32 +182,34 @@ def _lanewise_min(lines: list[int], shifts: list[list[int]], ones: int, guard: i
 
 
 def _fold(p: Polytope) -> tuple:
-    """p's dominator, folded: ``(cols, lanes, ones, guard, shifted)``, the first four as
-    ``_star_defect`` reads them, where ``cols`` are its signed (max-plus) columns on p's
-    lattice scale; ``shifted`` holds generator k as ``2**guard + w_jk - w_0k`` in lane j."""
-    # D lies in [-span, span], and the star check sums three of its entries
-    gens, ones, guard, ints, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign), 3)
+    """p's dominator, folded: ``(cols, lanes, ones, shifted)``: its signed (max-plus) columns
+    on p's lattice scale, column i as ``2**guard + D_ji`` in lane j, an int with a 1 in each
+    lane, and each generator k as ``2**guard + w_jk - w_0k`` in lane j."""
+    # D lies in [-span, span], and no lane compares two values more than 2 span apart
+    gens, ones, guard, ints, span = _lanes(p.generators.lattice.cols_times(p.flavor.sign))
     n, size, one = p.ambient_dim, _lane_bytes(guard), 1 << guard
     # column i, lane j: 2**guard + min_k (w_jk - w_ik), with w_ik = ints[k*n + i]
     lanes = _lanewise_min(gens, [ints[i::n] for i in range(n)], ones, guard, span)
     packed = b"".join([c.to_bytes(n * size, byteorder) for c in lanes])
     cols = [*zip(*[map(sub, _unpack(packed, size), repeat(one))] * n)]  # n values a column
-    return cols, lanes, ones, guard, {g - (w - one) * ones for g, w in zip(gens, ints[::n])}
+    return cols, lanes, ones, {g - (w - one) * ones for g, w in zip(gens, ints[::n])}
 
 
 def _inside(packed: tuple, start: int) -> Iterator[bool]:
     """Whether each column i >= ``start`` of ``_fold(p)`` is in p, lazily: iff ``lanes[i] -
     D_0i * ones``, lane j ``2**guard + D_ji - D_0i``, is in ``shifted`` (see ``classify``).
-    No lane leaves ``2**guard +- 2 span``, inside a lane as ``2**guard > 3 span``, so equal
+    No lane leaves ``2**guard +- 2 span``, inside a lane as ``2**guard > 2 span``, so equal
     ints are equal shifted columns, and no lane is read by position, so byte order is moot."""
-    cols, lanes, ones, _, shifted = packed
+    cols, lanes, ones, shifted = packed
     return (lanes[i] - cols[i][0] * ones in shifted for i in range(start, len(cols)))
 
 
 def _star(p: Polytope, packed: tuple) -> KleeneStar:
-    """The checked dominator of p from ``_fold(p)``, un-signed."""
+    """The dominator of p from ``_fold(p)``, un-signed; unchecked, as it is a star."""
     cols = packed[0] if p.flavor.sign == 1 else [tuple([-x for x in c]) for c in packed[0]]
-    return KleeneStar(p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))), _packed=packed[:4])
+    star = object.__new__(KleeneStar)  # Frozen's constructor sets the fields, KleeneStar's checks
+    Frozen.__init__(star, p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))))
+    return star
 
 
 def dominator(p: Polytope) -> KleeneStar:
@@ -276,7 +275,7 @@ def classify(p: Polytope) -> Classification:
 
 def is_min_plus_convex(p: Polytope) -> bool:
     """True iff p is convex in the other semiring too (min-plus, for a max-plus
-    p).  A "yes" builds and checks the whole dominator, as ``classify`` does."""
+    p).  A "yes" builds the whole dominator, as ``classify`` does."""
     return _convex_star(p) is not None
 
 

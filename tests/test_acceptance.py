@@ -43,7 +43,7 @@ from helpers import (
     random_vector,
     transpose,
 )
-from oracles import glb_column_fold, reference_random_member
+from oracles import glb_column_fold, is_star_by_product, reference_random_member
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -118,6 +118,9 @@ def test_criterion_03_dominator_is_kleene_star():
         star = dominator(p)
         ok = is_kleene_star(MAX, star.matrix)
         v = p.generators
+        dual = dominator(Polytope(MIN, v)).matrix  # the min-plus dominator of the same generators
+        ok = ok and is_kleene_star(MIN, dual)
+        ok = ok and is_star_by_product(True, star.matrix) and is_star_by_product(False, dual)
         for i in range(star.size):
             column = star.matrix.col(i)
             ok = ok and column.entries == glb_column_fold(v, i)
@@ -125,7 +128,7 @@ def test_criterion_03_dominator_is_kleene_star():
             ok = ok and column == fold
         if not ok:
             failures += 1
-    report(3, "1,000 dominators are Kleene stars with min-fold columns", failures == 0)
+    report(3, "1,000 dominators in each flavor are Kleene stars, max-plus ones with min-fold columns", failures == 0)
 
 
 def test_criterion_04_hull_correctness():

@@ -4,19 +4,22 @@
 whole bytes per coordinate, and lowers dominator column i, one such int,
 generator by generator, by the generator shifted to i-th coordinate 0,
 ``v_k - v_ik * 1``: the lanewise min of ``v_jk - v_ik`` for every row j at
-once.  The star it builds is checked on the same column ints.  These tests
-compare its lattice ints with the fold over every ordered pair in
-``oracles.py``, and its entries with the Fraction column folds there, in
+once.  Its guard bit lies above twice the span of the lattice ints, the
+widest distance the fold and the membership keys compare in a lane, and the
+star it builds is not checked: the dominator is a star by the paper's
+theorem.  These tests compare its lattice ints with the fold over every
+ordered pair in ``oracles.py``, and its entries with the Fraction column folds there, in
 both flavors: at n = 1, 2 and 3 and m = 1, on equal and shifted rows and on
 scaled duplicate columns, on ints wider than 64 bits, on lattice spans at
 each byte boundary of the entries and each lane-width boundary, and on a
 48x60 input.  The kernel itself, a packed min-plus product, is compared
 with a plain-int product on rectangular shapes at the same spans and at
 the widest span of each lane width.  Each column's membership test on the
-fold's lanes is compared with a Fraction reference at the same spans.  A
-fold whose lanes are bumped, or replaced by any matrix in the fold's range,
-must still be refused exactly when it is no Kleene star, and its guard bit
-must lie above the check's triangle sums, up to 3 span.
+fold's lanes is compared with a Fraction reference at the same spans.
+``is_kleene_star`` is compared with the Fraction product on what a faulty fold
+could return: its dominator bumped by one lattice step, zero-diagonal
+matrices with entries anywhere in the fold's range, and every 3x3 pattern of
+that range's ends.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -27,9 +30,9 @@ import random
 from fractions import Fraction
 from sys import byteorder
 
-from tropgeo import Flavor, Polytope, TropMatrix, dominator, kleene
+from tropgeo import Flavor, Polytope, TropMatrix, dominator, is_kleene_star, kleene
 
-from oracles import dominator_columns, fold_over_ordered_pairs, is_shifted_generator, is_star_by_product
+from oracles import bumped, dominator_columns, fold_over_ordered_pairs, is_shifted_generator, is_star_by_product
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -108,12 +111,12 @@ def test_seeded_48x60():
     assert agree(random_matrix(rng, 48, 60)) > 0
 
 
-# Lattice spans t = 2^k - 2 .. 2^k + 2, where the entries cross a byte boundary,
-# and spans whose 3t crosses 2^g at each lane width: the fold compares
-# differences of up to t, and its star check sums three entries of up to t,
-# so its guard bit is the bit length of 3t.
+# Lattice spans t = 2^k - 2 .. 2^k + 2, where the entries cross a byte boundary;
+# spans whose 2t crosses 2^g at each lane width: the fold and the membership keys
+# compare values up to 2t apart in a lane, so its guard bit is the bit length of
+# 2t; and spans whose 3t crosses 2^g, which keep those inputs covered.
 EDGE_SPANS = [t for k in (7, 8, 15, 16, 63, 64) for t in range(2**k - 2, 2**k + 3)] + [
-    t for g in (7, 15, 31, 63, 71) for t in range(2**g // 3 - 2, 2**g // 3 + 3)
+    t for g in (7, 15, 31, 63, 71) for d in (2, 3) for t in range(2**g // d - 2, 2**g // d + 3)
 ]
 
 
@@ -156,7 +159,8 @@ def test_membership_keys_at_lane_edges():
                     meant = [is_shifted_generator(p, i, c) for i, c in enumerate(dominator_columns(p))]
                     assert list(kleene._inside(packed, 0)) == meant, (t, f, q)
                     assert list(kleene._inside(packed, 1)) == meant[1:], (t, f, q)
-                    seen.setdefault(min(kleene._lane_bytes(packed[3]), 9), set()).update(meant)
+                    guard = kleene._lanes(q.lattice.cols_times(f.sign))[2]  # the fold's
+                    seen.setdefault(min(kleene._lane_bytes(guard), 9), set()).update(meant)
     assert seen == dict.fromkeys((1, 2, 4, 8, 9), {True, False})
 
 
@@ -167,7 +171,7 @@ def test_kernel_is_a_rectangular_min_plus_product():
     top is in [0, t], so 2t bounds every distance the kernel compares.  The spans
     t are ``EDGE_SPANS`` under the fold's guard, and the widest spans of the
     guards either side of each lane width."""
-    fold_spans = [(t, (3 * t).bit_length()) for t in EDGE_SPANS]
+    fold_spans = [(t, (2 * t).bit_length()) for t in EDGE_SPANS]
     widest = [((2**g - 1) // 2, g) for g in (7, 8, 15, 16, 31, 32, 63, 64, 71, 72)]
     for t, guard in fold_spans + widest:
         rng = random.Random(t)
@@ -184,78 +188,38 @@ def test_kernel_is_a_rectangular_min_plus_product():
             assert [x - (1 << guard) for x in lanes] == meant, (t, guard, a, k, b)
 
 
-def folded_into(p: Polytope, change) -> tuple:
-    """``dominator(p).matrix``, or None when its star check refuses it, after the
-    packed kernel's lanes, as p's signed lattice ints in column-major order, are
-    replaced by ``change(ints, n, span)``; and the matrix those ints stand for."""
-    original = kleene._lanewise_min
-    changed = []
-
-    def kernel(lines, shifts, ones, guard, span):
-        # the star check sums three entries of the fold's range [-span, span] in a lane
-        assert 1 << guard > 3 * span
-        lanes = original(lines, shifts, ones, guard, span)
-        n, size = len(lanes), kleene._lane_bytes(guard)
-        packed = b"".join(c.to_bytes(n * size, byteorder) for c in lanes)
-        changed[:] = change([x - (1 << guard) for x in kleene._unpack(packed, size)], n, span)
-        packed = kleene._pack([x + (1 << guard) for x in changed], size)
-        return [int.from_bytes(packed[s : s + n * size], byteorder) for s in range(0, len(packed), n * size)]
-
-    kleene._lanewise_min = kernel
-    try:
-        got = dominator(p).matrix
-    except ValueError:
-        got = None
-    finally:
-        kleene._lanewise_min = original
-    n, scale = p.ambient_dim, p.generators.lattice.scale
-    meant = matrix([[Fraction(p.flavor.sign * changed[c * n + r], scale) for c in range(n)] for r in range(n)])
-    return got, meant
-
-
-def test_fold_fed_star_check():
-    """The star check that a fold runs on its own lanes still refuses exactly the
-    non-stars: the dominator bumped by one lattice step 1/L at an off-diagonal
-    entry, and zero-diagonal matrices with entries anywhere in the fold's range
-    ``[-span, span]`` (the fold's diagonal is 0 by construction)."""
+def test_star_check_on_the_fold_range():
+    """``is_kleene_star`` against the Fraction product on what a faulty fold could hand
+    back: the dominator bumped by one lattice step 1/L at an off-diagonal entry, and
+    zero-diagonal matrices with entries anywhere in the fold's range ``[-span, span]``,
+    span that of p's lattice ints; and every 3x3 pattern of the range's ends off the
+    diagonal, whose triangle sums ``a_ij - a_ik - a_kj`` reach -3 span and 3 span."""
     rng = random.Random(2104)
     answers = set()
     for n, m in ((2, 3), (3, 4), (4, 6), (6, 5)):
         for _ in range(8):
             v = random_matrix(rng, n, m, (1, 2, 3, 10, 65537, 2**61 - 1))
             i, j = rng.sample(range(n), 2)
-            by = rng.choice((1, -1))
-
-            def bump(ints, n, span):
-                ints[i * n + j] += by
-                return ints
-
-            def anywhere(ints, n, span):
-                ends = (-span, span, -span + 1, span - 1)
-                choices = [rng.choice(ends + (rng.randint(-span, span),)) for _ in range(n * n)]
-                return [0 if c % (n + 1) == 0 else x for c, x in enumerate(choices)]
-
+            scale = v.lattice.scale
+            flat = [x for c in v.lattice.cols for x in c]
+            span = max(flat) - min(flat)
+            ends = (-span, span, -span + 1, span - 1)
             for f in (MAX, MIN):
-                for change in (bump, anywhere):
-                    got, meant = folded_into(Polytope(f, v), change)
-                    star = is_star_by_product(f is MAX, meant)
+                d = dominator(Polytope(f, v)).matrix
+                bump = bumped(d, (i, j), Fraction(rng.choice((1, -1)), scale))
+                xs = [[rng.choice(ends + (rng.randint(-span, span),)) for _ in range(n)] for _ in range(n)]
+                anywhere = matrix([[Fraction(x, scale) if r != c else 0 for c, x in enumerate(xs[r])] for r in range(n)])
+                for a in (d, bump, anywhere):
+                    star = is_star_by_product(f is MAX, a)
                     answers.add(star)
-                    assert (got is not None) == star, (f, v, change.__name__)
-                    assert got is None or got == meant
+                    assert is_kleene_star(f, a) == star, (f, v, a)
     assert answers == {True, False}
-    # every 3x3 pattern of the range's ends off the diagonal, whose triangle sums
-    # a_ij - a_ik - a_kj reach -3 span and 3 span
     for t in (5, 6, 11, 12, 23, 24, 2**20 + 1, 3 * 2**20, 2**62 + 1, 3 * 2**62):
-        v = matrix([[0, t, 1, 2], [t, 0, 2, 1], [1, 2, t, 0]])
         for signs in range(64):
-
-            def pattern(ints, n, span, signs=signs):
-                ends = iter(span if signs >> b & 1 else -span for b in range(6))
-                return [0 if c % 4 == 0 else next(ends) for c in range(9)]
-
+            ends = iter(t if signs >> b & 1 else -t for b in range(6))
+            a = matrix([[0 if r == c else next(ends) for c in range(3)] for r in range(3)])
             for f in (MAX, MIN):
-                got, meant = folded_into(Polytope(f, v), pattern)
-                assert (got is not None) == is_star_by_product(f is MAX, meant), (t, signs, f)
+                assert is_kleene_star(f, a) == is_star_by_product(f is MAX, a), (t, signs, f)
 
 
 if __name__ == "__main__":

@@ -365,8 +365,9 @@ def test_paper_theorems_at_48x60():
     for p, convex in ((polytrope, True), (random_polytope, False)):
         v = p.generators
         d = dominator(p).matrix
-        # 1. the dominator is a Kleene star whose columns are the min-folds
-        assert is_kleene_star(MAX, d)
+        dual = dominator(negated(p)).matrix
+        # 1. the dominator is a Kleene star whose columns are the min-folds, in both flavors
+        assert is_kleene_star(MAX, d) and is_kleene_star(MIN, dual)
         assert all(d.col(i).entries == glb_column_fold(v, i) for i in range(d.n_cols))
         # 2. its column space is the min-plus hull: it holds P, its columns are
         # min-plus combinations of P, and it is min-plus convex
@@ -384,7 +385,6 @@ def test_paper_theorems_at_48x60():
         # dominator's columns, in both flavors
         if convex:
             assert _classes(reduce_generators(p)) == _classes(hull)
-            dual = dominator(negated(p)).matrix
             assert _classes(reduce_generators(negated(p))) == _classes(Polytope(MIN, dual))
         # column i lies in P iff it is a generator v shifted by -v_i
         for i, c in enumerate(d.columns()):

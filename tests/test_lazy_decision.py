@@ -3,18 +3,21 @@
 ``is_min_plus_convex``, ``verify_dominator_relation`` and the sampler's guided
 pairs read dominator column 0 off p's shifted generators first, with no fold,
 and stop there when it is not in p; past it, and in ``dominator`` and
-``classify``, one kernel call folds every column, and one checked
-``KleeneStar`` is built, which the decisions build only on a "yes".
+``classify``, one kernel call folds every column, and one ``KleeneStar`` is
+built, unchecked, which the decisions build only on a "yes".
 These tests compare the early answers with ``classify`` and with the Fraction
 oracles in ``oracles.py``, in both flavors (min-plus by negation): on inputs
 that fail at column 0, on inputs that fail only at their last column (an
 input with one failing column, its coordinates permuted), at n = 1 and m = 1,
 on dominators and on polytropes padded with span members.  Counting through
 the module's ``_lanes``, its packed min-plus product ``_lanewise_min`` and
-``_star_defect``, they check that a "no" at column 0 folds and packs nothing
-and builds no star, that a "yes" packs p's generators once, that
-``classify`` folds every column in one kernel call, and that only a "yes",
-``dominator`` or ``classify`` builds a star, exactly one.  Counting the
+``_star``, they check that a "no" at column 0 folds and packs nothing and
+builds no star, that a "yes" packs p's generators once, that ``classify``
+folds every column in one kernel call, and that only a "yes", ``dominator``
+or ``classify`` builds a star, exactly one.  Counting through the star check
+``_star_defect``, they check that no library call checks the star it builds,
+and that a caller's ``KleeneStar``, ``copy``, ``deepcopy`` and a pickle round
+trip check it once each.  Counting the
 columns drawn from ``_inside``, which tests one column on the fold's lanes
 per draw, they check that ``classify`` tests column 0 alone when it fails,
 every column of a polytrope and no column after the first failing one, and
@@ -31,12 +34,15 @@ can run them as a script:
     PYTHONPATH=src:tests python tests/test_lazy_decision.py
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import islice
 
 from tropgeo import (
     Flavor,
+    KleeneStar,
     Polytope,
     PreconditionError,
     TropMatrix,
@@ -118,7 +124,7 @@ def decide(p: Polytope) -> list:
     return failing
 
 
-def counted(name: str, replacement, call, p: Polytope) -> int:
+def counted(name: str, replacement, call, p) -> int:
     """How often ``call(p)`` calls ``kleene.<name>``: the module's binding is
     swapped for a counting wrapper of ``replacement`` while it runs."""
     count = 0
@@ -182,8 +188,13 @@ def lanes_packed(call, p: Polytope) -> int:
 
 
 def stars_built(call, p: Polytope) -> int:
-    """Kleene-star checks run during ``call(p)``: one per ``KleeneStar`` built."""
-    return counted("_star_defect", kleene._star_defect, call, p)
+    """Dominators built as a ``KleeneStar`` from a fold during ``call(p)``."""
+    return counted("_star", kleene._star, call, p)
+
+
+def stars_checked(call, x) -> int:
+    """Kleene-star checks run during ``call(x)``."""
+    return counted("_star_defect", kleene._star_defect, call, x)
 
 
 def guided_pairs(k: int):
@@ -216,6 +227,7 @@ def test_inputs_that_fail_at_column_0():
                 assert columns_tested(is_min_plus_convex, q) == columns_tested(guided_pairs(1), q) == 0
                 assert stars_built(is_min_plus_convex, q) == 0
                 assert stars_built(verify_dominator_relation, q) == 0
+                assert stars_checked(classify, q) == 0
     assert seen >= 20
 
 
@@ -261,9 +273,10 @@ def test_n1_m1_dominators_and_padded_polytropes():
             assert decide(padded) == []
 
 
-def test_a_drained_fold_builds_one_checked_star():
-    """A fold of every column builds one checked star for ``dominator``,
-    ``classify`` and a "yes"; the sampler's guided pairs build none."""
+def test_a_drained_fold_builds_one_unchecked_star():
+    """A fold of every column builds one star for ``dominator``, ``classify`` and a
+    "yes", and checks none; the sampler's guided pairs build none.  A star that a
+    caller builds, copies or unpickles is checked once."""
     rng = random.Random(1804)
     for n, m in ((1, 1), (3, 4), (6, 8)):
         star = dominator(random_polytope(rng, n, m))
@@ -274,6 +287,13 @@ def test_a_drained_fold_builds_one_checked_star():
             assert stars_built(guided_pairs(5), q) == 0  # the sampler reads no star
             # its own dominator, and that of the presentation in the other flavor
             assert stars_built(verify_dominator_relation, q) == 2
+            for call in (dominator, classify, min_plus_hull, is_min_plus_convex, verify_dominator_relation):
+                assert stars_checked(call, q) == 0, call
+            d = dominator(q)
+            assert stars_checked(lambda d: KleeneStar(d.flavor, d.matrix), d) == 1
+            assert stars_checked(lambda d: pickle.loads(pickle.dumps(d)), d) == 1
+            assert stars_checked(copy.copy, d) == stars_checked(copy.deepcopy, d) == 1
+            assert copy.copy(d) == copy.deepcopy(d) == pickle.loads(pickle.dumps(d)) == d
             assert columns_folded(is_min_plus_convex, q) == [n]
             assert lanes_packed(is_min_plus_convex, q) == lanes_packed(classify, q) == 1
             assert columns_folded(dominator, q) == [n]
@@ -283,6 +303,7 @@ def test_a_drained_fold_builds_one_checked_star():
     p = random_polytope(rng, 8, 10)
     assert failing_by_oracle(p)
     assert stars_built(dominator, p) == stars_built(classify, p) == 1
+    assert stars_checked(dominator, p) == stars_checked(classify, p) == stars_checked(min_plus_hull, p) == 0
 
 
 def unread(value) -> bool:
