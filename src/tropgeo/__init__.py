@@ -10,7 +10,7 @@ from importlib import import_module
 _HOMES = {
     "core": (
         "DimensionError Flavor FlavorError PreconditionError TropMatrix TropVector as_scalar mat "
-        "mat_from_columns negate_transpose scale trop_add trop_mat_mul trop_sum vec"
+        "mat_from_columns negate_transpose trop_mat_mul vec"
     ),
     "residuation": "Polytope bracket dominates_at dominates_polytope_at member principal_projection",
     "kleene": (

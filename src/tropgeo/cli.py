@@ -55,8 +55,8 @@ EXIT_ASSERT = 3
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "TROPGEO_SEED"
 MAX_TRIALS = 100_000  # sample-midpoints: 100,000 trials on a 2x2 polytope take about 2.3 s
-# Work limits on n coordinates and m generators, checked before any work starts; at
-# each, the slowest input measured takes about 10 s (README "Limits")
+# Work limits on n coordinates and m generators, checked before any work starts; set at about
+# 10 s on older code with 12-bit L (README "Limits" has today's times; ROADMAP item 5 large L)
 MAX_FOLD_DIM = 1_000  # n of a dominator: at 1,000 its document's n^2 entries reach docio.MAX_ENTRIES
 MAX_FOLD_WORK = 50_000_000  # n*n*m of a dominator fold
 MAX_REDUCE_WORK = 64_000_000  # n*m*m of reduce

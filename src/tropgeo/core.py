@@ -375,34 +375,6 @@ def _check_same_length(x: TropVector, y: TropVector) -> None:
         raise DimensionError(f"vector lengths differ: {len(x)} vs {len(y)}")
 
 
-def trop_add(f: Flavor, x: TropVector, y: TropVector) -> TropVector:
-    """Componentwise max (max-plus) or min (min-plus) of two vectors.
-
-    This is the least upper bound, respectively greatest lower bound, of
-    ``{x, y}`` in the componentwise partial order.
-    """
-    _check_same_length(x, y)
-    return TropVector(tuple(map(max if f is Flavor.MAX_PLUS else min, x, y)))
-
-
-def trop_sum(f: Flavor, vectors: Iterable[TropVector]) -> TropVector:
-    """Fold ``trop_add`` over a non-empty iterable of vectors."""
-    it = iter(vectors)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("trop_sum needs at least one vector") from None
-    for v in it:
-        acc = trop_add(f, acc, v)
-    return acc
-
-
-def scale(lam: ScalarLike, x: TropVector) -> TropVector:
-    """Tropical scaling: add ``lam`` to every coordinate."""
-    lam = as_scalar(lam)
-    return TropVector(tuple(e + lam for e in x))
-
-
 def trop_mat_mul(f: Flavor, a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: entry (i,j) is max_k (min_k) of ``a[i,k] + b[k,j]``."""
     if a.n_cols != b.n_rows:

@@ -59,7 +59,7 @@ class Polytope(Frozen):
 def bracket(x: TropVector, y: TropVector) -> Fraction:
     """The residuation bracket ``min_i (y_i - x_i)``.
 
-    Equivalently the largest ``lam`` with ``scale(lam, x) <= y``.
+    Equivalently the largest ``lam`` with ``x + lam·1 <= y``.
     """
     _check_same_length(x, y)
     return min(b - a for a, b in zip(x, y))

@@ -51,6 +51,21 @@ def potential_star(x, y) -> TropMatrix:
     return TropMatrix(tuple(tuple(Fraction(min(0, x[i] - x[j]) + y[i] - y[j]) for j in range(n)) for i in range(n)))
 
 
+def shifted(v, lam) -> TropVector:
+    """Tropical scaling: ``lam`` added to every coordinate of ``v``."""
+    return TropVector(tuple(e + lam for e in v))
+
+
+def join(*vs) -> TropVector:
+    """The componentwise max of one or more vectors: their least upper bound."""
+    return TropVector(tuple(max(c) for c in zip(*vs, strict=True)))
+
+
+def meet(*vs) -> TropVector:
+    """The componentwise min of one or more vectors: their greatest lower bound."""
+    return TropVector(tuple(min(c) for c in zip(*vs, strict=True)))
+
+
 def naive_bracket(x: TropVector, y: TropVector) -> Fraction:
     best = y[0] - x[0]
     for i in range(1, len(x)):
@@ -258,17 +273,13 @@ def _reference_rational(rng: random.Random, num_bound: int = 8, den_bound: int =
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
-def _shifted(v, lam: Fraction) -> TropVector:
-    return TropVector(tuple(e + lam for e in v))
-
-
 def reference_random_member(rng: random.Random, p: Polytope, num_bound: int = 8, den_bound: int = 6) -> TropVector:
     pick = max if p.flavor is Flavor.MAX_PLUS else min
     size = rng.randint(1, p.n_generators)
     picks = rng.sample(range(p.n_generators), size)
     gens = list(p)
-    shifted = [_shifted(gens[k], _reference_rational(rng, num_bound, den_bound)) for k in picks]
-    return TropVector(tuple(pick(v[i] for v in shifted) for i in range(p.ambient_dim)))
+    lifted = [shifted(gens[k], _reference_rational(rng, num_bound, den_bound)) for k in picks]
+    return TropVector(tuple(pick(v[i] for v in lifted) for i in range(p.ambient_dim)))
 
 
 def _reference_unit_interval(rng: random.Random) -> Fraction:
@@ -284,7 +295,7 @@ def _reference_guided_pairs(p: Polytope) -> Iterator[tuple[TropVector, TropVecto
             continue
         ws: list[TropVector] = []
         for g in p:
-            w = _shifted(g, -g[i])
+            w = shifted(g, -g[i])
             if w not in ws:
                 ws.append(w)
         yield from itertools.combinations(ws, 2)
@@ -310,7 +321,7 @@ def reference_sample_midpoints(
             u, v = guided[rng.randrange(len(guided))]
             t = _reference_unit_interval(rng)
             if rng.random() < 0.5:
-                u = _shifted(u, _reference_rational(rng))
+                u = shifted(u, _reference_rational(rng))
         else:
             u = reference_random_member(rng, p)
             v = reference_random_member(rng, p)

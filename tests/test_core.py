@@ -13,23 +13,15 @@ from tropgeo import (
     mat,
     mat_from_columns,
     negate_transpose,
-    scale,
-    trop_add,
     trop_mat_mul,
-    trop_sum,
     vec,
 )
 
-from helpers import rationals, random_vector, vector_batches, generator_matrices
+from helpers import random_vector, generator_matrices
 from oracles import naive_mat_mul
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
-
-
-def leq(x, y) -> bool:
-    """The componentwise order: ``x_i <= y_i`` for every i."""
-    return all(a <= b for a, b in zip(x, y, strict=True))
 
 
 class TestScalarsAndConstruction:
@@ -58,64 +50,6 @@ class TestScalarsAndConstruction:
     def test_mat_from_columns_round_trip(self):
         a = mat([[0, 1], [2, 3], [4, 5]])
         assert mat_from_columns(list(a.columns())) == a
-
-
-class TestTropAdd:
-    def test_max_plus(self):
-        assert trop_add(MAX, vec(0, 1), vec(1, 0)) == vec(1, 1)
-
-    def test_min_plus(self):
-        assert trop_add(MIN, vec(0, 1), vec(1, 0)) == vec(0, 0)
-
-    def test_idempotent(self):
-        v = vec(-2, -1, 0)
-        assert trop_add(MAX, v, v) == v
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            trop_add(MAX, vec(0), vec(0, 1))
-
-    @given(vector_batches(2))
-    def test_commutative(self, batch):
-        x, y = batch
-        for f in Flavor:
-            assert trop_add(f, x, y) == trop_add(f, y, x)
-
-    @given(vector_batches(3))
-    def test_associative(self, batch):
-        x, y, z = batch
-        for f in Flavor:
-            assert trop_add(f, trop_add(f, x, y), z) == trop_add(f, x, trop_add(f, y, z))
-
-    @given(vector_batches(3))
-    def test_lub_and_glb(self, batch):
-        x, y, bound = batch
-        join = trop_add(MAX, x, y)
-        meet = trop_add(MIN, x, y)
-        assert leq(x, join) and leq(y, join)
-        assert leq(meet, x) and leq(meet, y)
-        # any common upper/lower bound compares correctly
-        if leq(x, bound) and leq(y, bound):
-            assert leq(join, bound)
-        if leq(bound, x) and leq(bound, y):
-            assert leq(bound, meet)
-
-
-class TestScale:
-    def test_identity(self):
-        assert scale(0, vec(3, 4)) == vec(3, 4)
-
-    def test_negative(self):
-        assert scale(-1, vec(1, 0, 0)) == vec(0, -1, -1)
-
-    def test_fractional(self):
-        assert scale("1/2", vec(0, "-1/2")) == vec("1/2", 0)
-
-    @given(rationals, vector_batches(2))
-    def test_distributes_over_trop_add(self, lam, batch):
-        x, y = batch
-        for f in Flavor:
-            assert scale(lam, trop_add(f, x, y)) == trop_add(f, scale(lam, x), scale(lam, y))
 
 
 class TestMatMul:
@@ -206,14 +140,6 @@ class TestNegateTranspose:
             lhs = negate_transpose(trop_mat_mul(MAX, a, b))
             rhs = trop_mat_mul(MIN, negate_transpose(b), negate_transpose(a))
             assert lhs == rhs
-
-
-def test_trop_sum_folds():
-    vs = [vec(0, 5), vec(3, 1), vec(2, 2)]
-    assert trop_sum(MAX, vs) == vec(3, 5)
-    assert trop_sum(MIN, vs) == vec(0, 1)
-    with pytest.raises(ValueError):
-        trop_sum(MAX, [])
 
 
 def test_flavor_duality():

@@ -8,6 +8,30 @@ import pytest
 import tropgeo
 
 
+PUBLIC_NAMES = [
+    "Classification", "DimensionError", "DocumentError", "Flavor", "FlavorError", "KleeneStar",
+    "MatrixDocument", "MidpointReport", "Polytope", "PreconditionError", "TropMatrix", "TropVector",
+    "as_scalar", "bracket", "classify", "dominates_at", "dominates_polytope_at", "dominator",
+    "duality_chi", "duality_rho", "format_rational", "format_vector", "is_kleene_star",
+    "is_min_plus_convex", "mat", "mat_from_columns", "member", "min_plus_hull", "negate_transpose",
+    "parse_matrix_document", "parse_rational", "parse_vector", "polytope_equal",
+    "principal_projection", "projectivise", "reduce_generators", "sample_euclidean_midpoints",
+    "serialize_matrix_document", "trop_mat_mul", "vec", "verify_dominator_relation",
+]
+
+
+def test_all_is_the_pinned_surface():
+    # adding or removing a public name is a change to this list
+    assert sorted(tropgeo.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", ["trop_add", "trop_sum", "scale"])
+def test_deleted_helpers_are_attribute_errors(name):
+    # the componentwise max/min and the scaling of Fraction vectors live in tests/oracles.py
+    with pytest.raises(AttributeError, match=f"'{name}'"):
+        getattr(tropgeo, name)
+
+
 def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from tropgeo import *", namespace)

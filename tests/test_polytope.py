@@ -18,12 +18,11 @@ from tropgeo import (
     projectivise,
     reduce_generators,
     sample_euclidean_midpoints,
-    scale,
     vec,
 )
 
 from helpers import max_plus_polytopes, random_non_polytrope, random_polytrope, rationals, vectors
-from oracles import affine_point, reference_random_member
+from oracles import affine_point, reference_random_member, shifted
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -45,18 +44,18 @@ class TestProjectivise:
 
     @given(vectors(4), rationals)
     def test_constant_on_scaling_orbits(self, x, lam):
-        assert projectivise(scale(lam, x)) == projectivise(x)
+        assert projectivise(shifted(x, lam)) == projectivise(x)
 
     @given(vectors(3), vectors(3))
     def test_separates_distinct_orbits(self, x, y):
         if projectivise(x) == projectivise(y):
-            assert scale(y[0] - x[0], x) == y
+            assert shifted(x, y[0] - x[0]) == y
 
 
 class TestReduceGenerators:
     def test_scaling_redundancy_keeps_earliest(self):
         v = vec(2, 0, 1)
-        p = Polytope(MAX, mat_from_columns([v, scale(3, v)]))
+        p = Polytope(MAX, mat_from_columns([v, shifted(v, 3)]))
         reduced = reduce_generators(p)
         assert reduced.n_generators == 1
         assert reduced.generator(0) == v
@@ -123,7 +122,7 @@ class TestPolytopeEqual:
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         cols = list(p)
         rng.shuffle(cols)
-        scaled = [scale(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), c) for c in cols]
+        scaled = [shifted(c, Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for c in cols]
         q = Polytope(MAX, mat_from_columns(scaled))
         assert polytope_equal(p, q)
         assert polytope_equal(q, p)
@@ -138,7 +137,7 @@ class TestPolytopeEqual:
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         cols = list(p)
         rng.shuffle(cols)
-        q = Polytope(MAX, mat_from_columns([scale(rng.randint(-4, 4), c) for c in cols]))
+        q = Polytope(MAX, mat_from_columns([shifted(c, rng.randint(-4, 4)) for c in cols]))
         r = Polytope(MAX, mat_from_columns(list(q) + [reference_random_member(rng, q)]))
         assert polytope_equal(p, q) and polytope_equal(q, r) and polytope_equal(p, r)
 

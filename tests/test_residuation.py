@@ -15,18 +15,19 @@ from tropgeo import (
     mat_from_columns,
     member,
     principal_projection,
-    scale,
-    trop_add,
     vec,
 )
 
 from helpers import max_plus_polytopes, rationals, random_vector, vector_batches, vectors
 from oracles import (
     direct_min_plus_projection,
+    join,
+    meet,
     member_by_integer_grid,
     member_by_principal_subsets,
     naive_bracket,
     reference_random_member,
+    shifted,
 )
 
 MAX = Flavor.MAX_PLUS
@@ -64,35 +65,35 @@ class TestBracket:
     def test_galois_property(self, batch):
         x, y = batch
         lam = bracket(x, y)
-        assert leq(scale(lam, x), y)
+        assert leq(shifted(x, lam), y)
         # any strictly larger scaling must overshoot somewhere
-        assert not leq(scale(lam + Fraction(1, 7), x), y)
+        assert not leq(shifted(x, lam + Fraction(1, 7)), y)
 
     @given(rationals, vector_batches(2))
     def test_any_feasible_scaling_is_below_bracket(self, lam, batch):
         x, y = batch
-        assume(leq(scale(lam, x), y))
+        assume(leq(shifted(x, lam), y))
         assert lam <= bracket(x, y)
 
     @given(rationals, vector_batches(2))
     def test_scaling_identity(self, lam, batch):
         x, y = batch
-        assert bracket(scale(lam, x), y) == bracket(x, y) - lam
-        assert bracket(x, scale(-lam, y)) == bracket(x, y) - lam
+        assert bracket(shifted(x, lam), y) == bracket(x, y) - lam
+        assert bracket(x, shifted(y, -lam)) == bracket(x, y) - lam
 
     @given(vector_batches(3))
     def test_max_plus_inequalities(self, batch):
         x, x2, y = batch
-        assert min(bracket(x, y), bracket(x2, y)) == bracket(trop_add(MAX, x, x2), y)
-        assert bracket(trop_add(MAX, x, x2), y) <= bracket(x, y)
-        assert bracket(x, y) <= bracket(x, trop_add(MAX, x2, y))
+        assert min(bracket(x, y), bracket(x2, y)) == bracket(join(x, x2), y)
+        assert bracket(join(x, x2), y) <= bracket(x, y)
+        assert bracket(x, y) <= bracket(x, join(x2, y))
 
     @given(vector_batches(3))
     def test_min_plus_inequalities(self, batch):
         x, x2, y = batch
-        assert min(bracket(x, y), bracket(x, x2)) == bracket(x, trop_add(MIN, y, x2))
-        assert bracket(x, trop_add(MIN, y, x2)) <= bracket(x, y)
-        assert bracket(x, y) <= bracket(trop_add(MIN, x, x2), y)
+        assert min(bracket(x, y), bracket(x, x2)) == bracket(x, meet(y, x2))
+        assert bracket(x, meet(y, x2)) <= bracket(x, y)
+        assert bracket(x, y) <= bracket(meet(x, x2), y)
 
 
 class TestDomination:
@@ -113,7 +114,7 @@ class TestDomination:
     def test_scale_invariance(self, lam, mu, batch):
         x, y = batch
         for i in range(len(x)):
-            assert dominates_at(x, y, i) == dominates_at(scale(lam, x), scale(mu, y), i)
+            assert dominates_at(x, y, i) == dominates_at(shifted(x, lam), shifted(y, mu), i)
 
     def test_closure_of_dominated_set(self):
         # max-plus sum, min-plus sum and affine combinations stay dominated
@@ -131,8 +132,8 @@ class TestDomination:
             u, v = us
             t = Fraction(rng.randint(0, 8), 8)
             z = vec(*(t * a + (1 - t) * b for a, b in zip(u, v)))
-            assert dominates_at(x, trop_add(MAX, u, v), i)
-            assert dominates_at(x, trop_add(MIN, u, v), i)
+            assert dominates_at(x, join(u, v), i)
+            assert dominates_at(x, meet(u, v), i)
             assert dominates_at(x, z, i)
             found += 1
 
@@ -213,7 +214,7 @@ class TestMember:
     def test_invariant_under_query_scaling(self, p, data):
         y = data.draw(vectors(p.ambient_dim))
         lam = data.draw(rationals)
-        assert member(p, y) == member(p, scale(lam, y))
+        assert member(p, y) == member(p, shifted(y, lam))
 
     @given(max_plus_polytopes(n_max=3, m_max=3), st.data())
     def test_agrees_with_subset_enumeration(self, p, data):
