@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import (
     DimensionError,
@@ -34,6 +33,7 @@ from .docio import (
     ROLE_MATRIX,
     DocumentError,
     MatrixDocument,
+    _rational_texts,
     format_rational,
     format_vector,
     parse_matrix_document,
@@ -231,7 +231,8 @@ def _cmd_project(args) -> int:
 def _write_points_csv(path: str, points: list[TropVector]) -> None:
     import csv  # only --emit-csv needs it, so the other calls skip its import
 
-    dim = len(points[0])
+    rows = [_rational_texts(*pt.lattice) for pt in points]
+    dim = len(rows[0])
     if dim == 2:
         header = ["x", "y"]
     elif dim == 1:
@@ -241,8 +242,7 @@ def _write_points_csv(path: str, points: list[TropVector]) -> None:
     with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for pt in points:
-            writer.writerow([format_rational(e) for e in pt])
+        writer.writerows(rows)
 
 
 def _cmd_equal(args) -> int:

@@ -13,9 +13,9 @@ ints.  The operations used (+, -, min, max) never leave the lattice
 ``(1/L)·Z``, where L is the lcm of the inputs' denominators, so a matrix or
 vector holds its ``entries``, its int form (L and the numerators over L), or
 both, and builds the missing one from the other on first read.  Kernel
-results hold only ints: ``core`` builds their ``Fraction``s when a caller
-reads them, and no other module does.  The known cost: inputs whose
-denominators are pairwise coprime make L, and with it every int, large.
+results and parsed documents hold only ints, and ``fractions`` is imported
+by the first call that builds a ``Fraction`` (``_fraction``).  The known cost:
+inputs whose denominators are pairwise coprime make L, and every int, large.
 
 The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
 here, and the result types of the other modules) are plain immutable classes
@@ -27,11 +27,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
-from fractions import Fraction
+from functools import cache
 from itertools import chain
 from operator import add, attrgetter
-
-ScalarLike = Fraction | int | str
 
 
 class DimensionError(ValueError):
@@ -46,7 +44,7 @@ class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
 
 
-def as_scalar(value: ScalarLike) -> Fraction:
+def as_scalar(value: Fraction | int | str) -> Fraction:
     """Coerce to an exact rational.
 
     Accepts ``Fraction``, ``int`` and strings such as ``"-3"`` or ``"1/2"``.
@@ -55,7 +53,15 @@ def as_scalar(value: ScalarLike) -> Fraction:
     """
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a Fraction, int or 'p/q' string")
-    return Fraction(value)
+    return _fraction()(value)
+
+
+@cache
+def _fraction() -> type[Fraction]:
+    """``fractions.Fraction``, imported by the first call that builds or type-checks one."""
+    from fractions import Fraction
+
+    return Fraction
 
 
 class Flavor(Enum):
@@ -70,14 +76,14 @@ class Flavor(Enum):
         return 1 if self is Flavor.MAX_PLUS else -1
 
 
-def common_denominator(values: Iterable[Fraction], max_bits: int | None = None) -> int:
-    """The lcm of the denominators of ``values``.
+def common_denominator(dens: Iterable[int], max_bits: int | None = None) -> int:
+    """The lcm of the denominators ``dens``.
 
     With ``max_bits``, it stops at the first partial lcm longer than that, so
     a caller can refuse a scale too large to compute with without building it.
     """
     scale = 1
-    for den in {e.denominator for e in values}:
+    for den in set(dens):
         scale = math.lcm(scale, den)
         if max_bits is not None and scale.bit_length() > max_bits:
             break
@@ -180,16 +186,12 @@ class Lattice(Frozen):
 
 
 class _Over(dict):
-    """A scale and the Fractions over it, ``x -> Fraction(x, scale)``, each built on first read."""
+    """A scale and the Fractions over it, ``x -> Fraction(x, scale)``, built as entries are read."""
 
     __slots__ = ("scale",)
 
     def __init__(self, scale: int) -> None:
         self.scale = scale
-
-    def __missing__(self, x: int) -> Fraction:
-        e = self[x] = Fraction(x, self.scale)
-        return e
 
 
 class TropVector(Frozen):
@@ -202,8 +204,9 @@ class TropVector(Frozen):
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise DimensionError("vector must have at least one entry")
+        fraction = _fraction()
         for e in entries:
-            if not isinstance(e, Fraction):
+            if not isinstance(e, fraction):
                 raise TypeError(f"vector entry {e!r} is not a Fraction")
 
     def __getattr__(self, name: str) -> object:
@@ -211,7 +214,7 @@ class TropVector(Frozen):
         # its descriptor, so a value with neither form raises instead of recursing
         if name == "_lattice":
             entries = TropVector.entries.__get__(self)
-            scale = common_denominator(entries)
+            scale = common_denominator({e.denominator for e in entries})
             value = _Over(scale), tuple(to_lattice(entries, scale))
             object.__setattr__(self, name, value)
             return value
@@ -221,6 +224,9 @@ class TropVector(Frozen):
             over, ints = TropVector._lattice.__get__(self)
         except AttributeError:  # neither form, or another thread has just built the entries
             return TropVector.entries.__get__(self)
+        fraction = _fraction()
+        for x in set(ints).difference(over):
+            over[x] = fraction(x, over.scale)
         value = tuple(map(over.__getitem__, ints))
         object.__setattr__(self, name, value)
         # the ints go, so that a sampler report whose entries were read holds no more
@@ -267,24 +273,24 @@ class TropMatrix(Frozen):
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1 or len(entries[0]) < 1:
             raise DimensionError("matrix must be at least 1x1")
-        width = len(entries[0])
+        width, fraction = len(entries[0]), _fraction()
         for r in entries:
             if len(r) != width:
                 raise DimensionError("matrix rows have unequal lengths")
             for e in r:
-                if not isinstance(e, Fraction):
+                if not isinstance(e, fraction):
                     raise TypeError(f"matrix entry {e!r} is not a Fraction")
 
     def __getattr__(self, name: str) -> object:
         # as TropVector.__getattr__, but a matrix keeps both forms.  Equal ints share
         # one Fraction: a 32x40 dominator has about 370 distinct values in 1,024 entries.
         if name == "entries":
-            lat = TropMatrix._lattice.__get__(self)
-            shared = {x: Fraction(x, lat.scale) for x in set(chain.from_iterable(lat.cols))}
+            lat, fraction = TropMatrix._lattice.__get__(self), _fraction()
+            shared = {x: fraction(x, lat.scale) for x in set(chain.from_iterable(lat.cols))}
             value = tuple(zip(*(map(shared.__getitem__, c) for c in lat.cols)))
         elif name == "_lattice":
             entries = TropMatrix.entries.__get__(self)
-            scale = common_denominator(e for r in entries for e in r)
+            scale = common_denominator({e.denominator for r in entries for e in r})
             value = Lattice(scale, tuple(tuple(to_lattice(c, scale)) for c in zip(*entries)))
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -349,12 +355,12 @@ def vector_from_ints(scale: int | _Over, ints: tuple[int, ...]) -> TropVector:
     return v
 
 
-def vec(*entries: ScalarLike) -> TropVector:
+def vec(*entries: Fraction | int | str) -> TropVector:
     """Build a TropVector from ints, Fractions or 'p/q' strings."""
     return TropVector(tuple(as_scalar(e) for e in entries))
 
 
-def mat(rows: Sequence[Sequence[ScalarLike]]) -> TropMatrix:
+def mat(rows: Sequence[Sequence[Fraction | int | str]]) -> TropMatrix:
     """Build a TropMatrix from a sequence of rows."""
     return TropMatrix(tuple(tuple(as_scalar(e) for e in r) for r in rows))
 

@@ -10,6 +10,10 @@ values survive serialization without rounding:
 matrix or as a generator list (one generator per column).  Parsing normalizes
 every entry to lowest terms, so serialize(parse(text)) is canonical and
 parse(serialize(doc)) == doc.
+
+Entries go from strings to lattice ints, and back, with no ``Fraction``
+built: a parsed document holds the matrix of its numerators over L, and
+builds its ``entries`` only if they are read.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
+from collections.abc import Sequence
+from itertools import chain
 
-from .core import Flavor, Frozen, TropMatrix, TropVector, common_denominator
+from .core import Flavor, Frozen, Lattice, TropMatrix, TropVector, _fraction, common_denominator
+from .core import matrix_from_lattice, vector_from_ints
 from .residuation import Polytope
 
 ROLE_MATRIX = "matrix"
@@ -37,9 +43,9 @@ MAX_SCALE_BITS = 4096
 # in a MemoryError; 16 MiB is about 200 times the 84 KB of a 96x120 document.
 MAX_DOCUMENT_BYTES = 16 * 2**20
 
-# A parsed entry costs about 160 bytes, so the byte limit alone lets through
-# 4,000,000 one-digit entries, which ended in a MemoryError under a 400 MB
-# address-space limit. The count is checked before any Fraction is built.
+# The byte limit alone lets through 4,000,000 one-digit entries, which ended in
+# a MemoryError under a 400 MB address-space limit when each became a Fraction.
+# The count is checked before any entry is parsed.
 MAX_ENTRIES = 1_000_000
 
 
@@ -53,22 +59,50 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
     JSON integers are accepted as-is; anything else (floats, decimal points,
     exponents) is rejected so no rounding can sneak in.
     """
+    return _fraction()(*_reduced(text, where))
+
+
+def _reduced(text: object, where: str = "value") -> tuple[int, int]:
+    """``parse_rational``'s value as ``(p, q)`` in lowest terms, q >= 1, or its error."""
     if isinstance(text, bool):
         raise DocumentError(f"{where}: not a rational: {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return text, 1
     body = text.strip() if isinstance(text, str) else ""
     if not _RATIONAL_RE.match(body):
         raise DocumentError(f"{where}: not a rational: {text!r}")
-    # the pattern has checked the syntax, so the parts go straight to int
-    # instead of through Fraction's own parse of the string
-    num, _, den = body.partition("/")
+    num, _, den = body.partition("/")  # the pattern has checked the syntax
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except ZeroDivisionError:
-        raise DocumentError(f"{where}: zero denominator: {text!r}") from None
+        p, q = int(num), int(den or 1)
     except ValueError as e:  # CPython's limit on digits in an int string
         raise DocumentError(f"{where}: {e}") from None
+    if not q:
+        raise DocumentError(f"{where}: zero denominator: {text!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _lattice(raw: list, where: str) -> tuple[int, list[int]]:
+    """L and the numerators over L of ``raw``, each entry read as ``parse_rational``
+    reads it and labelled ``where[k]`` on failure, and L refused above
+    ``MAX_SCALE_BITS`` bits before any numerator is built.  Each distinct string
+    is parsed once; any other entry each time, since JSON ``1``, ``1.0`` and
+    ``true`` are equal keys."""
+    parsed: dict[str | int, tuple[int, int]] = {}
+    for e in raw:
+        if type(e) is not str or e not in parsed:
+            try:
+                parsed[e] = _reduced(e)
+            except DocumentError:
+                # an equal entry before this one would have failed first
+                k = next(k for k, x in enumerate(raw) if x is e)
+                _reduced(e, f"{where}[{k}]")  # the same parse fails again, now with the entry's label
+                raise
+    scale = common_denominator((q for _, q in parsed.values()), MAX_SCALE_BITS)
+    if scale.bit_length() > MAX_SCALE_BITS:
+        raise DocumentError(f"{where}: common denominator has more than {MAX_SCALE_BITS} bits")
+    over = {e: p * (scale // q) for e, (p, q) in parsed.items()}
+    return scale, list(map(over.__getitem__, raw))
 
 
 def format_rational(value: Fraction) -> str:
@@ -76,9 +110,14 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _check_scale(entries: tuple[Fraction, ...], where: str) -> None:
-    if common_denominator(entries, max_bits=MAX_SCALE_BITS).bit_length() > MAX_SCALE_BITS:
-        raise DocumentError(f"{where}: common denominator has more than {MAX_SCALE_BITS} bits")
+def _rational_texts(scale: int, ints: Sequence[int]) -> list[str]:
+    """Each ``x / scale`` of ``ints`` as ``format_rational`` writes it, one ``gcd`` per distinct x."""
+    unit = -1 if scale < 0 else 1  # so that scale // g > 0
+    texts = {}
+    for x in set(ints):
+        g = math.gcd(x, scale) * unit
+        texts[x] = str(x // g) if g == scale else f"{x // g}/{scale // g}"
+    return list(map(texts.__getitem__, ints))
 
 
 def parse_vector(text: str, where: str = "vector") -> TropVector:
@@ -93,33 +132,40 @@ def parse_vector(text: str, where: str = "vector") -> TropVector:
     parts = body.split(",")
     if parts == [""]:
         raise DocumentError(f"{where}: empty vector")
-    entries = tuple(parse_rational(s, f"{where}[{k}]") for k, s in enumerate(parts))
-    _check_scale(entries, where)
-    return TropVector(entries)
+    scale, ints = _lattice(parts, where)
+    return vector_from_ints(scale, tuple(ints))
 
 
 def format_vector(v: TropVector) -> str:
     """``(e0,e1,...)``, each entry as ``format_rational`` writes it, from v's ints."""
-    scale, ints = v.lattice
-    gcds = [math.gcd(x, scale) * (-1 if scale < 0 else 1) for x in ints]  # so scale // g > 0
-    texts = (str(x // g) if g == scale else f"{x // g}/{scale // g}" for x, g in zip(ints, gcds))
-    return "(%s)" % ",".join(texts)
+    return "(%s)" % ",".join(_rational_texts(*v.lattice))
 
 
 class MatrixDocument(Frozen):
-    """In-memory form of one matrix/polytope file."""
+    """In-memory form of one matrix/polytope file.  As ``TropMatrix`` does, it holds
+    its entries, its matrix or both, and builds the missing one on first read."""
 
-    __slots__ = ("flavor", "rows", "cols", "entries", "role")
+    __slots__ = ("flavor", "rows", "cols", "entries", "role", "_matrix")
     flavor: Flavor
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
     role: str
 
+    def __getattr__(self, name: str) -> object:
+        # called only while slot ``name`` is unset, as in TropMatrix.__getattr__
+        if name == "entries":
+            value = tuple(chain.from_iterable(MatrixDocument._matrix.__get__(self).entries))
+        elif name == "_matrix":
+            flat, cols = MatrixDocument.entries.__get__(self), self.cols
+            value = TropMatrix(tuple(flat[i * cols : (i + 1) * cols] for i in range(self.rows)))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
     def to_matrix(self) -> TropMatrix:
-        return TropMatrix(
-            tuple(self.entries[i * self.cols : (i + 1) * self.cols] for i in range(self.rows))
-        )
+        return self._matrix
 
     def to_polytope(self) -> Polytope:
         """Interpret the columns as generators of a polytope of this flavor."""
@@ -129,15 +175,19 @@ class MatrixDocument(Frozen):
     def from_matrix(cls, matrix: TropMatrix, flavor: Flavor, role: str = ROLE_MATRIX) -> "MatrixDocument":
         if role not in _ROLES:
             raise DocumentError(f"role: expected one of {_ROLES}, got {role!r}")
-        flat = tuple(e for row in matrix.entries for e in row)
-        return cls(flavor=flavor, rows=matrix.n_rows, cols=matrix.n_cols, entries=flat, role=role)
+        doc = object.__new__(cls)  # its entries are built from the matrix on first read
+        fields = dict(flavor=flavor, rows=matrix.n_rows, cols=matrix.n_cols, role=role, _matrix=matrix)
+        for name, value in fields.items():
+            object.__setattr__(doc, name, value)
+        return doc
 
     def to_json_obj(self) -> dict:
+        lat = self._matrix.lattice
         return {
             "flavor": self.flavor.value,
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [format_rational(e) for e in self.entries],
+            "entries": _rational_texts(lat.scale, [*chain.from_iterable(zip(*lat.cols))]),
             "role": self.role,
         }
 
@@ -147,31 +197,6 @@ def _require_positive_int(obj: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise DocumentError(f"{key}: expected a positive integer, got {value!r}")
     return value
-
-
-def _parse_entries(raw: list) -> tuple[Fraction, ...]:
-    """``parse_rational`` of each entry, labelled ``entries[k]`` on failure.
-
-    Equal strings are parsed once and share one ``Fraction``: a 96x120
-    document of small rationals has a few hundred distinct strings.  Only
-    strings are cached, since JSON ``1``, ``1.0`` and ``true`` are equal keys.
-    """
-    parsed: dict[str, Fraction] = {}
-    entries = []
-    for e in raw:
-        try:
-            if type(e) is str:
-                value = parsed.get(e)
-                if value is None:
-                    value = parsed[e] = parse_rational(e)
-            else:
-                value = parse_rational(e)
-        except DocumentError:
-            # the same parse fails again, now with the entry's label
-            parse_rational(e, f"entries[{len(entries)}]")
-            raise
-        entries.append(value)
-    return tuple(entries)
 
 
 def parse_matrix_document(text: bytes | str) -> MatrixDocument:
@@ -220,9 +245,9 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
         raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
     if len(raw) > MAX_ENTRIES:
         raise DocumentError(f"entries: more than {MAX_ENTRIES} entries")
-    entries = _parse_entries(raw)
-    _check_scale(entries, "entries")
-    return MatrixDocument(flavor=flavor, rows=rows, cols=cols, entries=entries, role=role)
+    scale, ints = _lattice(raw, "entries")
+    lattice = Lattice(scale, tuple([tuple(ints[j::cols]) for j in range(cols)]))
+    return MatrixDocument.from_matrix(matrix_from_lattice(lattice), flavor, role)
 
 
 def serialize_matrix_document(doc: MatrixDocument) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from itertools import combinations, islice
 from operator import add, sub
 
@@ -20,10 +19,13 @@ from .core import (
     DimensionError,
     Flavor,
     Frozen,
+    Lattice,
     TropMatrix,
     TropVector,
+    _fraction,
     _normalised,
     _Over,
+    matrix_from_lattice,
     vector_from_ints,
 )
 from .residuation import Polytope, member
@@ -108,8 +110,11 @@ def reduce_generators(p: Polytope) -> Polytope:
         keep.append(k)
     if len(keep) == len(cols):
         return p  # nothing dropped: p is immutable, so it is its own reduction
-    # the input's own Fractions: no TropVector per column, no Fraction rebuilt
-    return Polytope(p.flavor, TropMatrix(tuple([tuple([r[k] for k in keep]) for r in p.generators.entries])))
+    # the kept columns in the form p holds: its own Fractions, no Fraction rebuilt, or its ints
+    if (rows := p.generators._held_entries()) is not None:
+        return Polytope(p.flavor, TropMatrix(tuple([tuple([r[k] for k in keep]) for r in rows])))
+    lat = p.generators.lattice
+    return Polytope(p.flavor, matrix_from_lattice(Lattice(lat.scale, tuple([lat.cols[k] for k in keep]))))
 
 
 def polytope_equal(p: Polytope, q: Polytope) -> bool:
@@ -318,7 +323,7 @@ def sample_euclidean_midpoints(
         if not all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
             violations.append(as_vector(z, scale * b))
             if (a, b) not in ts:
-                ts[a, b] = ts.setdefault(t := Fraction(a, b), t)
+                ts[a, b] = ts.setdefault(t := _fraction()(a, b), t)
             certificates.append((as_vector(u, scale), as_vector(v, scale), ts[a, b]))
             if max_violations is not None and len(violations) >= max_violations:
                 break

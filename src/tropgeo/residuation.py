@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from operator import add, sub
 
 from .core import (

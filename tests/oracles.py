@@ -8,12 +8,16 @@ tests compare two separately written routes to the same value.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import random
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterator, Optional
 
-from tropgeo import Flavor, MidpointReport, Polytope, TropMatrix, TropVector
+from tropgeo import DocumentError, Flavor, MidpointReport, Polytope, TropMatrix, TropVector
 
 
 def naive_mat_mul(use_max: bool, a: TropMatrix, b: TropMatrix) -> list[list[Fraction]]:
@@ -339,3 +343,63 @@ def reference_sample_midpoints(
         violations=tuple(violations),
         certificates=tuple(certificates),
     )
+
+
+def parse_rational_by_fraction(text, where: str = "value") -> Fraction:
+    """``parse_rational`` as it was: the pattern checks the string, then
+    ``Fraction(text)`` parses it again."""
+    if isinstance(text, bool):
+        raise DocumentError(f"{where}: not a rational: {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str) or not re.match(r"[+-]?[0-9]+(/[0-9]+)?\Z", text.strip()):
+        raise DocumentError(f"{where}: not a rational: {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise DocumentError(f"{where}: zero denominator: {text!r}") from None
+    except ValueError as e:
+        raise DocumentError(f"{where}: {e}") from None
+
+
+def lattice_by_fraction(raw: list, where: str, max_bits: int) -> tuple[int, list[int]]:
+    """L and the numerators over L of the entries ``raw``, read as documents and
+    vector flags were while every entry became a ``Fraction`` first: each by
+    ``parse_rational_by_fraction``, labelled ``where[k]``, then L as the lcm
+    of all their denominators, refused if it has more than ``max_bits`` bits."""
+    entries = [parse_rational_by_fraction(e, f"{where}[{k}]") for k, e in enumerate(raw)]
+    scale = math.lcm(*(e.denominator for e in entries))
+    if scale.bit_length() > max_bits:
+        raise DocumentError(f"{where}: common denominator has more than {max_bits} bits")
+    return scale, [e.numerator * (scale // e.denominator) for e in entries]
+
+
+def document_text_by_fraction(obj: dict) -> str:
+    """The serialized form of the valid document ``obj``: each entry written
+    as ``str`` of its ``Fraction``, the fields in the document format's order."""
+    entries = [str(parse_rational_by_fraction(e)) for e in obj["entries"]]
+    fields = {"flavor": obj["flavor"], "rows": obj["rows"], "cols": obj["cols"], "entries": entries}
+    return json.dumps({**fields, "role": obj["role"]}, indent=2) + "\n"
+
+
+@contextmanager
+def fractions_built() -> Iterator[list[int]]:
+    """Count the ``Fraction``s built in a block: ``with fractions_built() as built:``,
+    then ``built[0]``.
+
+    It counts calls of ``Fraction.__new__``.  From Python 3.12, arithmetic on
+    Fractions builds its result without that call, so a count of 0 means
+    the block built no Fraction from anything but the Fractions it was given.
+    """
+    new = Fraction.__dict__["__new__"]
+    built = [0]
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = new

@@ -14,9 +14,10 @@ import tropgeo
 from tropgeo import Flavor, docio, parse_matrix_document, serialize_matrix_document
 import tropgeo.cli as tropgeo_cli
 from tropgeo.cli import build_parser, run
-from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, MatrixDocument, parse_vector, format_vector
-from tropgeo import vec
+from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, parse_vector, format_vector
+from tropgeo import Polytope, dominator, mat, principal_projection, vec
 
+from oracles import fractions_built
 from test_golden import check_case, run_as_module
 
 SEGMENT_DOC = {
@@ -560,7 +561,13 @@ ADDED_MODULES = {
     "reduce": {"tropgeo.polytope"},  # kleene only for a reduction that computes brackets
     "sample-midpoints": {"tropgeo.kleene", "tropgeo.polytope", "random"},
     "equal": {"tropgeo.polytope"},  # kleene only for polytopes of different flavors
+    "dominator": {"tropgeo.kleene"},
+    "hull-min": {"tropgeo.kleene"},
+    "convex-check": {"tropgeo.kleene"},
+    "project": {"tropgeo.polytope"},
 }
+# what ``fractions`` imports; a call that reads and prints only lattice ints loads none of them
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
 
 
 def _modules_loaded_by(code: str) -> set[str]:
@@ -601,7 +608,7 @@ class TestStartup:
         loaded = _modules_loaded_by("")
         assert BASE_MODULES <= loaded
         unneeded = {"dataclasses", "inspect", "csv", "typing", "random", "tropgeo.kleene", "tropgeo.polytope"}
-        assert loaded.isdisjoint(unneeded), sorted(loaded)
+        assert loaded.isdisjoint(unneeded | FRACTION_MODULES), sorted(loaded)
 
     @pytest.mark.parametrize("command", sorted(ADDED_MODULES))
     def test_subcommand_loads_only_the_modules_it_runs(self, tmp_path, command):
@@ -612,3 +619,33 @@ class TestStartup:
         loaded = _modules_loaded_by(f"assert tropgeo.cli.run({argv!r}) == 0")
         ours = {m for m in loaded if m.split(".")[0] == "tropgeo" or m == "random"}
         assert ours == BASE_MODULES | ADDED_MODULES[command]
+        # this polytope is no polytrope, and the sampler reports violations: the
+        # t = a/b of each certificate is a Fraction, so that run alone loads fractions
+        assert ("fractions" in loaded) == (command == "sample-midpoints"), sorted(loaded)
+        assert command == "sample-midpoints" or loaded.isdisjoint(FRACTION_MODULES), sorted(loaded)
+
+    def test_a_sampler_run_with_no_violation_loads_no_fractions(self, tmp_path):
+        # two coordinates: the polytope is a segment of the projective line, a polytrope
+        obj = {**SEGMENT_DOC, "rows": 2, "cols": 3, "entries": ["0", "1/2", "-3", "5/3", "0", "1/4"]}
+        argv = ["sample-midpoints", "--assert", "--file", write(tmp_path, "g.json", obj), "--trials", "50"]
+        loaded = _modules_loaded_by(f"assert tropgeo.cli.run({argv!r}) == 0")  # --assert: no violation
+        assert loaded.isdisjoint(FRACTION_MODULES), sorted(loaded)
+
+    @pytest.mark.parametrize("command", ["classify", "member"])
+    def test_classify_and_member_build_no_fraction(self, capsys, tmp_path, command):
+        rng = random.Random(34)
+        rational = lambda: f"{rng.randint(-20, 20)}/{rng.randint(1, 10)}"  # noqa: E731
+        obj = {**SEGMENT_DOC, "rows": 8, "cols": 10, "entries": [rational() for _ in range(80)]}
+        argv = [command, "--file", write(tmp_path, "g.json", obj)]
+        if command == "member":
+            argv += ["--y", ",".join(rational() for _ in range(8))]
+        with fractions_built() as built:
+            assert run(argv) == 0
+        assert built == [0]
+        out = json.loads(capsys.readouterr().out)
+        # the output is that of the library on Fractions: the projection, or the dominator's entries
+        p = Polytope(Flavor.MAX_PLUS, mat([obj["entries"][i * 10 : i * 10 + 10] for i in range(8)]))
+        if command == "member":
+            assert out["projection"] == format_vector(principal_projection(p, vec(*argv[-1].split(","))))
+        else:
+            assert out["dominator"]["entries"] == [str(e) for r in dominator(p).matrix.entries for e in r]

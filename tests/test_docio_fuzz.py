@@ -1,16 +1,29 @@
 """Fuzz ``parse_matrix_document`` on its own: any input either raises
 ``DocumentError`` or gives a document that survives a serialize/parse round
 trip unchanged.  No other exception may escape.  ``parse_rational`` is also
-compared with the parse it replaced, which handed the string to ``Fraction``."""
+compared with the parse it replaced, which handed the string to ``Fraction``,
+and documents and vector flags, which go straight to lattice ints, with the
+read that built a ``Fraction`` for every entry first."""
 
 import json
-import re
 from fractions import Fraction
+from itertools import chain
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropgeo.docio import DocumentError, parse_matrix_document, parse_rational, serialize_matrix_document
+from tropgeo.docio import (
+    MAX_SCALE_BITS,
+    DocumentError,
+    format_vector,
+    parse_matrix_document,
+    parse_rational,
+    parse_vector,
+    serialize_matrix_document,
+)
+
+from oracles import document_text_by_fraction, lattice_by_fraction, parse_rational_by_fraction
 
 HUGE = "@huge@"  # stands for a JSON number of 5000 digits, which json.dumps cannot write
 
@@ -103,23 +116,6 @@ def test_near_documents(obj, as_bytes):
     _check(text.encode() if as_bytes else text)
 
 
-def parse_rational_by_fraction(text, where: str = "value") -> Fraction:
-    """``parse_rational`` as it was: the pattern checks the string, then
-    ``Fraction(text)`` parses it again."""
-    if isinstance(text, bool):
-        raise DocumentError(f"{where}: not a rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str) or not re.match(r"[+-]?[0-9]+(/[0-9]+)?\Z", text.strip()):
-        raise DocumentError(f"{where}: not a rational: {text!r}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise DocumentError(f"{where}: zero denominator: {text!r}") from None
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}") from None
-
-
 def _outcome(parse, text):
     try:
         value = parse(text, "entries[3]")
@@ -186,3 +182,72 @@ def test_document_entries_parse_as_each_alone(raw):
     assert entries == expected and all(type(x) is Fraction for x in entries)
     for k, e in enumerate(raw):
         assert entries[k] is entries[raw.index(e)] or type(e) is not str
+
+
+# Entries for the differential test below: valid and invalid strings, JSON
+# ints and bools, zero denominators, numbers of 4,300 and 4,301 digits, and
+# denominators 2**k and 3**j whose lcm has about MAX_SCALE_BITS bits.
+near_scale = st.integers(MAX_SCALE_BITS - 3, MAX_SCALE_BITS + 1).map(lambda k: f"1/{2**k}") | st.integers(
+    2582, 2586
+).map(lambda j: f"-2/{3**j}")
+small = st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 20), st.integers(1, 12))
+faults = st.builds(lambda p: f"{p}/0", st.integers(-9, 9)) | st.sampled_from(["-0/000", "1/2/3", "1.5", ""]) | rational_texts
+json_ints = st.integers(-(10**30), 10**30) | st.booleans()
+lattice_entries = st.one_of(small, small, small, small, small, json_ints, faults, near_scale)
+
+
+@st.composite
+def lattice_documents(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return {
+        "flavor": draw(st.sampled_from(["max-plus", "min-plus"])),
+        "rows": rows,
+        "cols": cols,
+        "entries": draw(st.lists(lattice_entries, min_size=rows * cols, max_size=rows * cols)),
+        "role": draw(st.sampled_from(["matrix", "generators-as-columns"])),
+    }
+
+
+def _outcome_of(read, *args):
+    try:
+        return read(*args)
+    except DocumentError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_documents())
+@example({"flavor": "max-plus", "rows": 1, "cols": 3, "entries": [True, 1, "1"], "role": "matrix"})
+@example({"flavor": "max-plus", "rows": 1, "cols": 3, "entries": [2, "2/4", 2], "role": "matrix"})
+@example({"flavor": "max-plus", "rows": 1, "cols": 2, "entries": ["1/0", "1/0"], "role": "matrix"})
+@example({"flavor": "max-plus", "rows": 1, "cols": 2, "entries": ["1/2", "9" * 4301], "role": "matrix"})
+@example({"flavor": "min-plus", "rows": 1, "cols": 2, "entries": [f"1/{2**4095}", "5"], "role": "matrix"})
+@example({"flavor": "min-plus", "rows": 2, "cols": 1, "entries": [f"1/{2**4095}", "1/3"], "role": "matrix"})
+def test_int_read_matches_the_fraction_read(obj):
+    """A document, and its entries as a vector flag, give the L and the ints,
+    or the ``DocumentError`` text, that the read through ``Fraction``s gives,
+    and are written back to the same bytes."""
+    raw = obj["entries"]
+    expected = _outcome_of(lattice_by_fraction, raw, "entries", MAX_SCALE_BITS)
+    if expected[0] == "error":
+        with pytest.raises(DocumentError) as e:
+            parse_matrix_document(json.dumps(obj))
+        assert ("error", str(e.value)) == expected
+    else:
+        doc = parse_matrix_document(json.dumps(obj))
+        lat = doc.to_matrix().lattice
+        assert (lat.scale, [*chain.from_iterable(zip(*lat.cols))]) == expected
+        assert serialize_matrix_document(doc) == document_text_by_fraction(obj)
+        assert doc.entries == tuple(Fraction(x, lat.scale) for x in expected[1])
+    if not all(type(e) is str for e in raw) or not ",".join(raw).strip():
+        return
+    parts = ",".join(raw).strip().split(",")  # as parse_vector splits its text
+    expected = _outcome_of(lattice_by_fraction, parts, "x", MAX_SCALE_BITS)
+    got = _outcome_of(parse_vector, ",".join(raw), "x")
+    if expected[0] == "error":
+        assert got == expected
+    else:
+        scale, ints = got.lattice
+        assert (scale, list(ints)) == expected
+        texts = [str(Fraction(x, expected[0])) for x in expected[1]]
+        assert format_vector(got) == "(%s)" % ",".join(texts)

@@ -30,7 +30,7 @@ from tropgeo import (
     verify_dominator_relation,
 )
 
-from helpers import max_plus_polytopes, polytopes, random_polytope, random_vector, transpose
+from helpers import max_plus_polytopes, polytopes, random_vector, transpose
 from oracles import glb_column_fold, join, reference_random_member, shifted
 
 MAX = Flavor.MAX_PLUS

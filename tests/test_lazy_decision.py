@@ -56,7 +56,7 @@ from tropgeo import (
     sample_euclidean_midpoints,
     verify_dominator_relation,
 )
-from tropgeo import core, kleene, polytope
+from tropgeo import kleene, polytope
 
 from oracles import (
     direct_max_plus_projection,
@@ -64,6 +64,7 @@ from oracles import (
     direct_min_plus_projection,
     dominator_columns,
     fold_over_ordered_pairs,
+    fractions_built,
     reference_random_member,
 )
 
@@ -360,16 +361,9 @@ def test_results_build_no_fraction_until_read():
 def test_a_non_member_builds_no_fraction():
     """The projection of a member is y itself, so ``member`` tests identity and
     a y outside q reads no entry of its projection: counted through
-    ``core._Over.__missing__``, no ``Fraction`` is built over any scale."""
+    ``Fraction.__new__``, no ``Fraction`` is built."""
     rng = random.Random(1806)
-    missing = core._Over.__missing__
     built = outside = 0
-
-    def counting(over, x):
-        nonlocal built
-        built += 1
-        return missing(over, x)
-
     for n, m in ((3, 4), (5, 6), (8, 10), (32, 40)):
         for _ in range(3):
             p = random_polytope(rng, n, m)
@@ -377,11 +371,9 @@ def test_a_non_member_builds_no_fraction():
             for q in (p, negated(p)):
                 if direct_member(q, y):
                     continue
-                core._Over.__missing__ = counting
-                try:
+                with fractions_built() as count:
                     assert not member(q, y)
-                finally:
-                    core._Over.__missing__ = missing
+                built += count[0]
                 outside += 1
     assert built == 0 and outside >= 16
 

@@ -9,9 +9,6 @@ from tropgeo import (
     DimensionError,
     Flavor,
     Polytope,
-    classify,
-    dominator,
-    mat,
     mat_from_columns,
     member,
     polytope_equal,
