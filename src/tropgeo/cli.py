@@ -168,9 +168,7 @@ def _vector_or_file(args) -> TropVector | None:
 def _result(args, payload, ok: bool = True) -> int:
     """Print one JSON result; with ``--assert``, exit 3 when ``ok`` is false."""
     print(json.dumps(payload, indent=2))
-    if getattr(args, "assert_", False) and not ok:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return EXIT_ASSERT if getattr(args, "assert_", False) and not ok else EXIT_OK
 
 
 def _matrix_result(args, result) -> int:
@@ -233,12 +231,7 @@ def _write_points_csv(path: str, points: list[TropVector]) -> None:
 
     rows = [_rational_texts(*pt.lattice) for pt in points]
     dim = len(rows[0])
-    if dim == 2:
-        header = ["x", "y"]
-    elif dim == 1:
-        header = ["x"]
-    else:
-        header = [f"x{i}" for i in range(1, dim + 1)]
+    header = ["x", "y"][:dim] if dim <= 2 else [f"x{i}" for i in range(1, dim + 1)]
     with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -320,14 +313,11 @@ def _cmd_sample_midpoints(args) -> int:
     _at_most(args, f"{args.file}: n*m*trials", p.ambient_dim * p.n_generators * args.trials, MAX_SAMPLE_WORK)
     seed = args.seed
     if seed is None:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            seed = DEFAULT_SEED
-        else:
-            try:
-                seed = int(raw)
-            except ValueError:
-                raise DocumentError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        raw = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise DocumentError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     report = sample_euclidean_midpoints(p, args.trials, seed, max_violations=args.max_violations)
     _note(args, f"{len(report.violations)} violation(s) in {report.trials} trial(s)")
     return _result(

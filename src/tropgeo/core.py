@@ -224,9 +224,8 @@ class TropVector(Frozen):
             over, ints = TropVector._lattice.__get__(self)
         except AttributeError:  # neither form, or another thread has just built the entries
             return TropVector.entries.__get__(self)
-        fraction = _fraction()
-        for x in set(ints).difference(over):
-            over[x] = fraction(x, over.scale)
+        fraction = _fraction()  # probe only these ints: many vectors may share ``over``
+        over.update({x: fraction(x, over.scale) for x in set(ints) if x not in over})
         value = tuple(map(over.__getitem__, ints))
         object.__setattr__(self, name, value)
         # the ints go, so that a sampler report whose entries were read holds no more
@@ -297,37 +296,24 @@ class TropMatrix(Frozen):
         object.__setattr__(self, name, value)
         return value
 
-    def _held_entries(self) -> tuple[tuple[Fraction, ...], ...] | None:
-        """The entries if this matrix holds them, else None: nothing is built."""
-        try:
-            return TropMatrix.entries.__get__(self)
-        except AttributeError:
-            return None
-
     @property
     def n_rows(self) -> int:
-        rows = self._held_entries()
-        return len(rows) if rows is not None else len(self.lattice.cols[0])
+        return len(self.lattice.cols[0])
 
     @property
     def n_cols(self) -> int:
-        rows = self._held_entries()
-        return len(rows[0]) if rows is not None else len(self.lattice.cols)
+        return len(self.lattice.cols)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    # A row or column shares the matrix's Fractions if it holds them, else holds only ints.
+    # A row or column holds only ints, and builds its Fractions if they are read.
     def row(self, i: int) -> TropVector:
-        if (rows := self._held_entries()) is not None:
-            return TropVector(rows[i])
         lat = self.lattice
         return vector_from_ints(lat.scale, tuple([c[i] for c in lat.cols]))
 
     def col(self, j: int) -> TropVector:
-        if (rows := self._held_entries()) is not None:
-            return TropVector(tuple([r[j] for r in rows]))
         return vector_from_ints(self.lattice.scale, self.lattice.cols[j])
 
     def columns(self) -> Iterator[TropVector]:

@@ -9,11 +9,8 @@ values survive serialization without rounding:
 ``entries`` is row-major; ``role`` says whether the matrix is meant as a plain
 matrix or as a generator list (one generator per column).  Parsing normalizes
 every entry to lowest terms, so serialize(parse(text)) is canonical and
-parse(serialize(doc)) == doc.
-
-Entries go from strings to lattice ints, and back, with no ``Fraction``
-built: a parsed document holds the matrix of its numerators over L, and
-builds its ``entries`` only if they are read.
+parse(serialize(doc)) == doc.  Entries go from strings to lattice ints and
+back with no ``Fraction`` built, unless a caller reads a document's ``entries``.
 """
 
 from __future__ import annotations
@@ -83,19 +80,16 @@ def _reduced(text: object, where: str = "value") -> tuple[int, int]:
 
 
 def _lattice(raw: list, where: str) -> tuple[int, list[int]]:
-    """L and the numerators over L of ``raw``, each entry read as ``parse_rational``
-    reads it and labelled ``where[k]`` on failure, and L refused above
-    ``MAX_SCALE_BITS`` bits before any numerator is built.  Each distinct string
-    is parsed once; any other entry each time, since JSON ``1``, ``1.0`` and
-    ``true`` are equal keys."""
+    """L and the numerators over L of ``raw``, read as ``parse_rational`` reads each entry,
+    labelled ``where[k]`` on failure, with L refused above ``MAX_SCALE_BITS`` bits before
+    any numerator is built.  Each distinct string is parsed once; any other entry each
+    time, since JSON ``1``, ``1.0`` and ``true`` are equal keys."""
     parsed: dict[str | int, tuple[int, int]] = {}
-    for e in raw:
+    for k, e in enumerate(raw):
         if type(e) is not str or e not in parsed:
             try:
                 parsed[e] = _reduced(e)
             except DocumentError:
-                # an equal entry before this one would have failed first
-                k = next(k for k, x in enumerate(raw) if x is e)
                 _reduced(e, f"{where}[{k}]")  # the same parse fails again, now with the entry's label
                 raise
     scale = common_denominator((q for _, q in parsed.values()), MAX_SCALE_BITS)

@@ -20,7 +20,6 @@ from .core import (
     Flavor,
     Frozen,
     Lattice,
-    TropMatrix,
     TropVector,
     _fraction,
     _normalised,
@@ -37,7 +36,8 @@ def projectivise(x: TropVector) -> TropVector:
     Returns the remaining n-1 coordinates ``x_i - x_0``; two vectors project
     to the same point iff one is a tropical scaling of the other.
     """
-    (point,) = projectivise_generators(Polytope(Flavor.MAX_PLUS, TropMatrix(tuple((e,) for e in x))))
+    scale, ints = x.lattice
+    (point,) = projectivise_generators(Polytope(Flavor.MAX_PLUS, matrix_from_lattice(Lattice(scale, (ints,)))))
     return point
 
 
@@ -110,9 +110,6 @@ def reduce_generators(p: Polytope) -> Polytope:
         keep.append(k)
     if len(keep) == len(cols):
         return p  # nothing dropped: p is immutable, so it is its own reduction
-    # the kept columns in the form p holds: its own Fractions, no Fraction rebuilt, or its ints
-    if (rows := p.generators._held_entries()) is not None:
-        return Polytope(p.flavor, TropMatrix(tuple([tuple([r[k] for k in keep]) for r in rows])))
     lat = p.generators.lattice
     return Polytope(p.flavor, matrix_from_lattice(Lattice(lat.scale, tuple([lat.cols[k] for k in keep]))))
 
@@ -126,9 +123,7 @@ def polytope_equal(p: Polytope, q: Polytope) -> bool:
     holds the other's generators: then each holds the other's span.
     """
     if p.ambient_dim != q.ambient_dim:
-        raise DimensionError(
-            f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}"
-        )
+        raise DimensionError(f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
     if p.flavor is not q.flavor:
         from .kleene import is_min_plus_convex  # only a comparison across flavors needs it
 
@@ -327,9 +322,4 @@ def sample_euclidean_midpoints(
             certificates.append((as_vector(u, scale), as_vector(v, scale), ts[a, b]))
             if max_violations is not None and len(violations) >= max_violations:
                 break
-    return MidpointReport(
-        trials=performed,
-        seed=seed,
-        violations=tuple(violations),
-        certificates=tuple(certificates),
-    )
+    return MidpointReport(trials=performed, seed=seed, violations=tuple(violations), certificates=tuple(certificates))

@@ -631,6 +631,10 @@ class TestStartup:
         loaded = _modules_loaded_by(f"assert tropgeo.cli.run({argv!r}) == 0")  # --assert: no violation
         assert loaded.isdisjoint(FRACTION_MODULES), sorted(loaded)
 
+    def test_project_of_a_vector_loads_no_fractions(self):
+        loaded = _modules_loaded_by("assert tropgeo.cli.run(['project', '--x', '-1/2,3,5/6']) == 0")
+        assert loaded.isdisjoint(FRACTION_MODULES), sorted(loaded)
+
     @pytest.mark.parametrize("command", ["classify", "member"])
     def test_classify_and_member_build_no_fraction(self, capsys, tmp_path, command):
         rng = random.Random(34)

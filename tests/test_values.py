@@ -232,6 +232,18 @@ def test_vectors_over_one_scale_share_a_fraction_for_each_equal_entry():
     assert a.entries[1] is b.entries[0] == F(2, 3)
 
 
+def test_reading_vectors_that_share_a_scale_probes_only_their_own_ints(monkeypatch):
+    # the shared _Over grows with each vector read, so a read that walked its keys,
+    # as set.difference does for a dict subclass, would make reading them all quadratic
+    probes = []
+    monkeypatch.setattr(_Over, "__iter__", lambda self: (probes.append(x) or x for x in dict.__iter__(self)))
+    monkeypatch.setattr(_Over, "__contains__", lambda self, x: probes.append(x) or dict.__contains__(self, x))
+    over = _Over(7)
+    vectors = [vector_from_ints(over, (k, k + 1, 0)) for k in range(0, 600, 2)]
+    assert [v.entries for v in vectors][-1] == (F(598, 7), F(599, 7), F(0))
+    assert len(probes) <= 3 * len(vectors)
+
+
 @pytest.mark.parametrize("cls", [TropMatrix, TropVector])
 def test_a_value_with_neither_form_raises_attribute_error(cls):
     empty = object.__new__(cls)  # neither entries nor the int form is set
