@@ -243,7 +243,10 @@ class TropVector(Frozen):
         return over.scale, ints
 
     def __len__(self) -> int:
-        return len(self.entries)
+        try:  # the ints, if held: the length of a vector born from ints builds no Fraction
+            return len(TropVector._lattice.__get__(self)[1])
+        except AttributeError:
+            return len(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]

@@ -17,7 +17,9 @@ handful of big-int operations per line take every lane at once.  It
 computes both products of the generators V with ``-V^T``: the dominator fold
 ``V (min*) (-V^T)``, column i the lanewise min of the shifted generators
 ``v_k - v_ik * 1``, and the brackets ``min(g - h)`` of
-``polytope.reduce_generators``, a column of ``(-V^T) (min*) V``.  A column is
+``polytope.reduce_generators``, a column of ``(-V^T) (min*) V``; the sampler
+tests a chunk Z of midpoints by ``(-V^T) (min*) Z``, a lane per midpoint,
+which ``_nonzero_lanes`` reads.  A column is
 in P iff its shift to first coordinate 0, one int on the fold's lanes, is a
 generator's (``_inside``); column 0 alone is tested on tuples, with no fold.
 
@@ -179,6 +181,13 @@ def _lanewise_min(lines: list[int], shifts: list[list[int]], ones: int, guard: i
             acc -= y & (t - (t >> guard))
         out.append(acc)
     return out
+
+
+def _nonzero_lanes(x: int, n: int, guard: int) -> list[int]:
+    """The indices, in order, of the lanes of x that are not 0: x has n lanes as
+    ``_packed(ints, n, guard)`` packs them, each holding less than ``2**(guard + 1)``."""
+    size = _lane_bytes(guard)
+    return [a for a, lane in enumerate(_unpack(x.to_bytes(n * size, byteorder), size)) if lane]
 
 
 def _fold(p: Polytope) -> tuple:

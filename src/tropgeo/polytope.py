@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import add, sub
 
 from .core import (
@@ -252,7 +252,8 @@ def sample_euclidean_midpoints(
     first trials walk the dominator-guided pairs from
     ``_scaled_generator_pairs`` at t = 1/2, then with random t; remaining
     trials alternate guided and unguided pairs.  Fully deterministic given
-    the seed; the README says how draws and trials run in ints.
+    the seed; the README says how draws and trials run in ints, and how
+    midpoints are tested a chunk of trials at a time.
     ``max_violations`` stops the run early once that many violations are in
     hand (None collects everything the budget allows).
     """
@@ -261,6 +262,8 @@ def sample_euclidean_midpoints(
     if max_violations is not None and max_violations < 1:
         raise ValueError("max_violations must be >= 1")
     import random  # only the sampler draws, so no other call pays for this import
+
+    from .kleene import _lanewise_min, _nonzero_lanes, _packed
 
     rng = random.Random(seed)
     bits = rng.getrandbits
@@ -273,7 +276,31 @@ def sample_euclidean_midpoints(
     shifts = [[a * sign * (scale // b) for b in range(1, _DEN_BOUND + 1)] for a in range(-_NUM_BOUND, _NUM_BOUND + 1)]
     # trial k < len(guided) takes guided[k], so no pair past `trials` is ever drawn
     guided = list(islice(_scaled_generator_pairs(p, cols), trials))
-    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b and their rows
+    # Chunks of trials are tested on kleene's packed product, lane t for trial t: each z
+    # over S*b goes over S*B, B = lcm(2..16), less its least entry, as do the generators.
+    # A span member's coordinates, and so an affine point's, differ by no more than some
+    # generator's do, so every value lies in [0, span].  Lanes over 8 bytes cost more than
+    # trials tested alone, as do chunks of fewer than 16 trials.
+    common = math.lcm(*range(2, 17))
+    span = common * max(max(c) - min(c) for c in cols)
+    guard = (2 * span).bit_length()
+    gens = [[(x - lo) * common for x in c] for c in cols for lo in (min(c),)]
+    cols_over: dict[int, tuple] = {}  # b -> the generators over S*b and their rows, for trials alone
+
+    def outside(chunk: list[tuple]) -> list[tuple]:
+        """The trials ``(u, v, a, b, z)`` of chunk whose z is not in p, in order."""
+        rows = [[(x - lo) * (common // b) for x in z] for *_, b, z in chunk for lo in (min(z),)]
+        lines, ones = _packed([*chain.from_iterable(zip(*rows))], len(chunk), guard)
+        # lane t: 2**guard + <g_k|z_t>, which is <= 0 as z_t has a 0, so the top of 0 clips nothing
+        brackets = _lanewise_min(lines, gens, ones, guard, 0)
+        guards = covered = ones << guard
+        for line, row in zip(lines, zip(*gens)):
+            hit = 0  # lane t: 2**guard + g_ki + <g_k|z_t> - z_ti, with the guard bit iff g_k attains z_ti
+            for bracket, g in zip(brackets, row):
+                hit |= bracket + g * ones - line
+            covered &= hit
+        return [chunk[t] for t in _nonzero_lanes(guards ^ covered, len(chunk), guard)]
+
     # A report repeats the guided pairs, so equal reported vectors share one
     # TropVector, which holds its ints over S or S*b until its entries are read,
     # and the vectors over one scale share a Fraction for each equal entry.
@@ -291,6 +318,18 @@ def sample_euclidean_midpoints(
 
     violations: list[TropVector] = []
     certificates: list[tuple[TropVector, TropVector, Fraction]] = []
+
+    def report(u: Sequence[int], v: Sequence[int], a: int, b: int, z: list[int]) -> None:
+        violations.append(as_vector(z, scale * b))
+        if (a, b) not in ts:
+            ts[a, b] = ts.setdefault(t := _fraction()(a, b), t)
+        certificates.append((as_vector(u, scale), as_vector(v, scale), ts[a, b]))
+
+    # A chunk holds no more trials than violations still wanted, so a run that stops
+    # at max_violations has drawn no trial past the one that stopped it.
+    wanted = max_violations or trials
+    size = min(64 if guard < 64 else 1, trials, wanted)
+    pending: list[tuple] = []
     performed = 0
     for trial in range(trials):
         if guided and trial < len(guided):
@@ -309,17 +348,24 @@ def sample_euclidean_midpoints(
                 u = [x + lam for x in u]
         performed += 1
         z = [a * x + (b - a) * y for x, y in zip(u, v)]
-        if b not in cols_over:
-            gens = tuple(tuple(b * x for x in g) for g in cols)
-            cols_over[b] = gens, tuple(zip(*gens))
-        gens, rows = cols_over[b]
-        # z is a member iff its principal projection, max_k (g_k + <g_k|z>), is z
-        lams = [min(map(sub, z, g)) for g in gens]
-        if not all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
-            violations.append(as_vector(z, scale * b))
-            if (a, b) not in ts:
-                ts[a, b] = ts.setdefault(t := _fraction()(a, b), t)
-            certificates.append((as_vector(u, scale), as_vector(v, scale), ts[a, b]))
-            if max_violations is not None and len(violations) >= max_violations:
-                break
+        if size < 16:  # a chunk costs about 12 n m packed operations, whatever its lanes
+            if b not in cols_over:
+                over = tuple(tuple(b * x for x in g) for g in cols)
+                cols_over[b] = over, tuple(zip(*over))
+            over, rows = cols_over[b]
+            # z is a member iff its principal projection, max_k (g_k + <g_k|z>), is z
+            lams = [min(map(sub, z, g)) for g in over]
+            if all(max(map(add, r, lams)) == zi for r, zi in zip(rows, z)):
+                continue
+            report(u, v, a, b, z)
+        else:
+            pending.append((u, v, a, b, z))
+            if len(pending) < size:
+                continue
+            for found in outside(pending):
+                report(*found)
+            pending = []
+            size = min(size, trials - performed, wanted - len(violations))
+        if len(violations) >= wanted:
+            break
     return MidpointReport(trials=performed, seed=seed, violations=tuple(violations), certificates=tuple(certificates))

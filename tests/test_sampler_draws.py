@@ -9,17 +9,21 @@ span members ``polytope._random_member_ints`` draws with them, with
 They compare ``sample_euclidean_midpoints``, which draws each t in
 its trial loop, with the Fraction sampler in ``oracles.py`` in both flavors: at
 one and two generators, past the 21 generators where ``random.sample``
-switches to its set path, and on a 2x2 polytope at 2,000 trials.  They need
+switches to its set path, on a 2x2 polytope at 2,000 trials, and at the
+edges of the chunks whose midpoints are tested together: trial counts and
+budgets about 16 and 64, and lanes of 4 bytes, 8 bytes and wider.  A run
+stopped by ``max_violations`` must draw no span member past its stop.  They need
 neither pytest nor hypothesis, so any Python the package supports can run
 them as a script:
 
     PYTHONPATH=src:tests python tests/test_sampler_draws.py
 """
 
+import math
 import random
 from fractions import Fraction
 
-from tropgeo import Flavor, Polytope, TropMatrix, dominator, sample_euclidean_midpoints
+from tropgeo import Flavor, Polytope, TropMatrix, dominator, kleene, polytope, sample_euclidean_midpoints
 from tropgeo.polytope import _below, _random_member_ints, _sample
 
 from oracles import reference_sample_midpoints
@@ -129,6 +133,74 @@ def test_equal_t_share_one_fraction():
             ts = [t for _, _, t in report.certificates]
             assert len(ts) > 2 * len(set(ts)), (f, v)
             assert len({id(t) for t in ts}) == len(set(ts)), (f, v)
+
+
+def packed_lanes(run) -> set:
+    """The lane widths, in bytes, of the chunks ``run()`` tested on the packed
+    kernel, each of which reads its lanes once; empty if it tested none."""
+    sizes = set()
+    read = kleene._nonzero_lanes
+    kleene._nonzero_lanes = lambda x, n, guard: sizes.add(kleene._lane_bytes(guard)) or read(x, n, guard)
+    try:
+        run()
+    finally:
+        kleene._nonzero_lanes = read
+    return sizes
+
+
+def test_chunks_at_their_edges():
+    # 16 trials is the shortest chunk the packed kernel tests and 64 the longest;
+    # a budget caps a chunk at the violations still wanted.  At a 12-bit L a lane
+    # is 8 bytes; three 20-bit prime denominators make it wider, and every trial
+    # is then tested alone.
+    rng = random.Random(35)
+    small = random_matrix(rng, 4, 3)
+    primes = (1000003, 1000033, 1000037)
+    wide = matrix([[Fraction(rng.randint(-20, 20), rng.choice(primes)) for _ in range(3)] for _ in range(4)])
+    assert small.lattice.scale.bit_length() <= 12 and wide.lattice.scale.bit_length() > 40
+    counts, budgets = (15, 16, 63, 64, 65, 129), (None, 1, 16, 17, 64)
+    for v, lanes in ((small, {8}), (wide, set())):
+        found = []
+        sizes = packed_lanes(lambda: found.extend(agree(v, t, (t,), budgets) for t in counts))
+        assert all(found) and sizes == lanes, (found, sizes)
+
+
+def test_lane_width_edges():
+    # integer entries put each midpoint over S*B = 60 * lcm(2..16), so a generator
+    # span of d gives a guard of (2 * 60 * lcm(2..16) * d).bit_length() bits: lanes
+    # go from 4 to 8 bytes between d = 24 and 25, and past 8 bytes, where each trial
+    # is tested alone, between d = top and top + 1
+    top = (2**63 - 1) // (2 * 60 * math.lcm(*range(2, 17)))
+    rng = random.Random(64)
+    for d, lanes in ((24, {4}), (25, {8}), (top, {8}), (top + 1, set())):
+        rows = [[0, *(rng.randint(0, d) for _ in range(2))], [d, *(rng.randint(0, d) for _ in range(2))]]
+        rows += [[rng.randint(0, d) for _ in range(3)] for _ in range(2)]
+        found = []
+        sizes = packed_lanes(lambda: found.append(agree(matrix(rows), 65, (d % 7,), (None, 17))))
+        assert found[0] and sizes == lanes, (d, found, sizes)
+
+
+def test_a_stopped_run_draws_no_trial_past_its_stop():
+    # nearly every midpoint between two random members of a 3x2 span leaves it
+    v = random_matrix(random.Random(4), 3, 2)
+    draws, stops = [], []
+    draw = polytope._random_member_ints
+    polytope._random_member_ints = lambda *args: draws.append(1) or draw(*args)
+    try:
+        for seed in range(4):
+            for max_violations in (16, 17, 40, 64):
+                p = Polytope(MAX if seed % 2 else MIN, v)
+                draws.clear()
+                report = sample_euclidean_midpoints(p, 300, seed, max_violations)
+                stopped = len(draws)
+                assert len(report.violations) == max_violations and report.trials < 300, (seed, max_violations)
+                draws.clear()
+                assert sample_euclidean_midpoints(p, report.trials, seed).trials == report.trials
+                assert stopped == len(draws), (seed, max_violations)
+                stops.append(stopped)
+    finally:
+        polytope._random_member_ints = draw
+    assert all(stops), stops
 
 
 def test_2x2_at_2000_trials():

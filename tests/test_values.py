@@ -226,6 +226,15 @@ def test_reading_the_entries_of_a_vector_born_from_ints_drops_the_ints():
     assert v.lattice == (2, (1, 3, -4))  # built again, on the entries' least scale
 
 
+def test_the_length_of_a_vector_born_from_ints_reads_the_ints():
+    # residuation._check_same_length and dominates_polytope_at take len() of such vectors
+    v = vector_from_ints(6, (3, 9, -12))
+    assert len(v) == 3
+    with pytest.raises(AttributeError):
+        TropVector.entries.__get__(v)  # len() built no entries
+    assert len(vec("1/2", 2)) == 2  # a vector of entries alone reads them
+
+
 def test_vectors_over_one_scale_share_a_fraction_for_each_equal_entry():
     over = _Over(6)
     a, b = vector_from_ints(over, (3, 4)), vector_from_ints(over, (4, 9))
