@@ -26,6 +26,7 @@ from .core import (
     FlavorError,
     PreconditionError,
     TropVector,
+    _rational_texts,
 )
 from .docio import (
     MAX_DOCUMENT_BYTES,
@@ -33,7 +34,6 @@ from .docio import (
     ROLE_MATRIX,
     DocumentError,
     MatrixDocument,
-    _rational_texts,
     format_rational,
     format_vector,
     parse_matrix_document,

@@ -2,20 +2,22 @@
 
 The max-plus semiring is the real numbers with addition ``a (+) b = max(a, b)``
 and multiplication ``a (*) b = a + b``; the min-plus semiring replaces max by
-min.  All values are exact rationals (``fractions.Fraction``), so every
+min.  All values are exact rationals, read as ``fractions.Fraction``, so every
 identity tested elsewhere in the package (idempotency, greatest lower bounds,
 projections) is decidable by plain equality.  Neither semiring carries an
 infinite element here: every entry is a finite rational, and no operation may
 assume an additive identity matrix exists.
 
-Values are exact ``Fraction``s at the API, but the kernels run on Python
-ints.  The operations used (+, -, min, max) never leave the lattice
-``(1/L)·Z``, where L is the lcm of the inputs' denominators, so a matrix or
-vector holds its ``entries``, its int form (L and the numerators over L), or
-both, and builds the missing one from the other on first read.  Kernel
-results and parsed documents hold only ints, and ``fractions`` is imported
-by the first call that builds a ``Fraction`` (``_fraction``).  The known cost:
-inputs whose denominators are pairwise coprime make L, and every int, large.
+The API takes and gives ``Fraction``s, but every value holds Python ints
+and every kernel runs on them.  The operations used (+, -, min, max) never
+leave the lattice ``(1/L)·Z``, where L is the lcm of the inputs'
+denominators, so a matrix or vector holds only its int form, L and the
+numerators over L.  A constructor
+given ``Fraction``s converts them once, and ``entries`` builds its
+``Fraction``s on each read and keeps none, so a caller reads it once.
+``fractions`` is imported by the first call that builds a ``Fraction``
+(``_fraction``).  The known cost: inputs whose denominators are pairwise
+coprime make L, and every int, large.
 
 The package's value classes (``Lattice``, ``TropVector`` and ``TropMatrix``
 here, and the result types of the other modules) are plain immutable classes
@@ -28,7 +30,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, attrgetter
 
 
@@ -90,11 +92,6 @@ def common_denominator(dens: Iterable[int], max_bits: int | None = None) -> int:
     return scale
 
 
-def to_lattice(values: Iterable[Fraction], scale: int) -> list[int]:
-    """The numerators of ``values`` over ``scale``, which every denominator divides."""
-    return [e.numerator * (scale // e.denominator) for e in values]
-
-
 def _normalised(col: Sequence[int]) -> tuple[int, ...]:
     """``col`` shifted to first coordinate 0: two columns are tropical scalings
     of each other iff their normalised forms are equal."""
@@ -112,10 +109,13 @@ class Frozen:
     class with equal fields, like a frozen dataclass (importing
     ``dataclasses`` cost about 15 ms of every CLI call), and have no
     ``__dict__``.  ``copy`` and ``pickle`` rebuild an instance through its
-    constructor, so a copied ``KleeneStar`` is checked again.  Three classes
-    keep their own ``__init__`` to validate: ``KleeneStar`` checks a caller's star
-    after this one runs (the dominator fold runs this one alone); ``TropVector``
-    and ``TropMatrix``, built hundreds of times per call, set their field directly (~1 µs less).
+    constructor, so a copied ``KleeneStar`` is checked again.  ``KleeneStar``
+    keeps its own ``__init__`` to check a caller's star after this one runs
+    (the dominator fold binds its fields with ``_bound``, which runs neither).
+    ``TropVector``, ``TropMatrix`` and ``MatrixDocument`` hold their values as
+    ints in a private slot: each names its public fields in ``_fields``,
+    converts them in its own ``__init__``, and compares the ints in canonical
+    form by its ``_key``.
     """
 
     __slots__ = ()
@@ -124,8 +124,9 @@ class Frozen:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, or the one field
+        if "__slots__" in vars(cls) and "_key" not in vars(cls):  # else it inherits or gives them
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+            cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, or the one field
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields, name = self._fields, type(self).__name__
@@ -144,7 +145,7 @@ class Frozen:
             raise TypeError(f"{name}() missing {missing}")
 
     def __eq__(self, other: object) -> bool:
-        if other is self:  # reads no field, so a value holding only ints builds no entries
+        if other is self:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -171,7 +172,7 @@ class Frozen:
 class Lattice(Frozen):
     """Integer form of a matrix, column-major: entry (i, j) is ``cols[j][i] / scale``.
 
-    ``scale`` is a common denominator of the entries, not always the least.
+    ``scale`` is a positive common denominator of the entries, not always the least.
     """
 
     __slots__ = ("scale", "cols")
@@ -185,139 +186,147 @@ class Lattice(Frozen):
         return tuple(tuple(factor * x for x in c) for c in self.cols)
 
 
-class _Over(dict):
-    """A scale and the Fractions over it, ``x -> Fraction(x, scale)``, built as entries are read."""
+def _canonical(scale: int, ints: Iterable[int]) -> tuple[int, ...]:
+    """``(scale, *ints)`` divided by their gcd: the one form of a value over every
+    positive scale, which ``==`` and ``hash`` compare."""
+    ints = tuple(ints)
+    g = math.gcd(scale, *ints)
+    return (scale // g, *[x // g for x in ints])
 
-    __slots__ = ("scale",)
 
-    def __init__(self, scale: int) -> None:
-        self.scale = scale
+def _rational_texts(scale: int, ints: Sequence[int]) -> list[str]:
+    """Each ``x / scale`` of ``ints`` as ``str`` of its ``Fraction`` reads, one ``gcd`` per distinct x."""
+    texts = {}
+    for x in set(ints):
+        g = math.gcd(x, scale)
+        texts[x] = str(x // g) if g == scale else f"{x // g}/{scale // g}"
+    return list(map(texts.__getitem__, ints))
+
+
+def _to_ints(entries: Sequence[Fraction], what: str) -> tuple[int, tuple[int, ...]]:
+    """``(scale, ints)``: the lcm of the denominators of ``entries``, each of which
+    must be a ``Fraction``, and their numerators over it."""
+    fraction, dens = _fraction(), set()
+    for e in entries:
+        if not isinstance(e, fraction):
+            raise TypeError(f"{what} entry {e!r} is not a Fraction")
+        dens.add(e.denominator)
+    scale = common_denominator(dens)
+    return scale, tuple([e.numerator * (scale // e.denominator) for e in entries])
+
+
+def _fractions(scale: int, ints: Sequence[int]) -> tuple[Fraction, ...]:
+    """Each ``x / scale`` of ``ints``, equal ints sharing one ``Fraction``: a 32x40
+    dominator has about 370 distinct values in 1,024 entries."""
+    fraction = _fraction()
+    shared = {x: fraction(x, scale) for x in set(ints)}
+    return tuple(map(shared.__getitem__, ints))
+
+
+def _bound(cls: type, *values: object) -> Frozen:
+    """An instance of ``cls`` whose slots, in order, hold ``values``: no constructor runs."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class TropVector(Frozen):
-    """A dense point of R^n with exact rational coordinates, n >= 1."""
+    """A dense point of R^n with exact rational coordinates, n >= 1.
 
-    __slots__ = ("entries", "_lattice")
-    entries: tuple[Fraction, ...]
+    It holds only ``(scale, ints)``; ``entries`` builds its ``Fraction``s on
+    each read and keeps none, so a caller reads it once.
+    """
+
+    __slots__ = ("_lattice",)
+    _fields = ("entries",)
+
+    @staticmethod
+    def _key(v: TropVector) -> tuple[int, ...]:
+        return _canonical(*v._lattice)
 
     def __init__(self, entries: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise DimensionError("vector must have at least one entry")
-        fraction = _fraction()
-        for e in entries:
-            if not isinstance(e, fraction):
-                raise TypeError(f"vector entry {e!r} is not a Fraction")
-
-    def __getattr__(self, name: str) -> object:
-        # called only while slot ``name`` is unset; the other slot is read through
-        # its descriptor, so a value with neither form raises instead of recursing
-        if name == "_lattice":
-            entries = TropVector.entries.__get__(self)
-            scale = common_denominator({e.denominator for e in entries})
-            value = _Over(scale), tuple(to_lattice(entries, scale))
-            object.__setattr__(self, name, value)
-            return value
-        if name != "entries":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        try:
-            over, ints = TropVector._lattice.__get__(self)
-        except AttributeError:  # neither form, or another thread has just built the entries
-            return TropVector.entries.__get__(self)
-        fraction = _fraction()  # probe only these ints: many vectors may share ``over``
-        over.update({x: fraction(x, over.scale) for x in set(ints) if x not in over})
-        value = tuple(map(over.__getitem__, ints))
-        object.__setattr__(self, name, value)
-        # the ints go, so that a sampler report whose entries were read holds no more
-        # than one built from Fractions would; ``lattice`` builds them again if asked
-        try:
-            TropVector._lattice.__delete__(self)
-        except AttributeError:  # another thread has dropped them
-            pass
-        return value
+        object.__setattr__(self, "_lattice", _to_ints(entries, "vector"))
 
     @property
-    def lattice(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, ints)``: entry i is ``ints[i] / scale``."""
-        over, ints = self._lattice
-        return over.scale, ints
+    def entries(self) -> tuple[Fraction, ...]:
+        return _fractions(*self._lattice)
+
+    lattice = property(attrgetter("_lattice"), doc="``(scale, ints)``, scale > 0: entry i is ``ints[i] / scale``.")
 
     def __len__(self) -> int:
-        try:  # the ints, if held: the length of a vector born from ints builds no Fraction
-            return len(TropVector._lattice.__get__(self)[1])
-        except AttributeError:
-            return len(self.entries)
+        return len(self._lattice[1])
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+    def __getitem__(self, i: int | slice) -> Fraction | tuple[Fraction, ...]:
+        scale, ints = self._lattice
+        return _fractions(scale, ints[i]) if isinstance(i, slice) else _fraction()(ints[i], scale)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
+        scale, ints = self._lattice
+        return map(_fraction(), ints, repeat(scale))
 
     def __neg__(self) -> "TropVector":
-        return TropVector(tuple(-e for e in self.entries))
+        scale, ints = self._lattice
+        return vector_from_ints(-scale, ints)
 
     def __repr__(self) -> str:
-        return "vec(%s)" % ", ".join(str(e) for e in self.entries)
+        return "vec(%s)" % ", ".join(_rational_texts(*self._lattice))
 
 
 class TropMatrix(Frozen):
-    """A dense n x m array of exact rationals, stored row-major.
+    """A dense n x m array of exact rationals.
 
     Matrices double as generator lists: a polytope's generators are the
-    columns of its matrix.
+    columns of its matrix.  It holds only its ``lattice``, column-major;
+    ``entries``, row-major, builds its ``Fraction``s on each read and keeps
+    none, so a caller reads it once.
     """
 
-    __slots__ = ("entries", "_lattice")
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("_lattice",)
+    _fields = ("entries",)
+
+    @staticmethod
+    def _key(m: TropMatrix) -> tuple[int, ...]:
+        lat = m._lattice
+        return (len(lat.cols), *_canonical(lat.scale, chain.from_iterable(lat.cols)))
 
     def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
         if len(entries) < 1 or len(entries[0]) < 1:
             raise DimensionError("matrix must be at least 1x1")
-        width, fraction = len(entries[0]), _fraction()
         for r in entries:
-            if len(r) != width:
+            if len(r) != len(entries[0]):
                 raise DimensionError("matrix rows have unequal lengths")
-            for e in r:
-                if not isinstance(e, fraction):
-                    raise TypeError(f"matrix entry {e!r} is not a Fraction")
+        scale, ints = _to_ints([*chain.from_iterable(entries)], "matrix")
+        m = len(entries[0])
+        object.__setattr__(self, "_lattice", Lattice(scale, tuple([ints[j::m] for j in range(m)])))
 
-    def __getattr__(self, name: str) -> object:
-        # as TropVector.__getattr__, but a matrix keeps both forms.  Equal ints share
-        # one Fraction: a 32x40 dominator has about 370 distinct values in 1,024 entries.
-        if name == "entries":
-            lat, fraction = TropMatrix._lattice.__get__(self), _fraction()
-            shared = {x: fraction(x, lat.scale) for x in set(chain.from_iterable(lat.cols))}
-            value = tuple(zip(*(map(shared.__getitem__, c) for c in lat.cols)))
-        elif name == "_lattice":
-            entries = TropMatrix.entries.__get__(self)
-            scale = common_denominator({e.denominator for r in entries for e in r})
-            value = Lattice(scale, tuple(tuple(to_lattice(c, scale)) for c in zip(*entries)))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        lat = self._lattice
+        flat = iter(_fractions(lat.scale, [*chain.from_iterable(zip(*lat.cols))]))
+        return tuple(zip(*[flat] * len(lat.cols)))  # consecutive rows of the row-major entries
 
     @property
     def n_rows(self) -> int:
-        return len(self.lattice.cols[0])
+        return len(self._lattice.cols[0])
 
     @property
     def n_cols(self) -> int:
-        return len(self.lattice.cols)
+        return len(self._lattice.cols)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    # A row or column holds only ints, and builds its Fractions if they are read.
+    # A row or column holds only ints.
     def row(self, i: int) -> TropVector:
-        lat = self.lattice
+        lat = self._lattice
         return vector_from_ints(lat.scale, tuple([c[i] for c in lat.cols]))
 
     def col(self, j: int) -> TropVector:
-        return vector_from_ints(self.lattice.scale, self.lattice.cols[j])
+        return vector_from_ints(self._lattice.scale, self._lattice.cols[j])
 
     def columns(self) -> Iterator[TropVector]:
         return map(self.col, range(self.n_cols))
@@ -325,22 +334,20 @@ class TropMatrix(Frozen):
     lattice = property(attrgetter("_lattice"), doc="The entries over a common denominator.")
 
     def __repr__(self) -> str:
-        body = "; ".join(",".join(str(e) for e in r) for r in self.entries)
-        return f"mat[{body}]"
+        lat = self._lattice
+        rows = zip(*[_rational_texts(lat.scale, c) for c in lat.cols])
+        return "mat[%s]" % "; ".join(map(",".join, rows))
 
 
 def matrix_from_lattice(lat: Lattice) -> TropMatrix:
-    """The matrix ``lat`` represents, holding only ``lat``: its entries are built on first read."""
-    m = object.__new__(TropMatrix)
-    object.__setattr__(m, "_lattice", lat)
-    return m
+    """The matrix ``lat`` represents, holding ``lat``."""
+    return _bound(TropMatrix, lat)
 
 
-def vector_from_ints(scale: int | _Over, ints: tuple[int, ...]) -> TropVector:
-    """The vector ``ints / scale`` (negated ints when scale < 0), holding only its int form.
-    Vectors given one ``_Over`` as their scale share a Fraction for each equal entry."""
-    v = object.__new__(TropVector)
-    object.__setattr__(v, "_lattice", (scale if isinstance(scale, _Over) else _Over(scale), ints))
+def vector_from_ints(scale: int, ints: tuple[int, ...]) -> TropVector:
+    """The vector ``ints / scale``, held over a positive scale: ints negated when scale < 0."""
+    v = object.__new__(TropVector)  # not ``_bound``: the sampler builds one for each violation
+    object.__setattr__(v, "_lattice", (scale, ints) if scale > 0 else (-scale, tuple([-x for x in ints])))
     return v
 
 
@@ -358,16 +365,12 @@ def mat_from_columns(columns: Sequence[TropVector]) -> TropMatrix:
     """Assemble a matrix whose j-th column is ``columns[j]``."""
     if not columns:
         raise DimensionError("need at least one column")
-    n = len(columns[0])
-    for c in columns:
-        if len(c) != n:
+    lats = [c.lattice for c in columns]
+    for _, ints in lats:
+        if len(ints) != len(lats[0][1]):
             raise DimensionError("columns have unequal lengths")
-    return TropMatrix(tuple(tuple(c[i] for c in columns) for i in range(n)))
-
-
-def _check_same_length(x: TropVector, y: TropVector) -> None:
-    if len(x) != len(y):
-        raise DimensionError(f"vector lengths differ: {len(x)} vs {len(y)}")
+    scale = math.lcm(*(s for s, _ in lats))  # the columns' ints on their common scale
+    return matrix_from_lattice(Lattice(scale, tuple(tuple([scale // s * x for x in ints]) for s, ints in lats)))
 
 
 def trop_mat_mul(f: Flavor, a: TropMatrix, b: TropMatrix) -> TropMatrix:

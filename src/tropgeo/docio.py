@@ -10,7 +10,8 @@ values survive serialization without rounding:
 matrix or as a generator list (one generator per column).  Parsing normalizes
 every entry to lowest terms, so serialize(parse(text)) is canonical and
 parse(serialize(doc)) == doc.  Entries go from strings to lattice ints and
-back with no ``Fraction`` built, unless a caller reads a document's ``entries``.
+back with no ``Fraction`` built; a document's ``entries`` builds its
+``Fraction``s on each read and keeps none.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Sequence
 from itertools import chain
 
-from .core import Flavor, Frozen, Lattice, TropMatrix, TropVector, _fraction, common_denominator
-from .core import matrix_from_lattice, vector_from_ints
+from .core import Flavor, Frozen, Lattice, TropMatrix, TropVector, _bound, _canonical, _fraction, _rational_texts
+from .core import _fractions, _to_ints, common_denominator, matrix_from_lattice, vector_from_ints
 from .residuation import Polytope
 
 ROLE_MATRIX = "matrix"
@@ -79,7 +79,7 @@ def _reduced(text: object, where: str = "value") -> tuple[int, int]:
     return p // g, q // g
 
 
-def _lattice(raw: list, where: str) -> tuple[int, list[int]]:
+def _lattice(raw: list, where: str) -> tuple[int, tuple[int, ...]]:
     """L and the numerators over L of ``raw``, read as ``parse_rational`` reads each entry,
     labelled ``where[k]`` on failure, with L refused above ``MAX_SCALE_BITS`` bits before
     any numerator is built.  Each distinct string is parsed once; any other entry each
@@ -96,22 +96,12 @@ def _lattice(raw: list, where: str) -> tuple[int, list[int]]:
     if scale.bit_length() > MAX_SCALE_BITS:
         raise DocumentError(f"{where}: common denominator has more than {MAX_SCALE_BITS} bits")
     over = {e: p * (scale // q) for e, (p, q) in parsed.items()}
-    return scale, list(map(over.__getitem__, raw))
+    return scale, tuple(map(over.__getitem__, raw))
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form: ``p`` when integral, else ``p/q`` in lowest terms."""
     return str(value)
-
-
-def _rational_texts(scale: int, ints: Sequence[int]) -> list[str]:
-    """Each ``x / scale`` of ``ints`` as ``format_rational`` writes it, one ``gcd`` per distinct x."""
-    unit = -1 if scale < 0 else 1  # so that scale // g > 0
-    texts = {}
-    for x in set(ints):
-        g = math.gcd(x, scale) * unit
-        texts[x] = str(x // g) if g == scale else f"{x // g}/{scale // g}"
-    return list(map(texts.__getitem__, ints))
 
 
 def parse_vector(text: str, where: str = "vector") -> TropVector:
@@ -126,8 +116,7 @@ def parse_vector(text: str, where: str = "vector") -> TropVector:
     parts = body.split(",")
     if parts == [""]:
         raise DocumentError(f"{where}: empty vector")
-    scale, ints = _lattice(parts, where)
-    return vector_from_ints(scale, tuple(ints))
+    return vector_from_ints(*_lattice(parts, where))
 
 
 def format_vector(v: TropVector) -> str:
@@ -136,30 +125,34 @@ def format_vector(v: TropVector) -> str:
 
 
 class MatrixDocument(Frozen):
-    """In-memory form of one matrix/polytope file.  As ``TropMatrix`` does, it holds
-    its entries, its matrix or both, and builds the missing one on first read."""
+    """In-memory form of one matrix/polytope file.  It holds its entries, row-major,
+    as ``(scale, ints)``; ``entries`` builds their ``Fraction``s on each read and keeps
+    none, so a caller reads it once, and ``to_matrix`` builds the matrix on each call."""
 
-    __slots__ = ("flavor", "rows", "cols", "entries", "role", "_matrix")
+    __slots__ = ("flavor", "rows", "cols", "role", "_lattice")
+    _fields = ("flavor", "rows", "cols", "entries", "role")
     flavor: Flavor
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
     role: str
 
-    def __getattr__(self, name: str) -> object:
-        # called only while slot ``name`` is unset, as in TropMatrix.__getattr__
-        if name == "entries":
-            value = tuple(chain.from_iterable(MatrixDocument._matrix.__get__(self).entries))
-        elif name == "_matrix":
-            flat, cols = MatrixDocument.entries.__get__(self), self.cols
-            value = TropMatrix(tuple(flat[i * cols : (i + 1) * cols] for i in range(self.rows)))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    @staticmethod
+    def _key(doc: MatrixDocument) -> tuple:
+        return doc.flavor, doc.rows, doc.cols, doc.role, _canonical(*doc._lattice)
+
+    def __init__(self, flavor: Flavor, rows: int, cols: int, entries: tuple[Fraction, ...], role: str) -> None:
+        for name, value in zip(self.__slots__, (flavor, rows, cols, role, _to_ints(entries, "document"))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return _fractions(*self._lattice)
 
     def to_matrix(self) -> TropMatrix:
-        return self._matrix
+        (scale, ints), cols = self._lattice, self.cols
+        if not 0 < len(ints) == self.rows * cols:
+            raise DocumentError(f"entry count mismatch: {len(ints)} entries for {self.rows}x{cols}")
+        return matrix_from_lattice(Lattice(scale, tuple([ints[j::cols] for j in range(cols)])))
 
     def to_polytope(self) -> Polytope:
         """Interpret the columns as generators of a polytope of this flavor."""
@@ -169,19 +162,16 @@ class MatrixDocument(Frozen):
     def from_matrix(cls, matrix: TropMatrix, flavor: Flavor, role: str = ROLE_MATRIX) -> "MatrixDocument":
         if role not in _ROLES:
             raise DocumentError(f"role: expected one of {_ROLES}, got {role!r}")
-        doc = object.__new__(cls)  # its entries are built from the matrix on first read
-        fields = dict(flavor=flavor, rows=matrix.n_rows, cols=matrix.n_cols, role=role, _matrix=matrix)
-        for name, value in fields.items():
-            object.__setattr__(doc, name, value)
-        return doc
+        lat = matrix.lattice
+        flat = (lat.scale, tuple(chain.from_iterable(zip(*lat.cols))))
+        return _bound(cls, flavor, matrix.n_rows, matrix.n_cols, role, flat)
 
     def to_json_obj(self) -> dict:
-        lat = self._matrix.lattice
         return {
             "flavor": self.flavor.value,
             "rows": self.rows,
             "cols": self.cols,
-            "entries": _rational_texts(lat.scale, [*chain.from_iterable(zip(*lat.cols))]),
+            "entries": _rational_texts(*self._lattice),
             "role": self.role,
         }
 
@@ -239,9 +229,7 @@ def parse_matrix_document(text: bytes | str) -> MatrixDocument:
         raise DocumentError(f"entry count mismatch: expected {expected}, got {len(raw)}")
     if len(raw) > MAX_ENTRIES:
         raise DocumentError(f"entries: more than {MAX_ENTRIES} entries")
-    scale, ints = _lattice(raw, "entries")
-    lattice = Lattice(scale, tuple([tuple(ints[j::cols]) for j in range(cols)]))
-    return MatrixDocument.from_matrix(matrix_from_lattice(lattice), flavor, role)
+    return _bound(MatrixDocument, flavor, rows, cols, role, _lattice(raw, "entries"))
 
 
 def serialize_matrix_document(doc: MatrixDocument) -> str:

@@ -48,7 +48,9 @@ from .core import (
     PreconditionError,
     TropMatrix,
     TropVector,
+    _bound,
     _normalised,
+    _rational_texts,
     matrix_from_lattice,
     negate_transpose,
     trop_mat_mul,
@@ -95,7 +97,8 @@ def _star_defect(f: Flavor, a: TropMatrix) -> str | None:
     cols = a.lattice.cols_times(f.sign)
     for i, col in enumerate(cols):
         if col[i]:
-            return f"diagonal entry ({i},{i}) is {a.entries[i][i]}, not 0"
+            (text,) = _rational_texts(a.lattice.scale, [a.lattice.cols[i][i]])
+            return f"diagonal entry ({i},{i}) is {text}, not 0"
     lanes, ones, guard = _lanes(cols)[:3]  # a zero diagonal: a triangle sum is within 2 span of 0
     guards = ones << guard
     # lane i of top - p - a_kj * ones, with p holding column k, is
@@ -216,9 +219,7 @@ def _inside(packed: tuple, start: int) -> Iterator[bool]:
 def _star(p: Polytope, packed: tuple) -> KleeneStar:
     """The dominator of p from ``_fold(p)``, un-signed; unchecked, as it is a star."""
     cols = packed[0] if p.flavor.sign == 1 else [tuple([-x for x in c]) for c in packed[0]]
-    star = object.__new__(KleeneStar)  # Frozen's constructor sets the fields, KleeneStar's checks
-    Frozen.__init__(star, p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))))
-    return star
+    return _bound(KleeneStar, p.flavor, matrix_from_lattice(Lattice(p.generators.lattice.scale, tuple(cols))))
 
 
 def dominator(p: Polytope) -> KleeneStar:
@@ -299,14 +300,16 @@ def duality_rho(a: TropMatrix, r: TropVector) -> TropVector:
     """
     if len(r) != a.n_cols:
         raise DimensionError(f"row vector length {len(r)} != matrix width {a.n_cols}")
-    return trop_mat_mul(Flavor.MAX_PLUS, a, negate_transpose(TropMatrix((r.entries,)))).col(0)
+    scale, ints = (-r).lattice  # -r as one column
+    return trop_mat_mul(Flavor.MAX_PLUS, a, matrix_from_lattice(Lattice(scale, (ints,)))).col(0)
 
 
 def duality_chi(a: TropMatrix, c: TropVector) -> TropVector:
     """The column-space-to-row-space duality map ``c -> (-c)^T (x) A``."""
     if len(c) != a.n_rows:
         raise DimensionError(f"column vector length {len(c)} != matrix height {a.n_rows}")
-    return trop_mat_mul(Flavor.MAX_PLUS, TropMatrix(((-c).entries,)), a).row(0)
+    scale, ints = (-c).lattice  # -c as one row
+    return trop_mat_mul(Flavor.MAX_PLUS, matrix_from_lattice(Lattice(scale, tuple([(x,) for x in ints]))), a).row(0)
 
 
 def verify_dominator_relation(p: Polytope) -> bool:

@@ -5,7 +5,7 @@ projectivisation (the cross-section of scaling orbits with first coordinate
 0), extensional equality, and a randomized falsifier for Euclidean convexity
 that cross-checks the exact decision of :mod:`tropgeo.kleene`.  All of it
 runs on lattice ints, min-plus as negated max-plus (``Flavor.sign``), and
-projected points and sampler reports hold only ints until their entries are read.
+projected points and sampler reports hold only ints.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core import (
     TropVector,
     _fraction,
     _normalised,
-    _Over,
     matrix_from_lattice,
     vector_from_ints,
 )
@@ -45,13 +44,12 @@ def projectivise_generators(p: Polytope) -> list[TropVector]:
     """``projectivise`` of every generator of p, in order.
 
     The shifts ``x_i - x_0`` are taken on p's lattice ints, and each point
-    holds only those ints until its entries are read.
+    holds only those ints.
     """
     if p.ambient_dim < 2:
         raise DimensionError("projectivisation needs dimension >= 2")
     lat = p.generators.lattice
-    scale = _Over(lat.scale)  # equal shifts share one Fraction, once read
-    return [vector_from_ints(scale, tuple([x - c[0] for x in c[1:]])) for c in lat.cols]
+    return [vector_from_ints(lat.scale, tuple([x - c[0] for x in c[1:]])) for c in lat.cols]
 
 
 def reduce_generators(p: Polytope) -> Polytope:
@@ -302,18 +300,14 @@ def sample_euclidean_midpoints(
         return [chunk[t] for t in _nonzero_lanes(guards ^ covered, len(chunk), guard)]
 
     # A report repeats the guided pairs, so equal reported vectors share one
-    # TropVector, which holds its ints over S or S*b until its entries are read,
-    # and the vectors over one scale share a Fraction for each equal entry.
-    reported: dict[int, tuple[_Over, dict]] = {}  # over -> its scale, and ints -> vector
+    # TropVector, which holds its ints over S or S*b.
+    reported: dict[int, dict] = {}  # over -> ints -> vector
     ts: dict = {}  # (a, b) -> t = a/b, and t -> t: equal t share one Fraction
 
     def as_vector(ints: Sequence[int], over: int) -> TropVector:
-        ints = tuple(ints)
-        if over not in reported:
-            reported[over] = _Over(sign * over), {}
-        shared, seen = reported[over]
+        ints, seen = tuple(ints), reported.get(over) or reported.setdefault(over, {})
         if (vector := seen.get(ints)) is None:
-            vector = seen[ints] = vector_from_ints(shared, ints)
+            vector = seen[ints] = vector_from_ints(sign * over, ints)
         return vector
 
     violations: list[TropVector] = []

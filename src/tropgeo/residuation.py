@@ -21,7 +21,7 @@ from .core import (
     Frozen,
     TropMatrix,
     TropVector,
-    _check_same_length,
+    _fraction,
     vector_from_ints,
 )
 
@@ -55,21 +55,31 @@ class Polytope(Frozen):
         return self.generators.columns()
 
 
+def _differences(x: TropVector, y: TropVector) -> tuple[int, list[int]]:
+    """``y - x`` on x's and y's common scale: ``(scale, ints)``."""
+    (xscale, xs), (yscale, ys) = x.lattice, y.lattice
+    if len(xs) != len(ys):
+        raise DimensionError(f"vector lengths differ: {len(xs)} vs {len(ys)}")
+    scale = math.lcm(xscale, yscale)
+    xf, yf = scale // xscale, scale // yscale
+    return scale, [b * yf - a * xf for a, b in zip(xs, ys)]
+
+
 def bracket(x: TropVector, y: TropVector) -> Fraction:
     """The residuation bracket ``min_i (y_i - x_i)``.
 
     Equivalently the largest ``lam`` with ``x + lam·1 <= y``.
     """
-    _check_same_length(x, y)
-    return min(b - a for a, b in zip(x, y))
+    scale, diffs = _differences(x, y)
+    return _fraction()(min(diffs), scale)
 
 
 def dominates_at(x: TropVector, y: TropVector, i: int) -> bool:
     """True iff the bracket ``<x|y>`` is attained at coordinate i."""
-    _check_same_length(x, y)
-    if not 0 <= i < len(x):
-        raise IndexError(f"position {i} out of range for dimension {len(x)}")
-    return bracket(x, y) == y[i] - x[i]
+    diffs = _differences(x, y)[1]
+    if not 0 <= i < len(diffs):
+        raise IndexError(f"position {i} out of range for dimension {len(diffs)}")
+    return min(diffs) == diffs[i]
 
 
 def dominates_polytope_at(x: TropVector, p: Polytope, i: int) -> bool:

@@ -7,6 +7,7 @@ tests compare two separately written routes to the same value.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -18,23 +19,25 @@ from operator import add, sub
 from typing import Iterator, Optional
 
 from tropgeo import DocumentError, Flavor, MidpointReport, Polytope, TropMatrix, TropVector
+from tropgeo.core import Frozen
 
 
 def naive_mat_mul(use_max: bool, a: TropMatrix, b: TropMatrix) -> list[list[Fraction]]:
     pick = max if use_max else min
+    ae, be = a.entries, b.entries  # each read builds every entry
     out = []
     for i in range(a.n_rows):
         row = []
         for j in range(b.n_cols):
-            row.append(pick(a.entries[i][k] + b.entries[k][j] for k in range(a.n_cols)))
+            row.append(pick(ae[i][k] + be[k][j] for k in range(a.n_cols)))
         out.append(row)
     return out
 
 
 def is_star_by_product(use_max: bool, a: TropMatrix) -> bool:
     """Zero diagonal and ``a (x) a == a``, by the plain Fraction product."""
-    n = a.n_rows
-    return all(a.entries[i][i] == 0 for i in range(n)) and naive_mat_mul(use_max, a, a) == [list(r) for r in a.entries]
+    entries = a.entries
+    return all(entries[i][i] == 0 for i in range(a.n_rows)) and naive_mat_mul(use_max, a, a) == [list(r) for r in entries]
 
 
 def bumped(a: TropMatrix, cell: tuple[int, int], by: Fraction) -> TropMatrix:
@@ -148,16 +151,16 @@ def glb_column_fold(v: TropMatrix, i: int) -> tuple[Fraction, ...]:
     Scale every generator so its i-th coordinate is 0, then take the
     componentwise min: the greatest lower bound of the i-th slice.
     """
-    n, m = v.n_rows, v.n_cols
-    cols = [[v.entries[j][k] - v.entries[i][k] for j in range(n)] for k in range(m)]
+    n, m, entries = v.n_rows, v.n_cols, v.entries
+    cols = [[entries[j][k] - entries[i][k] for j in range(n)] for k in range(m)]
     return tuple(min(c[j] for c in cols) for j in range(n))
 
 
 def lub_column_fold(v: TropMatrix, i: int) -> tuple[Fraction, ...]:
     """Column i of the dual dominator: the componentwise max of the generators
     scaled to have i-th coordinate 0, the least upper bound of the i-th slice."""
-    n, m = v.n_rows, v.n_cols
-    cols = [[v.entries[j][k] - v.entries[i][k] for j in range(n)] for k in range(m)]
+    n, m, entries = v.n_rows, v.n_cols, v.entries
+    cols = [[entries[j][k] - entries[i][k] for j in range(n)] for k in range(m)]
     return tuple(max(c[j] for c in cols) for j in range(n))
 
 
@@ -403,3 +406,18 @@ def fractions_built() -> Iterator[list[int]]:
         yield built
     finally:
         Fraction.__new__ = new
+
+
+def fractions_held(obj) -> int:
+    """The ``Fraction``s that ``obj`` holds, found through tuples and the slots of the value classes."""
+    found, seen, todo = 0, set(), [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Fraction):
+            found += 1
+        elif isinstance(x, (tuple, Frozen)):
+            todo += [y for y in gc.get_referents(x) if not isinstance(y, type)]
+    return found

@@ -134,8 +134,9 @@ def test_criterion_04_hull_correctness():
         ok = ok and min_plus_hull(hull).generators == hull.generators
         if ok and p.ambient_dim <= 3:
             v = p.generators
+            rows = v.entries
             for i in range(p.ambient_dim):
-                scaled = [shifted(v.col(k), -v.entries[i][k]) for k in range(v.n_cols)]
+                scaled = [shifted(v.col(k), -rows[i][k]) for k in range(v.n_cols)]
                 for size in (2, 3):
                     for combo in itertools.combinations(scaled, min(size, len(scaled))):
                         z = meet(*combo)

@@ -18,7 +18,9 @@ from tropgeo.docio import MAX_DOCUMENT_BYTES, MAX_SCALE_BITS, DocumentError, par
 from tropgeo import Polytope, dominator, mat, principal_projection, vec
 
 from oracles import fractions_built
-from test_golden import check_case, run_as_module
+from test_golden import GOLDEN, argv_of, check_case, run_as_module
+from test_golden import cases as golden_cases
+from test_golden import expected as golden_expected
 
 SEGMENT_DOC = {
     "flavor": "max-plus",
@@ -630,6 +632,21 @@ class TestStartup:
         argv = ["sample-midpoints", "--assert", "--file", write(tmp_path, "g.json", obj), "--trials", "50"]
         loaded = _modules_loaded_by(f"assert tropgeo.cli.run({argv!r}) == 0")  # --assert: no violation
         assert loaded.isdisjoint(FRACTION_MODULES), sorted(loaded)
+
+    @pytest.mark.parametrize("case", [c for c in golden_cases() if golden_expected(c)[0] in (0, 3)])
+    def test_golden_case_loads_no_fractions(self, case):
+        """Each golden case that exits 0 or 3, run in a fresh interpreter, loads no
+        ``fractions``, but for a bracket, whose result is a ``Fraction``, and a sampler
+        run that reports a violation, whose certificates' t are."""
+        code, stdout, _ = golden_expected(case)
+        argv = argv_of(case)
+        program = (
+            f"import contextlib, io, os; os.chdir({str(GOLDEN / case)!r}); os.environ.pop('TROPGEO_SEED', None)\n"
+            f"with contextlib.redirect_stderr(io.StringIO()): assert tropgeo.cli.run({argv!r}) == {code}"
+        )
+        loaded = _modules_loaded_by(program)
+        fraction_results = argv[0] == "bracket" or (argv[0] == "sample-midpoints" and json.loads(stdout)["violations"])
+        assert loaded.isdisjoint(FRACTION_MODULES) is not bool(fraction_results), sorted(loaded)
 
     def test_project_of_a_vector_loads_no_fractions(self):
         loaded = _modules_loaded_by("assert tropgeo.cli.run(['project', '--x', '-1/2,3,5/6']) == 0")

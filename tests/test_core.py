@@ -17,8 +17,10 @@ from tropgeo import (
     vec,
 )
 
+from tropgeo.core import vector_from_ints
+
 from helpers import random_vector, generator_matrices
-from oracles import naive_mat_mul
+from oracles import fractions_built, naive_mat_mul
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -50,6 +52,14 @@ class TestScalarsAndConstruction:
     def test_mat_from_columns_round_trip(self):
         a = mat([[0, 1], [2, 3], [4, 5]])
         assert mat_from_columns(list(a.columns())) == a
+
+    def test_mat_from_columns_builds_no_fraction(self):
+        # the columns' ints go on their common scale, a negative one too
+        cols = [vec("1/2", 3), vec("-2/3", 0), vector_from_ints(-4, (2, 6))]
+        with fractions_built() as built:
+            a = mat_from_columns(cols)
+        assert built == [0]
+        assert a == mat([["1/2", "-2/3", "-1/2"], [3, 0, "-3/2"]]) and a.lattice.scale == 12
 
 
 class TestMatMul:

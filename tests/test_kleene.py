@@ -31,7 +31,7 @@ from tropgeo import (
 )
 
 from helpers import max_plus_polytopes, polytopes, random_vector, transpose
-from oracles import glb_column_fold, join, reference_random_member, shifted
+from oracles import fractions_built, glb_column_fold, join, reference_random_member, shifted
 
 MAX = Flavor.MAX_PLUS
 MIN = Flavor.MIN_PLUS
@@ -64,6 +64,14 @@ class TestIsKleeneStar:
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             is_kleene_star(MAX, mat([[0, 1, 2], [1, 0, 3]]))
+
+    def test_diagonal_message_formats_its_one_value_from_ints(self):
+        a = mat([[0, 1], ["1/3", "-5/6"]])
+        for f in (MAX, MIN):
+            message = rf"^not a {f.value} Kleene star: diagonal entry \(1,1\) is -5/6, not 0$"
+            with fractions_built() as built, pytest.raises(ValueError, match=message):
+                KleeneStar(f, a)
+            assert built == [0]
 
     def test_validated_constructor_rejects_non_star(self):
         with pytest.raises(ValueError):
@@ -247,8 +255,7 @@ class TestConvexityAndClassification:
 class TestDualityMaps:
     def test_rho_on_star_rows_is_negation(self):
         k = SEGMENT_DOM
-        for i in range(k.n_rows):
-            r = k.entries[i]
+        for r in k.entries:
             assert duality_rho(k, vec(*r)) == vec(*(-e for e in r))
 
     def test_rho_frozen_example(self):

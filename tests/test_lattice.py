@@ -99,7 +99,8 @@ def test_kernel_lattices_are_column_major(data, n, extra, m):
     random entries make every product and dominator non-symmetric."""
     a = mat_from_columns(data.draw(columns(n, n + extra)))
     b = mat_from_columns(data.draw(columns(n + extra, m)))
-    neg_t = [[-a.entries[i][j] for i in range(a.n_rows)] for j in range(a.n_cols)]
+    entries = a.entries
+    neg_t = [[-entries[i][j] for i in range(a.n_rows)] for j in range(a.n_cols)]
     built = [
         (trop_mat_mul(MAX, a, b), naive_mat_mul(True, a, b)),
         (trop_mat_mul(MIN, a, b), naive_mat_mul(False, a, b)),

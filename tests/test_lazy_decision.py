@@ -22,12 +22,13 @@ columns drawn from ``_inside``, which tests one column on the fold's lanes
 per draw, they check that ``classify`` tests column 0 alone when it fails,
 every column of a polytrope and no column after the first failing one, and
 that a "no" at column 0 tests column 0 on p's generators alone.
-Through the ``entries`` slot descriptor, they check that ``classify``,
-``dominator``, ``min_plus_hull``, ``principal_projection``,
-``projectivise_generators`` and the sampler return values that hold no
-``Fraction`` until a caller reads them, that a read report shares one
-``Fraction`` per value over each scale, and that ``member`` builds none for
-a vector outside the polytope.
+Counting through ``Fraction.__new__`` (``oracles.fractions_built``), they
+check that ``classify``, ``dominator``, ``min_plus_hull``,
+``principal_projection`` and ``projectivise_generators`` build no
+``Fraction``, nor does the sampler but for each certificate's t, and that
+``member`` builds none for a vector outside the polytope; walking the
+objects they hold (``oracles.fractions_held``), that none of their values
+holds a ``Fraction``, even once its entries are read.
 They need neither pytest nor hypothesis, so any Python the package supports
 can run them as a script:
 
@@ -65,6 +66,7 @@ from oracles import (
     dominator_columns,
     fold_over_ordered_pairs,
     fractions_built,
+    fractions_held,
     reference_random_member,
 )
 
@@ -86,7 +88,8 @@ def negated(p: Polytope) -> Polytope:
 
 def permuted(p: Polytope, order) -> Polytope:
     """p with coordinate ``order[i]`` moved to place i."""
-    return Polytope(p.flavor, TropMatrix(tuple(p.generators.entries[i] for i in order)))
+    rows = p.generators.entries
+    return Polytope(p.flavor, TropMatrix(tuple(rows[i] for i in order)))
 
 
 def random_polytope(rng: random.Random, n: int, m: int, num: int = 20, den: int = 10) -> Polytope:
@@ -307,19 +310,10 @@ def test_a_drained_fold_builds_one_unchecked_star():
     assert stars_checked(dominator, p) == stars_checked(classify, p) == stars_checked(min_plus_hull, p) == 0
 
 
-def unread(value) -> bool:
-    """True iff ``value``, a TropMatrix or TropVector, holds no entries yet: its slot,
-    read through the descriptor, raises where ``value.entries`` would build them."""
-    try:
-        type(value).entries.__get__(value)
-    except AttributeError:
-        return True
-    return False
-
-
 def test_results_build_no_fraction_until_read():
     """The kernels' results hold only lattice ints, so a caller that reads no
-    entries pays for no ``Fraction``; once read, the entries are the oracle's."""
+    entries pays for no ``Fraction``; once read, the entries are the oracle's,
+    and the results still hold no ``Fraction``."""
     rng = random.Random(1805)
     witnesses = violations = projections = 0
     for n, m in ((3, 4), (5, 6), (8, 10)):
@@ -327,19 +321,19 @@ def test_results_build_no_fraction_until_read():
             p = random_polytope(rng, n, m)
             y = TropVector(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n)))
             for q in (p, negated(p)):
-                result = classify(q)
-                star = dominator(q).matrix
-                projection = principal_projection(q, y)  # y itself when y is in q
-                report = sample_euclidean_midpoints(q, 40, n)
+                with fractions_built() as built:
+                    result = classify(q)
+                    star = dominator(q).matrix
+                    values = [result.dominator.matrix, star, min_plus_hull(q).generators]
+                    values += polytope.projectivise_generators(q)
+                    projection = principal_projection(q, y)  # y itself when y is in q
+                assert built == [0], q
+                with fractions_built() as built:
+                    report = sample_euclidean_midpoints(q, 40, n)
+                # one Fraction for each t = a/b, and none for a report with no violation
+                assert built[0] <= len(report.certificates), q
                 certified = [vector for u, v, _ in report.certificates for vector in (u, v)]
-                values = [
-                    result.dominator.matrix,
-                    star,
-                    min_plus_hull(q).generators,
-                    *polytope.projectivise_generators(q),
-                    *report.violations,
-                    *certified,
-                ]
+                values += [*report.violations, *certified]
                 if result.witness is not None:
                     values.append(result.witness)
                     witnesses += 1
@@ -347,11 +341,9 @@ def test_results_build_no_fraction_until_read():
                     values.append(projection)
                     projections += 1
                 violations += len(report.violations)
-                assert all(map(unread, values)), q
-                # once read, the violations over one scale share one Fraction per value
-                shared: dict = {}
-                for scale, z in [(z.lattice[0], z) for z in report.violations]:
-                    assert all(shared.setdefault((scale, e), e) is e for e in z.entries)
+                for value in values:
+                    assert value.entries == value.entries, q
+                assert fractions_held(tuple(values)) == 0, q
                 assert [list(r) for r in zip(*star.entries)] == [list(c) for c in dominator_columns(q)]
                 direct = direct_max_plus_projection if q.flavor is MAX else direct_min_plus_projection
                 assert projection.entries == direct(q, y)

@@ -21,7 +21,10 @@ from tropgeo import (
     mat_from_columns,
     vec,
 )
-from tropgeo.core import Lattice, _Over, matrix_from_lattice, vector_from_ints
+from tropgeo.core import Lattice, matrix_from_lattice, vector_from_ints
+from tropgeo.docio import parse_matrix_document
+
+from oracles import fractions_built, fractions_held
 
 F = Fraction
 STAR = mat([[0, -1], [1, 0]])  # a Kleene star in both flavors
@@ -154,6 +157,12 @@ def test_validation_still_raises():
     with pytest.raises(DocumentError, match=rf"^role: expected one of {roles}, got 'rows'$"):
         MatrixDocument.from_matrix(STAR, Flavor.MAX_PLUS, role="rows")
 
+    # its fields are the caller's, but a document whose entries do not fill its shape has no matrix
+    for rows, cols, count in ((2, 2, 3), (2, 2, 5), (0, 2, 0)):
+        doc = MatrixDocument(Flavor.MAX_PLUS, rows, cols, (F(0),) * count, "matrix")
+        with pytest.raises(DocumentError, match=rf"^entry count mismatch: {count} entries for {rows}x{cols}$"):
+            doc.to_polytope()
+
 
 def test_matrix_from_lattice_keeps_the_lattice():
     lat = Lattice(2, ((1, 2), (3, 4)))  # columns
@@ -181,35 +190,56 @@ def test_copies_of_a_matrix_keep_its_lattice():
 
 
 # Int-born values and their Fraction-born twins.  Each maker returns a fresh
-# instance that holds only its int form, so every check starts from there.
+# instance built from ints alone, so every check starts from there.
+DOCUMENT_TEXT = '{"flavor": "max-plus", "rows": 2, "cols": 2, "entries": ["1/2", "3/2", "1", "2"], "role": "matrix"}'
 INT_BORN = {
     "matrix": (lambda: matrix_from_lattice(Lattice(2, ((1, 2), (3, 4)))), mat([["1/2", "3/2"], [1, 2]])),
     "matrix, scale not reduced": (
         lambda: matrix_from_lattice(Lattice(4, ((2, 4), (6, 8)))),
         mat([["1/2", "3/2"], [1, 2]]),
     ),
+    "zero matrix": (lambda: matrix_from_lattice(Lattice(6, ((0, 0),))), mat([[0], [0]])),
     "vector": (lambda: vector_from_ints(2, (1, 3, -4)), vec("1/2", "3/2", -2)),
     "vector, scale not reduced": (lambda: vector_from_ints(6, (3, 9, -12)), vec("1/2", "3/2", -2)),
     "vector, negative scale": (lambda: vector_from_ints(-2, (-1, -3, 4)), vec("1/2", "3/2", -2)),
+    "vector, negative scale not reduced": (lambda: vector_from_ints(-6, (-3, -9, 12)), vec("1/2", "3/2", -2)),
+    "zero vector": (lambda: vector_from_ints(5, (0, 0, 0)), vec(0, 0, 0)),
+    "zero vector, negative scale": (lambda: vector_from_ints(-3, (0,)), vec(0)),
+    "document": (
+        lambda: parse_matrix_document(DOCUMENT_TEXT),
+        MatrixDocument(Flavor.MAX_PLUS, 2, 2, (F(1, 2), F(3, 2), F(1), F(2)), "matrix"),
+    ),
+    "document from a matrix, scale not reduced": (
+        lambda: MatrixDocument.from_matrix(matrix_from_lattice(Lattice(4, ((2, 4), (6, 8)))), Flavor.MAX_PLUS),
+        MatrixDocument(Flavor.MAX_PLUS, 2, 2, (F(1, 2), F(3, 2), F(1), F(2)), "matrix"),
+    ),
 }
 
 
 @pytest.mark.parametrize("make, twin", INT_BORN.values(), ids=INT_BORN)
 def test_int_born_values_match_their_fraction_born_twins(make, twin):
-    entries = type(twin).entries
     assert make() == twin and twin == make()
     assert hash(make()) == hash(twin)
     assert repr(make()) == repr(twin)
     assert make().entries == twin.entries
     for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        obj = make()
-        clone = copier(obj)
+        clone = copier(make())
         assert type(clone) is type(twin) and clone == twin and hash(clone) == hash(twin)
-        entries.__get__(clone)  # a copy goes through the constructor, with entries
     obj = make()
-    assert obj == obj and not obj != obj  # equal to itself with no field read
-    with pytest.raises(AttributeError):
-        entries.__get__(obj)  # nothing above built this instance's entries
+    with fractions_built() as built:
+        assert obj == twin and obj == obj and not obj != obj and hash(obj) == hash(twin)
+        if not isinstance(obj, MatrixDocument):  # its repr is a dataclass's, with its entries
+            assert repr(obj) == repr(twin)
+    assert built == [0]  # ==, hash and repr read only ints
+
+
+@pytest.mark.parametrize("make, twin", INT_BORN.values(), ids=INT_BORN)
+def test_reading_entries_twice_leaves_no_fraction_held(make, twin):
+    for obj in (make(), twin):
+        assert obj.entries == obj.entries == twin.entries
+        assert fractions_held(obj) == 0
+    assert fractions_held(MatrixDocument.from_matrix(mat([["1/2"]]), Flavor.MAX_PLUS)) == 0
+    assert fractions_held((F(1), vec(0))) == 1  # the walk finds a Fraction where there is one
 
 
 def test_a_fraction_born_vector_builds_its_int_form_once():
@@ -217,45 +247,36 @@ def test_a_fraction_born_vector_builds_its_int_form_once():
     assert v.lattice == (4, (2, -3, 8)) and v.lattice[1] is v.lattice[1]
 
 
-def test_reading_the_entries_of_a_vector_born_from_ints_drops_the_ints():
+def test_a_vector_over_a_negative_scale_reads_its_lattice_over_a_positive_one():
     v = vector_from_ints(-6, (-3, -9, 12))
-    assert v.lattice == (-6, (-3, -9, 12))
-    assert v.entries == vec("1/2", "3/2", -2).entries
-    with pytest.raises(AttributeError):
-        TropVector._lattice.__get__(v)  # they went when the entries were built
-    assert v.lattice == (2, (1, 3, -4))  # built again, on the entries' least scale
+    assert v.lattice == (6, (3, 9, -12)) and (-v).lattice == (6, (-3, -9, 12))
+    assert -v == vec("-1/2", "-3/2", 2) and vec("-1/2", "-3/2", 2).lattice == (2, (-1, -3, 4))
+    assert v[1] == F(3, 2) and list(v) == [F(1, 2), F(3, 2), F(-2)] and -(-v) == v
 
 
 def test_the_length_of_a_vector_born_from_ints_reads_the_ints():
-    # residuation._check_same_length and dominates_polytope_at take len() of such vectors
-    v = vector_from_ints(6, (3, 9, -12))
-    assert len(v) == 3
-    with pytest.raises(AttributeError):
-        TropVector.entries.__get__(v)  # len() built no entries
-    assert len(vec("1/2", 2)) == 2  # a vector of entries alone reads them
+    # dominates_polytope_at takes len() of such vectors
+    v, w = vector_from_ints(6, (3, 9, -12)), vec("1/2", 2)
+    with fractions_built() as built:
+        assert len(v) == 3 and len(w) == 2
+    assert built == [0]
 
 
-def test_vectors_over_one_scale_share_a_fraction_for_each_equal_entry():
-    over = _Over(6)
-    a, b = vector_from_ints(over, (3, 4)), vector_from_ints(over, (4, 9))
-    assert a.entries[1] is b.entries[0] == F(2, 3)
-
-
-def test_reading_vectors_that_share_a_scale_probes_only_their_own_ints(monkeypatch):
-    # the shared _Over grows with each vector read, so a read that walked its keys,
-    # as set.difference does for a dict subclass, would make reading them all quadratic
-    probes = []
-    monkeypatch.setattr(_Over, "__iter__", lambda self: (probes.append(x) or x for x in dict.__iter__(self)))
-    monkeypatch.setattr(_Over, "__contains__", lambda self, x: probes.append(x) or dict.__contains__(self, x))
-    over = _Over(7)
-    vectors = [vector_from_ints(over, (k, k + 1, 0)) for k in range(0, 600, 2)]
-    assert [v.entries for v in vectors][-1] == (F(598, 7), F(599, 7), F(0))
-    assert len(probes) <= 3 * len(vectors)
+def test_one_entry_builds_one_fraction_and_iteration_builds_them_lazily():
+    v, half = vector_from_ints(6, (3, 9, -12, 1)), F(1, 2)
+    with fractions_built() as built:
+        assert v[2] == -2
+    assert built == [1]
+    assert v[-1] == F(1, 6) and v[1:3] == (F(3, 2), F(-2)) and v[::-1] == tuple(reversed(v.entries))
+    with fractions_built() as built:
+        entries = iter(v)
+        assert next(entries) == half
+    assert built == [1]
 
 
 @pytest.mark.parametrize("cls", [TropMatrix, TropVector])
 def test_a_value_with_neither_form_raises_attribute_error(cls):
-    empty = object.__new__(cls)  # neither entries nor the int form is set
+    empty = object.__new__(cls)  # its ints, the one form of its value, are unset
     for name in ("entries", "_lattice", "lattice", "bogus"):
         with pytest.raises(AttributeError):
             getattr(empty, name)
